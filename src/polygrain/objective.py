@@ -11,13 +11,15 @@ and the fitting objective is the mean log-probability of the true labels,
 
 All evaluations subtract the per-pixel minimum cost before exponentiating, so
 the winning term contributes exp(0) and no overflow can occur for finite
-inputs. Reductions over pixels run in fixed-size chunks; the default is a
-sequential left-to-right fold (bit-reproducible), with an opt-in threaded
-tree reduction that agrees with it to near machine precision.
+inputs. Exponents are floored at Z_FLOOR so that exp never underflows.
+Reductions over pixels run in fixed-size chunks whose partial sums are folded
+left to right in chunk order, also when a thread pool computes the chunks, so
+every thread count gives bit-identical results.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,9 +27,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import DesignBasis, DesignMatrix, GAUGE_LAST_ZERO, ParamMatrix, assemble_design_matrix
-from .geometry import GrainMap, PixelGrid, argmin_labels
+from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels
 
 CHUNK_SIZE = 8192
+
+# Floor of the softmax exponent z = (m - c)/eps. exp(-700) ~ 1e-304 is still a
+# normal double, so exp stays off its slow underflow path. The argmin term
+# contributes exactly 1, so the sum s is >= 1 and a floored weight, off by
+# less than 1e-304, is far below the rounding of s.
+Z_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -57,24 +65,31 @@ def _check_compatible(theta: ParamMatrix, design: DesignMatrix) -> None:
             f"parameter basis ({theta.basis.kind}, d={theta.degree}) does not match "
             f"design basis ({design.basis.kind}, d={design.basis.degree})"
         )
+    if not np.all(np.isfinite(theta.values)):
+        raise ValueError("parameter matrix contains non-finite entries")
 
 
 def cost_matrix(theta: ParamMatrix, design: DesignMatrix) -> np.ndarray:
     """Per-grain, per-pixel costs h_i(x_j) as an (N, n) matrix."""
     _check_compatible(theta, design)
-    if not np.all(np.isfinite(theta.values)):
-        raise ValueError("parameter matrix contains non-finite entries")
     return theta.values.T @ design.values
 
 
 def hard_assign(theta: ParamMatrix, basis: DesignBasis, grid: PixelGrid,
                 design: DesignMatrix | None = None) -> np.ndarray:
-    """Arg-min labels of the diagram induced by theta, smallest index on ties."""
+    """Arg-min labels of the diagram induced by theta, smallest index on ties.
+
+    Costs are formed CHUNK_SIZE pixels at a time, never as a whole N x n matrix.
+    """
     if theta.basis != basis:
         raise ValueError("parameter matrix was built for a different basis")
     if design is None:
         design = assemble_design_matrix(basis, grid)
-    return argmin_labels(cost_matrix(theta, design))
+    _check_compatible(theta, design)
+    theta_t = theta.values.T
+    n = design.values.shape[1]
+    return np.concatenate([argmin_labels(theta_t @ design.values[:, lo:lo + CHUNK_SIZE])
+                           for lo in range(0, n, CHUNK_SIZE)])
 
 
 def soft_assign(theta: ParamMatrix, design: DesignMatrix, eps: float) -> SoftAssignment:
@@ -96,27 +111,46 @@ class EvalResult(NamedTuple):
 
 def _chunk_stats(theta_values, design_values, labels0, eps, sl, want_grad, want_assign):
     d = design_values[:, sl]
-    c = theta_values.T @ d
+    buf = theta_values.T @ d  # costs c; the only N x chunk float array
     g0 = labels0[sl]
-    cols = np.arange(c.shape[1])
-    m = c.min(axis=0)
-    z = (m[None, :] - c) / eps
-    e = np.exp(z)
-    s = e.sum(axis=0)
-    lse_sum = float(z[g0, cols].sum() - np.log(s).sum())
-
-    gacc = None
-    if want_grad:
-        r = e / s[None, :]
-        np.negative(r, out=r)
-        r[g0, cols] += 1.0
-        gacc = d @ r.T
+    flat = buf.reshape(-1)  # a view: buf is a fresh C-ordered array
+    at_g0 = g0 * buf.shape[1] + np.arange(buf.shape[1])  # flat index of (g0, x)
+    m = buf.min(axis=0)
 
     ncorrect = 0
     e0_sum = 0.0
     if want_assign:
-        ncorrect = int(np.count_nonzero(argmin_labels(c) - 1 == g0))
-        e0_sum = float((c[g0, cols] - m).sum())
+        # The comparisons of argmin_labels; a pixel whose label ties alone is
+        # correct, and only multi-way ties need the first tied index.
+        thr = m + TIE_RTOL * (1.0 + np.abs(m))
+        tied = buf <= thr[None, :]
+        ntied = tied.sum(axis=0, dtype=np.int32)
+        c_g0 = flat[at_g0]
+        g0_tied = c_g0 <= thr
+        ncorrect = int(np.count_nonzero(g0_tied & (ntied == 1)))
+        multi = np.flatnonzero(g0_tied & (ntied > 1))
+        if multi.size:
+            first = np.argmax(tied[:, multi], axis=0)
+            ncorrect += int(np.count_nonzero(first == g0[multi]))
+        # A NaN threshold (from a NaN or -inf minimum) ties nothing, and
+        # argmin_labels then returns index 0.
+        ncorrect += int(np.count_nonzero((ntied == 0) & (g0 == 0)))
+        e0_sum = float((c_g0 - m).sum())
+
+    np.subtract(m[None, :], buf, out=buf)
+    np.divide(buf, eps, out=buf)  # z
+    z_g0 = flat[at_g0]
+    np.maximum(buf, Z_FLOOR, out=buf)
+    np.exp(buf, out=buf)  # e
+    s = buf.sum(axis=0)
+    lse_sum = float(z_g0.sum() - np.log(s).sum())
+
+    gacc = None
+    if want_grad:
+        np.divide(buf, s[None, :], out=buf)
+        np.negative(buf, out=buf)
+        flat[at_g0] += 1.0  # residual 1[g0] - e/s
+        gacc = d @ buf.T
     return lse_sum, gacc, ncorrect, e0_sum
 
 
@@ -132,9 +166,10 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                        chunk_size: int = CHUNK_SIZE) -> EvalResult:
     """Chunked evaluation of the objective and, optionally, gradient and assignment stats.
 
-    ``labels0`` are 0-based true labels. threads == 1 folds chunk partial sums
-    sequentially; threads > 1 computes partials in a thread pool and combines
-    them pairwise in a fixed tree order. Both orders are deterministic.
+    ``labels0`` are 0-based true labels. Chunk partial sums are folded left to
+    right in chunk order; threads > 1 only computes the partials in a thread
+    pool, so the result is bit-identical to threads == 1. Exponents are
+    floored at ``Z_FLOOR``, which moves no weight by more than exp(Z_FLOOR).
     """
     n = design_values.shape[1]
     slices = [slice(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
@@ -146,16 +181,9 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     if threads > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(stats, slices))
-        while len(parts) > 1:
-            parts = [
-                _combine(parts[i], parts[i + 1]) if i + 1 < len(parts) else parts[i]
-                for i in range(0, len(parts), 2)
-            ]
-        total = parts[0]
     else:
-        total = stats(slices[0])
-        for sl in slices[1:]:
-            total = _combine(total, stats(sl))
+        parts = map(stats, slices)
+    total = functools.reduce(_combine, parts)
 
     lse_sum, gacc, ncorrect, e0_sum = total
     phi = lse_sum / n
@@ -171,8 +199,6 @@ def objective(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
     if eps <= 0:
         raise ValueError("eps must be positive")
     _check_compatible(theta, design)
-    if not np.all(np.isfinite(theta.values)):
-        raise ValueError("parameter matrix contains non-finite entries")
     res = evaluate_objective(theta.values, design.values, grain_map.labels - 1,
                              eps, want_grad=False)
     return res.phi
@@ -188,8 +214,6 @@ def gradient(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
     if eps <= 0:
         raise ValueError("eps must be positive")
     _check_compatible(theta, design)
-    if not np.all(np.isfinite(theta.values)):
-        raise ValueError("parameter matrix contains non-finite entries")
     res = evaluate_objective(theta.values, design.values, grain_map.labels - 1,
                              eps, want_grad=True)
     grad = res.grad

@@ -198,7 +198,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     Runs up to ``config.max_iters`` accepted quasi-Newton steps; stops early
     only when the line search fails or the objective certifies a perfect
     reconstruction. Deterministic: identical inputs give identical
-    trajectories (bit-identical with threads == 1).
+    trajectories, bit-identical for every thread count.
     """
     start = time.perf_counter()
     basis = DesignBasis.make(config.basis_kind, config.degree)

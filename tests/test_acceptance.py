@@ -332,9 +332,9 @@ def test_criterion_10_determinism(tmp_path, pd_recovery):
         par = evaluate_objective(values, design.values, gm.labels - 1, rep.eps,
                                  want_grad=False, threads=4, chunk_size=1024)
         worst = max(worst, abs(seq.phi - par.phi) / (1 + abs(seq.phi)))
-    ok_parallel = worst <= 1e-12
+    ok_parallel = worst == 0.0
 
     ok = ok_bytes and ok_parallel
     criterion(10, ok,
               f"byte-identical reports (timing excluded): {ok_bytes}; parallel vs "
-              f"sequential phi drift {worst:.2e} (<=1e-12)")
+              f"sequential phi drift {worst:.2e} (==0, bit-identical)")

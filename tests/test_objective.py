@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polygrain as pg
 from conftest import random_labels_map, random_theta
+from polygrain.objective import evaluate_objective
 
 
 def small_problem(rng, degree=2, n_grains=4, m=5, kind=pg.LEGENDRE):
@@ -281,25 +283,108 @@ class TestReduction:
         basis = pg.DesignBasis.make(pg.LEGENDRE, 2)
         design = pg.assemble_design_matrix(basis, gm.grid)
         theta = random_theta(rng, 2, 6)
-        from polygrain.objective import evaluate_objective
 
         seq = evaluate_objective(theta.values, design.values, gm.labels - 1, 0.05,
                                  want_assign=True, threads=1, chunk_size=128)
         par = evaluate_objective(theta.values, design.values, gm.labels - 1, 0.05,
                                  want_assign=True, threads=4, chunk_size=128)
-        assert abs(seq.phi - par.phi) <= 1e-12 * (1 + abs(seq.phi))
-        assert np.abs(seq.grad - par.grad).max() <= 1e-12 * (1 + np.abs(seq.grad).max())
+        # the parallel partials are folded in chunk order: bit-identical
+        assert seq.phi == par.phi
+        assert np.array_equal(seq.grad, par.grad)
         assert seq.err == par.err
+        assert seq.e0 == par.e0
 
     def test_chunked_matches_single_chunk(self, rng):
         gm = random_labels_map(rng, 8, 3)
         basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
         design = pg.assemble_design_matrix(basis, gm.grid)
         theta = random_theta(rng, 1, 3, kind=pg.MONOMIAL)
-        from polygrain.objective import evaluate_objective
 
         whole = evaluate_objective(theta.values, design.values, gm.labels - 1, 0.1,
                                    chunk_size=10 ** 9)
         chunked = evaluate_objective(theta.values, design.values, gm.labels - 1, 0.1,
                                      chunk_size=64)
         assert abs(whole.phi - chunked.phi) <= 1e-13
+
+
+@st.composite
+def assignment_problems(draw):
+    """Small maps and parameters, biased towards exact cost ties."""
+    n_grains = draw(st.integers(2, 6))
+    m = draw(st.sampled_from([1, 2, 3, 4]))
+    degree = draw(st.integers(1, 2))
+    basis = pg.DesignBasis.make(draw(st.sampled_from([pg.MONOMIAL, pg.LEGENDRE])), degree)
+    grid = pg.make_grid(m)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, n_grains + 1, size=len(grid))
+    shape = (basis.dimension, n_grains)
+    kind = draw(st.sampled_from(["zero", "normal", "duplicate", "integer"]))
+    if kind == "zero":
+        values = np.zeros(shape)
+    elif kind == "integer":
+        # small integers on a dyadic grid give exactly representable costs
+        values = rng.integers(-2, 3, size=shape).astype(np.float64)
+    else:
+        values = rng.normal(size=shape)
+        if kind == "duplicate":
+            values[:, rng.integers(n_grains, size=n_grains // 2 + 1)] = values[:, :1]
+    values *= draw(st.sampled_from([1.0, 1e6]))
+    theta = pg.ParamMatrix(values, basis)
+    gm = pg.GrainMap(grid=grid, labels=labels, n_grains=n_grains)
+    return theta, gm, pg.assemble_design_matrix(basis, grid)
+
+
+class TestAssignmentStats:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=assignment_problems(), eps=st.sampled_from([1e-2, 1.0]),
+           small=st.integers(1, 63))
+    def test_err_and_e0_match_hard_assignment(self, problem, eps, small):
+        theta, gm, design = problem
+        n = len(gm)
+        labels = pg.argmin_labels(pg.cost_matrix(theta, design))
+        want_err = 1.0 - np.count_nonzero(labels == gm.labels) / n
+        want_e0 = pg.energy_zero(theta, design, gm)
+        for chunk_size in (min(small, n - 1), 2 * n):
+            res = evaluate_objective(theta.values, design.values, gm.labels - 1, eps,
+                                     want_assign=True, chunk_size=chunk_size)
+            assert res.err == want_err
+            assert abs(res.e0 - want_e0) <= 1e-12 * (1.0 + abs(want_e0))
+
+    def test_nan_costs_count_as_label_one(self, rng):
+        # argmin_labels ties nothing in a NaN column and returns label 1
+        gm, basis, design = small_problem(rng)
+        values = random_theta(rng, 2, 4).values.copy()
+        values[0, 2] = np.nan
+        want = pg.argmin_labels(values.T @ design.values)
+        with np.errstate(invalid="ignore"):
+            res = evaluate_objective(values, design.values, gm.labels - 1, 0.1,
+                                     want_assign=True)
+        assert res.err == 1.0 - np.count_nonzero(want == gm.labels) / len(gm)
+        assert res.err < 1.0
+
+
+class TestExponentFloor:
+    def test_floored_matches_unfloored_reference(self, rng):
+        gm, basis, design = small_problem(rng, m=8)
+        theta = random_theta(rng, 2, 4, scale=50.0).values
+        eps = 0.01
+        d = design.values
+        n = d.shape[1]
+        g0 = gm.labels - 1
+        cols = np.arange(n)
+
+        c = theta.T @ d
+        z = (c.min(axis=0)[None, :] - c) / eps
+        assert np.mean(z < -745.0) > 0.5  # most weights underflow to 0
+        with np.errstate(under="ignore"):
+            e = np.exp(z)
+        s = e.sum(axis=0)
+        phi_ref = (z[g0, cols].sum() - np.log(s).sum()) / n
+        r = -(e / s[None, :])
+        r[g0, cols] += 1.0
+        grad_ref = -(d @ r.T) / (eps * n)
+
+        res = evaluate_objective(theta, d, g0, eps, chunk_size=n)
+        assert abs(res.phi - phi_ref) <= 1e-14 * abs(phi_ref)
+        assert np.abs(res.grad - grad_ref).max() <= 1e-14 * np.abs(grad_ref).max()
