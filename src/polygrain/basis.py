@@ -175,10 +175,6 @@ class DesignMatrix:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n_points(self) -> int:
-        return self.values.shape[1]
-
 
 def assemble_design_matrix(basis: DesignBasis, grid: PixelGrid) -> DesignMatrix:
     """Evaluate the design function at every grid point; computed once per fit."""

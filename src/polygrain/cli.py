@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from .basis import LEGENDRE, MONOMIAL, assemble_design_matrix, feature_count
-from .conversions import coeffs_to_basis, pd_to_theta, apd_to_theta, psd_repair, theta_to_apd, theta_to_pd
+from .conversions import (coeffs_to_basis, generate_apd, generate_pd, pd_to_theta, apd_to_theta,
+                          psd_repair, theta_to_apd, theta_to_pd)
 from .errors import InputFormatError, NumericalError
-from .geometry import PhysicalAPD, PhysicalPD, generate_apd, generate_pd, make_grid
+from .geometry import PhysicalAPD, PhysicalPD, make_grid
 from .metrics import compression
 from .objective import hard_assign
 from .optimizer import FitConfig, fit

@@ -13,6 +13,11 @@ with cost (x-y).A(x-y) - w, giving additionally
 Both maps invert in closed form. The inverse is not canonical: adding a
 common vector to every coefficient column leaves the diagram unchanged but
 moves the recovered (y, w, A).
+
+Synthetic grain maps are generated through the same maps: ``generate_apd``
+labels each pixel by the chunked arg-min (``objective.hard_assign``) of the
+degree-2 coefficients of its diagram, and ``generate_pd`` is ``generate_apd``
+with identity anisotropy, so no whole-map cost matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from .basis import (
     basis_change,
     basis_change_inverse,
 )
-from .geometry import PhysicalAPD, PhysicalPD, sym2x2_eigvals
+from .geometry import GrainMap, PhysicalAPD, PhysicalPD, PixelGrid, sym2x2_eigvals
+from .objective import hard_assign
 
 
 def _positions_d1(index_set):
@@ -89,6 +95,34 @@ def apd_to_theta(apd: PhysicalAPD) -> ParamMatrix:
     theta[p01] = -2.0 * (a12 * y1 + a22 * y2)
     theta[p00] = y1 * (a11 * y1 + a12 * y2) + y2 * (a12 * y1 + a22 * y2) - apd.weights
     return ParamMatrix(values=theta, basis=basis, gauge=GAUGE_FREE)
+
+
+def generate_apd(apd: PhysicalAPD, grid: PixelGrid) -> GrainMap:
+    """Grain map induced by an anisotropic power diagram.
+
+    Costs are (x-y_i).A_i(x-y_i) - w_i; every A_i must be positive definite.
+    Labels are the arg-min of the equal degree-2 costs of ``apd_to_theta``.
+    """
+    lam_min = apd.min_eigenvalues()
+    tol = 1e-12 * (1.0 + np.abs(np.trace(apd.anisotropy, axis1=1, axis2=2)))
+    bad = np.nonzero(lam_min <= tol)[0]
+    if bad.size:
+        raise ValueError(
+            f"anisotropy matrices must be positive definite; offending grains: {(bad + 1).tolist()}"
+        )
+    theta = apd_to_theta(apd)
+    return GrainMap(grid=grid, labels=hard_assign(theta, theta.basis, grid),
+                    n_grains=apd.n_grains)
+
+
+def generate_pd(pd: PhysicalPD, grid: PixelGrid) -> GrainMap:
+    """Grain map induced by a power diagram: argmin_i |x-y_i|^2 - w_i.
+
+    The anisotropic diagram with identity matrices, so an APD with A_i = I
+    gives exactly the same labels.
+    """
+    eye = np.broadcast_to(np.eye(2), (pd.n_grains, 2, 2))
+    return generate_apd(PhysicalAPD(seeds=pd.seeds, weights=pd.weights, anisotropy=eye), grid)
 
 
 @dataclass(frozen=True)
@@ -165,11 +199,6 @@ def coeffs_to_basis(theta: ParamMatrix, target_kind: str) -> ParamMatrix:
                        gauge=theta.gauge)
 
 
-def anisotropy_from_theta(theta: ParamMatrix) -> np.ndarray:
-    """Symmetric quadratic blocks of degree-2 monomial coefficients, shape (N, 2, 2)."""
-    return theta_to_apd(theta).anisotropy
-
-
 def psd_repair(theta: ParamMatrix, margin: float | None = None,
                no_op_if_pd: bool = False) -> ParamMatrix:
     """Shift all quadratic blocks by the same multiple of the identity.
@@ -188,10 +217,10 @@ def psd_repair(theta: ParamMatrix, margin: float | None = None,
     work = coeffs_to_basis(theta, MONOMIAL)
     if work.degree != 2:
         raise ValueError(f"psd_repair expects degree 2, got {work.degree}")
-    mats = anisotropy_from_theta(work)
-    lam_min = float(sym2x2_eigvals(mats)[:, 0].min())
+    eigs = sym2x2_eigvals(theta_to_apd(work).anisotropy)
+    lam_min = float(eigs[:, 0].min())
     if margin is None:
-        margin = 1e-3 * (1.0 + float(np.abs(sym2x2_eigvals(mats)).max()))
+        margin = 1e-3 * (1.0 + float(np.abs(eigs).max()))
     if margin <= 0:
         raise ValueError("margin must be positive")
     if no_op_if_pd and lam_min >= margin:

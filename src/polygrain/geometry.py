@@ -1,10 +1,11 @@
-"""Pixel domains, grain maps, and synthetic (anisotropic) power diagram generation.
+"""Pixel domains, grain maps, and the parameters of (anisotropic) power diagrams.
 
 The ambient domain is the square [-1,1]^2, sampled either on a regular grid of
 (2M)^2 pixel centres or on an arbitrary finite point list. A grain map assigns
-each sample point a label in {1,...,N}. Synthetic maps are produced by
-arg-min assignment against per-grain cost functions with deterministic
-smallest-index tie-breaking.
+each sample point a label in {1,...,N}. Labels come from arg-min assignment
+against per-grain costs with deterministic smallest-index tie-breaking
+(``argmin_labels``); synthetic maps are generated in ``conversions`` from the
+linear coefficients of a diagram.
 """
 
 from __future__ import annotations
@@ -208,44 +209,6 @@ def argmin_labels(costs: np.ndarray) -> np.ndarray:
     m = costs.min(axis=0)
     tol = TIE_RTOL * (1.0 + np.abs(m))
     return np.argmax(costs <= m + tol, axis=0).astype(np.int64) + 1
-
-
-def _pd_costs(pd: PhysicalPD, points: np.ndarray) -> np.ndarray:
-    z1 = points[None, :, 0] - pd.seeds[:, 0, None]
-    z2 = points[None, :, 1] - pd.seeds[:, 1, None]
-    return z1 * z1 + z2 * z2 - pd.weights[:, None]
-
-
-def _apd_costs(apd: PhysicalAPD, points: np.ndarray) -> np.ndarray:
-    # Written so that identity matrices reproduce _pd_costs bit for bit.
-    a11 = apd.anisotropy[:, 0, 0, None]
-    a12 = 0.5 * (apd.anisotropy[:, 0, 1] + apd.anisotropy[:, 1, 0])[:, None]
-    a22 = apd.anisotropy[:, 1, 1, None]
-    z1 = points[None, :, 0] - apd.seeds[:, 0, None]
-    z2 = points[None, :, 1] - apd.seeds[:, 1, None]
-    return a11 * z1 * z1 + 2.0 * a12 * z1 * z2 + a22 * z2 * z2 - apd.weights[:, None]
-
-
-def generate_pd(pd: PhysicalPD, grid: PixelGrid) -> GrainMap:
-    """Grain map induced by a power diagram: argmin_i |x-y_i|^2 - w_i."""
-    labels = argmin_labels(_pd_costs(pd, grid.points))
-    return GrainMap(grid=grid, labels=labels, n_grains=pd.n_grains)
-
-
-def generate_apd(apd: PhysicalAPD, grid: PixelGrid) -> GrainMap:
-    """Grain map induced by an anisotropic power diagram.
-
-    Costs are (x-y_i).A_i(x-y_i) - w_i; every A_i must be positive definite.
-    """
-    lam_min = apd.min_eigenvalues()
-    tol = 1e-12 * (1.0 + np.abs(np.trace(apd.anisotropy, axis1=1, axis2=2)))
-    bad = np.nonzero(lam_min <= tol)[0]
-    if bad.size:
-        raise ValueError(
-            f"anisotropy matrices must be positive definite; offending grains: {(bad + 1).tolist()}"
-        )
-    labels = argmin_labels(_apd_costs(apd, grid.points))
-    return GrainMap(grid=grid, labels=labels, n_grains=apd.n_grains)
 
 
 def accuracy_and_error(grain_map: GrainMap, assigned: np.ndarray) -> tuple[float, float]:

@@ -2,7 +2,9 @@
 
 Storing a labelled pixel set naively takes 3n scalars (two coordinates and a
 label per pixel), while a fitted degree-d diagram takes K_d coefficients per
-grain, giving the compression ratio K_d N / (3 n).
+grain, giving the compression ratio K_d N / (3 n). ``bound_report`` reads phi,
+err and E0 from one chunked ``objective.evaluate`` pass and checks them with
+``objective.bounds_hold``, the predicate ``fit`` applies to its trajectory.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .basis import DesignMatrix, ParamMatrix, feature_count, zero_pad
-from .geometry import GrainMap, accuracy_and_error, argmin_labels
-from .objective import cost_matrix, energy_zero, objective
+from .geometry import GrainMap
+from .objective import bounds_hold, evaluate, objective
 from .optimizer import FitConfig, FitReport, fit
 
 
@@ -110,25 +112,20 @@ def bound_report(theta: ParamMatrix, grain_map: GrainMap, design: DesignMatrix,
                  eps: float, slack: float = 1e-12) -> BoundReport:
     """Verify the objective/error inequalities at one parameter value.
 
-    Checks, each with additive slack 1e-12:
+    Checks, the first two with additive ``slack``:
       * phi <= -log(2) * err (every misassigned pixel costs at least log 2);
       * 0 <= -eps*phi - e0 <= eps*log(N) (log-sum-exp sandwich);
       * phi > -log(2)/n forces err == 0 exactly.
     """
-    costs = cost_matrix(theta, design)
-    phi = objective(theta, design, grain_map, eps)
-    _, err = accuracy_and_error(grain_map, argmin_labels(costs))
-    e0 = energy_zero(theta, design, grain_map)
-    e_eps = -eps * phi
+    phi, _, err, e0 = evaluate(theta, design, grain_map, eps, want_assign=True)
     n = len(grain_map)
-    log2 = math.log(2.0)
-    log_n = math.log(grain_map.n_grains)
-    near_optimal = phi > -log2 / n
+    phi_err_ok, energy_ok = bounds_hold(phi, err, e0, eps, grain_map.n_grains, slack)
+    near_optimal = phi > -math.log(2.0) / n
     return BoundReport(
-        phi=phi, err=err, energy_eps=e_eps, energy_zero=e0, eps=eps,
+        phi=phi, err=err, energy_eps=-eps * phi, energy_zero=e0, eps=eps,
         n_grains=grain_map.n_grains, n_pixels=n,
-        misassignment_bound_ok=bool(phi <= -log2 * err + slack),
-        energy_bound_ok=bool(-slack <= e_eps - e0 <= eps * log_n + slack),
+        misassignment_bound_ok=phi_err_ok,
+        energy_bound_ok=energy_ok,
         near_optimal=bool(near_optimal),
         near_optimal_consistent=bool((not near_optimal) or err == 0.0),
     )

@@ -15,13 +15,20 @@ inputs. Exponents are floored at Z_FLOOR so that exp never underflows.
 Reductions over pixels run in fixed-size chunks whose partial sums are folded
 left to right in chunk order, also when a thread pool computes the chunks, so
 every thread count gives bit-identical results.
+
+Every pass over all grains and all pixels goes through that chunked kernel:
+``evaluate`` (the checked entry point for the objective, its gradient and the
+assignment statistics) and ``hard_assign`` (arg-min labels, which also
+generate synthetic maps). ``bounds_hold`` is the one implementation of the
+paper's objective/error bounds. ``cost_matrix``, ``soft_assign`` and
+``energy_zero`` build whole N x n matrices and serve as dense references.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,27 +43,6 @@ CHUNK_SIZE = 8192
 # contributes exactly 1, so the sum s is >= 1 and a floored weight, off by
 # less than 1e-304, is far below the rounding of s.
 Z_FLOOR = -700.0
-
-
-@dataclass(frozen=True)
-class SoftAssignment:
-    """Softmax memberships: column x holds the probabilities (p_i(x))_i."""
-
-    probabilities: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check the probability-simplex invariants (columns sum to 1, entries in (0,1))."""
-        p = self.probabilities
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError("soft assignment entries must lie strictly in (0, 1)")
-        col = p.sum(axis=0)
-        if np.abs(col - 1.0).max() > tol:
-            raise ValueError("soft assignment columns must sum to one")
 
 
 def _check_compatible(theta: ParamMatrix, design: DesignMatrix) -> None:
@@ -92,14 +78,17 @@ def hard_assign(theta: ParamMatrix, basis: DesignBasis, grid: PixelGrid,
                            for lo in range(0, n, CHUNK_SIZE)])
 
 
-def soft_assign(theta: ParamMatrix, design: DesignMatrix, eps: float) -> SoftAssignment:
-    """Softmax memberships at temperature eps, stabilised by min-cost subtraction."""
+def soft_assign(theta: ParamMatrix, design: DesignMatrix, eps: float) -> np.ndarray:
+    """Softmax memberships p_i(x_j) at temperature eps, shape (N, n).
+
+    Stabilised by min-cost subtraction; column j is a distribution over grains.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     costs = cost_matrix(theta, design)
     z = (costs.min(axis=0)[None, :] - costs) / eps
     e = np.exp(z)
-    return SoftAssignment(probabilities=e / e.sum(axis=0)[None, :], epsilon=eps)
+    return e / e.sum(axis=0)[None, :]
 
 
 class EvalResult(NamedTuple):
@@ -193,15 +182,36 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     return EvalResult(phi=phi, grad=grad, err=err, e0=e0)
 
 
-def objective(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
-              eps: float) -> float:
-    """Mean log-probability of the true labels under the soft assignment; <= 0."""
+def evaluate(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap, eps: float,
+             *, want_grad: bool = False, want_assign: bool = False) -> EvalResult:
+    """Checked ``evaluate_objective`` of theta on a design; the gradient keeps its last column."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     _check_compatible(theta, design)
-    res = evaluate_objective(theta.values, design.values, grain_map.labels - 1,
-                             eps, want_grad=False)
-    return res.phi
+    if len(grain_map) != design.values.shape[1]:
+        raise ValueError(f"grain map has {len(grain_map)} pixels, design has "
+                         f"{design.values.shape[1]}")
+    return evaluate_objective(theta.values, design.values, grain_map.labels - 1, eps,
+                              want_grad=want_grad, want_assign=want_assign)
+
+
+def bounds_hold(phi: float, err: float, e0: float, eps: float, n_grains: int,
+                slack: float = 1e-12) -> tuple[bool, bool]:
+    """The paper's bounds at one parameter value, each with additive ``slack``.
+
+    Returns (phi <= -log(2) * err, 0 <= -eps*phi - e0 <= eps*log(N)): every
+    misassigned pixel costs at least log 2, and log-sum-exp is sandwiched
+    between its maximum term and that term plus log N.
+    """
+    phi_err_ok = phi <= -math.log(2.0) * err + slack
+    energy_ok = -slack <= -eps * phi - e0 <= eps * math.log(n_grains) + slack
+    return bool(phi_err_ok), bool(energy_ok)
+
+
+def objective(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
+              eps: float) -> float:
+    """Mean log-probability of the true labels under the soft assignment; <= 0."""
+    return evaluate(theta, design, grain_map, eps).phi
 
 
 def gradient(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
@@ -211,12 +221,7 @@ def gradient(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
     Block i equals -(1/(eps*n)) sum_x (1[i == g(x)] - p_i(x)) eta(x). Under the
     last-column-zero gauge the final column is projected to zero.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    _check_compatible(theta, design)
-    res = evaluate_objective(theta.values, design.values, grain_map.labels - 1,
-                             eps, want_grad=True)
-    grad = res.grad
+    grad = evaluate(theta, design, grain_map, eps, want_grad=True).grad
     if theta.gauge == GAUGE_LAST_ZERO:
         grad[:, -1] = 0.0
     return grad
@@ -233,7 +238,7 @@ def hessian_block(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
     n_grains = theta.n_grains
     if not (1 <= i <= n_grains and 1 <= k <= n_grains):
         raise ValueError(f"grain indices must lie in 1..{n_grains}")
-    p = soft_assign(theta, design, eps).probabilities
+    p = soft_assign(theta, design, eps)
     pi, pk = p[i - 1], p[k - 1]
     w = pi * ((1.0 if i == k else 0.0) - pk)
     d = design.values

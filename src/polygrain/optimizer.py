@@ -24,7 +24,7 @@ import numpy as np
 from .basis import DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assemble_design_matrix
 from .errors import NumericalError
 from .geometry import GrainMap
-from .objective import evaluate_objective
+from .objective import bounds_hold, evaluate_objective
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -159,9 +159,6 @@ class FitReport:
     design_spans: bool = True
     bound_phi_err_ok: bool = True
     bound_energy_ok: bool = True
-
-    def energy_eps_traj(self) -> list[float]:
-        return [-self.eps * phi for phi in self.phi_traj]
 
 
 def init_zero(degree: int, n_grains: int, kind: str = LEGENDRE) -> ParamMatrix:
@@ -329,14 +326,9 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     report.stop_reason = stop_reason
     report.gauge_residual = float(np.abs(theta_final.values[:, -1]).max())
 
-    log2 = math.log(2.0)
-    log_n = math.log(n_grains)
-    report.bound_phi_err_ok = all(
-        p <= -log2 * e + 1e-12 for p, e in zip(report.phi_traj, report.err_traj)
-    )
-    report.bound_energy_ok = all(
-        -1e-12 <= -config.eps * p - e0_val <= config.eps * log_n + 1e-12
-        for p, e0_val in zip(report.phi_traj, report.e0_traj)
-    )
+    checks = [bounds_hold(p, e, e0_val, config.eps, n_grains)
+              for p, e, e0_val in zip(report.phi_traj, report.err_traj, report.e0_traj)]
+    report.bound_phi_err_ok = all(phi_err_ok for phi_err_ok, _ in checks)
+    report.bound_energy_ok = all(energy_ok for _, energy_ok in checks)
     report.wall_clock_s = time.perf_counter() - start
     return report

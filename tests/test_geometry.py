@@ -1,8 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import polygrain as pg
 from conftest import random_apd, random_pd
+
+
+def physical_costs(params, points):
+    """Costs (x-y_i).A_i(x-y_i) - w_i in physical form, shape (N, n); A_i = I for a PD.
+
+    An independent reference for generation, which works on linear coefficients.
+    Identity matrices give |x-y_i|^2 - w_i bit for bit.
+    """
+    mats = getattr(params, "anisotropy", np.broadcast_to(np.eye(2), (params.n_grains, 2, 2)))
+    a11 = mats[:, 0, 0, None]
+    a12 = 0.5 * (mats[:, 0, 1] + mats[:, 1, 0])[:, None]
+    a22 = mats[:, 1, 1, None]
+    z1 = points[None, :, 0] - params.seeds[:, 0, None]
+    z2 = points[None, :, 1] - params.seeds[:, 1, None]
+    return a11 * z1 * z1 + 2.0 * a12 * z1 * z2 + a22 * z2 * z2 - params.weights[:, None]
 
 
 class TestMakeGrid:
@@ -128,6 +145,7 @@ class TestGeneratePD:
         theta = pg.pd_to_theta(pd)
         labels = pg.hard_assign(theta, theta.basis, grid)
         assert np.array_equal(gm.labels, labels)
+        assert np.array_equal(gm.labels, pg.argmin_labels(physical_costs(pd, grid.points)))
 
 
 class TestGenerateAPD:
@@ -136,8 +154,9 @@ class TestGenerateAPD:
         apd = pg.PhysicalAPD(seeds=pd.seeds, weights=pd.weights,
                              anisotropy=np.broadcast_to(np.eye(2), (7, 2, 2)).copy())
         grid = pg.make_grid(9)
-        assert np.array_equal(pg.generate_apd(apd, grid).labels,
-                              pg.generate_pd(pd, grid).labels)
+        expected = pg.argmin_labels(physical_costs(pd, grid.points))
+        assert np.array_equal(pg.generate_apd(apd, grid).labels, expected)
+        assert np.array_equal(pg.generate_pd(pd, grid).labels, expected)
 
     def test_dominant_weight_constant_map(self):
         mats = np.broadcast_to(np.eye(2), (2, 2, 2)).copy()
@@ -162,8 +181,19 @@ class TestGenerateAPD:
         apd = random_apd(rng, 12)
         grid = pg.make_grid(12)
         gm = pg.generate_apd(apd, grid)
-        theta = pg.apd_to_theta(apd)
-        assert np.array_equal(gm.labels, pg.hard_assign(theta, theta.basis, grid))
+        assert np.array_equal(gm.labels, pg.argmin_labels(physical_costs(apd, grid.points)))
+
+    def test_peak_memory_stays_below_whole_map_costs(self, rng):
+        # N=200 grains on 4e4 pixels: a whole-map cost matrix alone is 64 MB.
+        apd = random_apd(rng, 200)
+        grid = pg.make_grid(100)
+        tracemalloc.start()
+        try:
+            pg.generate_apd(apd, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_rejects_indefinite_matrix(self):
         mats = np.array([np.diag([1.0, -0.5]), np.eye(2)])

@@ -5,6 +5,7 @@ import pytest
 
 import polygrain as pg
 from conftest import random_apd, random_labels_map
+from polygrain.objective import bounds_hold
 
 SMALL_SHAPE = (245, 63252)
 BIG_SHAPE = (4686, 1033376)
@@ -105,6 +106,21 @@ class TestBoundReport:
         assert rep.err == 0.0
         assert rep.all_ok
 
+    def test_matches_dense_references(self, rng):
+        from conftest import random_theta
+
+        gm = random_labels_map(rng, 7, 6)
+        design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 2), gm.grid)
+        for scale in (0.1, 1.0, 30.0):
+            theta = random_theta(rng, 2, 6, scale=scale)
+            rep = pg.bound_report(theta, gm, design, 0.05)
+            costs = pg.cost_matrix(theta, design)
+            assert rep.phi == pg.objective(theta, design, gm, 0.05)
+            assert rep.err == pg.accuracy_and_error(gm, pg.argmin_labels(costs))[1]
+            assert rep.energy_zero == pytest.approx(pg.energy_zero(theta, design, gm),
+                                                    rel=1e-12, abs=1e-12)
+            assert rep.energy_eps == pytest.approx(-0.05 * rep.phi, abs=0)
+
     def test_random_parameters_satisfy_bounds(self, rng):
         from conftest import random_theta
 
@@ -115,3 +131,20 @@ class TestBoundReport:
             rep = pg.bound_report(theta, gm, design, float(rng.uniform(0.01, 1.0)))
             assert rep.misassignment_bound_ok
             assert rep.energy_bound_ok
+
+
+class TestBoundsHold:
+    def test_each_bound_can_fail(self):
+        eps, n_grains = 0.1, 4
+        log2, top = math.log(2.0), 0.1 * math.log(4)
+        assert bounds_hold(-log2 * 0.5, 0.5, 0.0, eps, n_grains)[0] is True
+        assert bounds_hold(-log2 * 0.5 + 1e-9, 0.5, 0.0, eps, n_grains)[0] is False
+        phi = -1.0  # -eps*phi = 0.1, so e0 must lie in [0.1 - eps*log N, 0.1]
+        assert bounds_hold(phi, 0.0, 0.1, eps, n_grains) == (True, True)
+        assert bounds_hold(phi, 0.0, 0.1 - top, eps, n_grains) == (True, True)
+        assert bounds_hold(phi, 0.0, 0.1 + 1e-9, eps, n_grains) == (True, False)
+        assert bounds_hold(phi, 0.0, 0.1 - top - 1e-9, eps, n_grains) == (True, False)
+
+    def test_slack_is_additive(self):
+        assert bounds_hold(5e-13, 0.0, -5e-14, 1.0, 2) == (True, True)
+        assert bounds_hold(2e-12, 0.0, 0.0, 1.0, 2) == (False, False)

@@ -16,13 +16,19 @@ def small_problem(rng, degree=2, n_grains=4, m=5, kind=pg.LEGENDRE):
     return gm, basis, design
 
 
+def assert_distributions(p, tol=1e-12):
+    """Columns are probability vectors: entries strictly in (0, 1), sums within tol of 1."""
+    assert np.all(p > 0.0) and np.all(p < 1.0)
+    assert np.abs(p.sum(axis=0) - 1.0).max() <= tol
+
+
 class TestSoftAssign:
     def test_zero_theta_is_uniform(self, rng):
         gm, basis, design = small_problem(rng, n_grains=5)
         theta = pg.ParamMatrix(np.zeros((basis.dimension, 5)), basis)
-        soft = pg.soft_assign(theta, design, 0.3)
-        assert np.all(soft.probabilities == 0.2)
-        soft.validate()
+        p = pg.soft_assign(theta, design, 0.3)
+        assert np.all(p == 0.2)
+        assert_distributions(p)
 
     def test_log_three_gap_gives_three_to_one_odds(self):
         # Two grains, one unstructured point at the origin; the constant
@@ -34,29 +40,28 @@ class TestSoftAssign:
         values = np.zeros((3, 2))
         values[basis.index_set.position((0, 0)), 1] = math.log(3.0) * eps
         theta = pg.ParamMatrix(values, basis)
-        soft = pg.soft_assign(theta, design, eps)
-        assert soft.probabilities[0, 0] == pytest.approx(0.75, abs=1e-15)
-        assert soft.probabilities[1, 0] == pytest.approx(0.25, abs=1e-15)
+        p = pg.soft_assign(theta, design, eps)
+        assert p[0, 0] == pytest.approx(0.75, abs=1e-15)
+        assert p[1, 0] == pytest.approx(0.25, abs=1e-15)
 
     def test_matches_theta_over_eps_at_unit_temperature(self, rng):
         gm, basis, design = small_problem(rng)
         theta = random_theta(rng, 2, 4)
         eps = 0.01
-        a = pg.soft_assign(theta, design, eps).probabilities
-        b = pg.soft_assign(theta.with_values(theta.values / eps), design, 1.0).probabilities
+        a = pg.soft_assign(theta, design, eps)
+        b = pg.soft_assign(theta.with_values(theta.values / eps), design, 1.0)
         assert np.allclose(a, b, rtol=1e-12, atol=0)
 
     def test_columns_are_distributions(self, rng):
         gm, basis, design = small_problem(rng)
-        soft = pg.soft_assign(random_theta(rng, 2, 4, scale=3.0), design, 0.5)
-        soft.validate()
+        assert_distributions(pg.soft_assign(random_theta(rng, 2, 4, scale=3.0), design, 0.5))
 
     def test_no_overflow_for_extreme_parameters(self, rng):
         gm, basis, design = small_problem(rng)
         theta = random_theta(rng, 2, 4, scale=1e8)
         with np.errstate(over="raise"):
-            soft = pg.soft_assign(theta, design, 1e-2)
-        assert np.all(np.isfinite(soft.probabilities))
+            p = pg.soft_assign(theta, design, 1e-2)
+        assert np.all(np.isfinite(p))
 
     def test_rejects_nonpositive_eps(self, rng):
         gm, basis, design = small_problem(rng)
@@ -74,6 +79,24 @@ class TestObjective:
         phi = pg.objective(theta, design, gm, 1e-2)
         assert phi == pytest.approx(-math.log(50.0), abs=1e-12)
         assert phi == pytest.approx(-3.9120, abs=5e-5)
+
+    def test_every_entry_point_rejects_bad_inputs(self, rng):
+        gm, basis, design = small_problem(rng)
+        theta = random_theta(rng, 2, 4)
+        vals = theta.values.copy()
+        vals[0, 0] = np.nan
+        calls = [lambda th, g, e: pg.objective(th, design, g, e),
+                 lambda th, g, e: pg.gradient(th, design, g, e),
+                 lambda th, g, e: pg.energy_eps(th, design, g, e),
+                 lambda th, g, e: pg.bound_report(th, g, design, e)]
+        bad = [(theta, gm, 0.0), (theta, gm, -1.0),
+               (random_theta(rng, 2, 4, kind=pg.MONOMIAL), gm, 0.1),
+               (theta.with_values(vals), gm, 0.1),
+               (theta, random_labels_map(rng, 6, 4), 0.1)]
+        for call in calls:
+            for th, g, e in bad:
+                with pytest.raises(ValueError):
+                    call(th, g, e)
 
     def test_scaling_separable_theta_drives_phi_to_zero(self, rng):
         # a diagram-generated map is perfectly reconstructed by its own theta
@@ -188,7 +211,7 @@ class TestHessian:
         gm, basis, design = small_problem(rng, degree=1, n_grains=3, m=3)
         eps = 0.4
         theta = random_theta(rng, 1, 3)
-        p = pg.soft_assign(theta, design, eps).probabilities
+        p = pg.soft_assign(theta, design, eps)
         for _ in range(10):
             v = rng.normal(size=(3, basis.dimension))
             q_blocks = sum(v[i] @ pg.hessian_block(theta, design, gm, eps, i + 1, k + 1) @ v[k]

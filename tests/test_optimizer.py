@@ -62,8 +62,8 @@ class TestInitZero:
         theta = pg.init_zero(2, 5, pg.LEGENDRE)
         gm = random_labels_map(rng, 4, 5)
         design = pg.assemble_design_matrix(theta.basis, gm.grid)
-        soft = pg.soft_assign(theta, design, 1e-2)
-        assert np.all(soft.probabilities == 0.2)
+        p = pg.soft_assign(theta, design, 1e-2)
+        assert np.all(p == 0.2)
 
     def test_objective_is_minus_log_n(self, rng):
         theta = pg.init_zero(1, 7, pg.LEGENDRE)
