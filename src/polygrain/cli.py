@@ -1,7 +1,8 @@
 """Command-line interface: generate, fit, render, convert, metrics.
 
 Every command is deterministic given its flags (and seed). Exit codes:
-0 success, 2 input error, 3 numerical failure, 4 I/O error. A JSON config
+0 success, 2 input error, 3 numerical failure, 4 I/O error, 5 resource error
+(an allocation failed; the message carries the byte estimate). A JSON config
 file may supply any flag; explicit flags win.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from .basis import LEGENDRE, MONOMIAL, assemble_design_matrix, feature_count
 from .conversions import (coeffs_to_basis, generate_apd, generate_pd, pd_to_theta, apd_to_theta,
                           psd_repair, theta_to_apd, theta_to_pd)
-from .errors import InputFormatError, NumericalError
+from .errors import InputFormatError, NumericalError, ResourceError
 from .geometry import PhysicalAPD, PhysicalPD, make_grid
 from .metrics import compression
 from .objective import hard_assign
@@ -81,7 +82,7 @@ def cmd_fit(args) -> int:
     fileio.write_theta_csv(out / "theta.csv", report.theta)
     fileio.write_report_json(out / "report.json", report, theta_path="theta.csv")
     design = assemble_design_matrix(report.theta.basis, grain_map.grid)
-    labels_fit = hard_assign(report.theta, report.theta.basis, grain_map.grid, design)
+    labels_fit = hard_assign(report.theta, grain_map.grid, design)
     fileio.write_labels_csv(out / "labels_fit.csv", grain_map.grid, labels_fit)
     fileio.write_misassignment_csv(out / "misassignment.csv", grain_map.grid,
                                    grain_map.labels, labels_fit)
@@ -122,8 +123,8 @@ def cmd_convert(args) -> int:
     else:  # psd-repair
         repaired = psd_repair(theta, margin=args.margin)
         probe = make_grid(32)
-        before = hard_assign(theta, theta.basis, probe)
-        after = hard_assign(repaired, repaired.basis, probe)
+        before = hard_assign(theta, probe)
+        after = hard_assign(repaired, probe)
         if not np.array_equal(before, after):
             raise NumericalError("psd repair changed the induced diagram on the probe grid")
         fileio.write_theta_csv(args.out, repaired)
@@ -135,15 +136,15 @@ def cmd_metrics(args) -> int:
     lines = ["d,K_d,phi_final,acc_final,err_final,compr"]
     for path in args.inputs:
         data = json.loads(Path(path).read_text())
-        degree = int(data["theta"]["degree"])
-        n_grains = int(data["n_grains"])
-        n_pixels = int(data["n_pixels"])
-        k_d = feature_count(degree)
-        ratio = compression(degree, n_grains, n_pixels)
-        final = data["final"]
-        lines.append(
-            f"{degree},{k_d},{final['phi']!r},{final['acc']!r},{final['err']!r},{ratio!r}"
-        )
+        try:
+            degree = int(data["theta"]["degree"])
+            final = [data["final"][key] for key in ("phi", "acc", "err")]
+            ratio = compression(degree, int(data["n_grains"]), int(data["n_pixels"]))
+        except (KeyError, TypeError) as exc:
+            raise InputFormatError(
+                f"{path}: not a fit report ({type(exc).__name__}: {exc})") from None
+        lines.append(",".join([str(degree), str(feature_count(degree)),
+                               *map(repr, [*final, ratio])]))
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out}")
     return 0
@@ -258,6 +259,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except ResourceError as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -111,7 +111,7 @@ def generate_apd(apd: PhysicalAPD, grid: PixelGrid) -> GrainMap:
             f"anisotropy matrices must be positive definite; offending grains: {(bad + 1).tolist()}"
         )
     theta = apd_to_theta(apd)
-    return GrainMap(grid=grid, labels=hard_assign(theta, theta.basis, grid),
+    return GrainMap(grid=grid, labels=hard_assign(theta, grid),
                     n_grains=apd.n_grains)
 
 

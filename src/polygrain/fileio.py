@@ -5,7 +5,14 @@ round-trip form) and JSON keys are sorted, so identical runs produce
 byte-identical files. Timing information lives under a separate "timing" key
 in report JSON so consumers can exclude it when comparing runs.
 
-Grain-map CSV:      header ``x1,x2,label``; one row per pixel.
+Every CSV table has one writer, which formats each column at once, and one
+reader, which parses the body with one ``np.loadtxt`` call (no quoting; blank
+lines skipped). A malformed table raises ``InputFormatError`` naming the file
+line ("row") and the column of the first bad field; labels are int64, >= 1.
+
+Grain-map CSV:      header ``x1,x2,label``; one row per pixel. Fitted labels
+                    and ``x1,x2,label_true,label_fit`` misassignment tables
+                    are written the same way.
 Coefficient CSV:    one ``# key=value`` metadata line (basis, degree, ordering,
                     gauge), then header ``alpha1,alpha2,theta_1..theta_N``.
 Physical JSON:      seeds/weights (and row-major 2x2 anisotropy for degree 2).
@@ -14,9 +21,10 @@ Images:             binary PPM (P6).
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
+import warnings
 from colorsys import hsv_to_rgb
 from pathlib import Path
 
@@ -31,59 +39,88 @@ from .optimizer import FitReport
 MISASSIGN_CORRECT = (250, 218, 221)
 MISASSIGN_WRONG = (40, 40, 40)
 
+# Column kinds, by the dtype they parse to; a label must also be >= 1.
+_DTYPES = {"number": np.float64, "integer": np.int64, "label": np.int64}
+_GRAIN_MAP = {"x1": "number", "x2": "number", "label": "label"}
+_MISASSIGNMENT = {"x1": "number", "x2": "number", "label_true": "label", "label_fit": "label"}
+_ROWS_PER_WRITE = 1 << 14  # bounds the Python strings alive at once
 
-def _fmt(x) -> str:
-    return repr(float(x))
+
+def _theta_columns(n_grains: int) -> dict[str, str]:
+    return {"alpha1": "integer", "alpha2": "integer",
+            **{f"theta_{i}": "number" for i in range(1, n_grains + 1)}}
+
+
+def _write_table(path, columns: dict[str, str], values, preamble=()) -> None:
+    """Write the header and one row per entry of ``values`` (one array per column)."""
+    arrays = [np.asarray(v, dtype=_DTYPES[kind]) for v, kind in zip(values, columns.values())]
+    with open(path, "w") as fh:
+        fh.write("\n".join([*preamble, ",".join(columns)]) + "\n")
+        for lo in range(0, len(arrays[0]), _ROWS_PER_WRITE):
+            texts = [map(repr if kind == "number" else str, a[lo:lo + _ROWS_PER_WRITE].tolist())
+                     for kind, a in zip(columns.values(), arrays)]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def _read_table(path, columns: dict[str, str], skip: int = 0) -> np.ndarray:
+    """The rows after the header as a structured array, one field per column.
+
+    ``skip`` lines precede the header. The lines are scanned one by one only
+    when ``np.loadtxt`` fails or a label is below 1, to name the bad field.
+    """
+    with open(path) as fh:
+        header = next(itertools.islice(fh, skip, None), "")
+        if [h.strip() for h in header.split(",")] != list(columns):
+            raise InputFormatError(
+                f"{path}: expected header {','.join(columns)!r}, got {header.strip()!r}"
+            )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header without rows
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                   dtype=[(name, _DTYPES[kind]) for name, kind in columns.items()])
+        except ValueError as exc:
+            raise _first_bad_field(path, columns, skip + 2, exc) from exc
+    if any(np.any(table[name] < 1) for name, kind in columns.items() if kind == "label"):
+        raise _first_bad_field(path, columns, skip + 2, "a label is below 1")
+    return table
+
+
+def _first_bad_field(path, columns: dict[str, str], first_line: int, cause) -> InputFormatError:
+    with open(path) as fh:
+        for i, line in enumerate(itertools.islice(fh, first_line - 1, None), start=first_line):
+            fields = line.rstrip("\n").split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != len(columns):
+                return InputFormatError(
+                    f"{path}: row {i}: expected {len(columns)} fields, got {len(fields)}"
+                )
+            for text, (name, kind) in zip(fields, columns.items()):
+                try:
+                    value = float(text) if kind == "number" else int(text)
+                    ok = kind == "number" or (-2**63 <= value < 2**63
+                                              and (kind == "integer" or value >= 1))
+                except ValueError:
+                    ok = False
+                if not ok:
+                    return InputFormatError(
+                        f"{path}: row {i}, column {name!r}: not a valid {kind}: {text!r}")
+    return InputFormatError(f"{path}: {cause}")
 
 
 def write_grain_map_csv(path, grain_map: GrainMap) -> None:
-    lines = ["x1,x2,label"]
-    pts = grain_map.grid.points
-    for (x1, x2), lab in zip(pts, grain_map.labels):
-        lines.append(f"{_fmt(x1)},{_fmt(x2)},{int(lab)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_labels_csv(path, grain_map.grid, grain_map.labels)
 
 
-def _parse_float(text: str, row: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InputFormatError(f"row {row}, column {column!r}: not a number: {text!r}") from exc
+def write_labels_csv(path, grid: PixelGrid, labels: np.ndarray) -> None:
+    _write_table(path, _GRAIN_MAP, [grid.points[:, 0], grid.points[:, 1], labels])
 
 
-def _parse_int(text: str, row: int, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputFormatError(f"row {row}, column {column!r}: not an integer: {text!r}") from exc
-
-
-def _parse_label(text: str, row: int, column: str) -> int:
-    value = _parse_int(text, row, column)
-    if value < 1:
-        raise InputFormatError(f"row {row}, column {column!r}: labels are 1-based, got {value}")
-    return value
-
-
-def _read_rows(path, expected_header: list[str]):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise InputFormatError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise InputFormatError(
-                    f"{path}: row {i}: expected {len(expected_header)} fields, got {len(row)}"
-                )
-            yield i, row
+def write_misassignment_csv(path, grid: PixelGrid, true_labels: np.ndarray,
+                            fitted_labels: np.ndarray) -> None:
+    _write_table(path, _MISASSIGNMENT,
+                 [grid.points[:, 0], grid.points[:, 1], true_labels, fitted_labels])
 
 
 def infer_resolution(points: np.ndarray) -> int | None:
@@ -100,35 +137,34 @@ def infer_resolution(points: np.ndarray) -> int | None:
 
 def read_grain_map_csv(path) -> GrainMap:
     """Read a grain map; the grain count is the largest label present."""
-    xs, labels = [], []
-    for i, row in _read_rows(path, ["x1", "x2", "label"]):
-        xs.append((_parse_float(row[0], i, "x1"), _parse_float(row[1], i, "x2")))
-        labels.append(_parse_label(row[2], i, "label"))
-    if len(labels) < 2:
+    table = _read_table(path, _GRAIN_MAP)
+    if len(table) < 2:
         raise InputFormatError(f"{path}: need at least two pixels")
-    points = np.asarray(xs)
+    points = np.column_stack([table["x1"], table["x2"]])
     grid = PixelGrid(points=points, resolution=infer_resolution(points))
-    return GrainMap(grid=grid, labels=np.asarray(labels), n_grains=max(labels))
+    return GrainMap(grid=grid, labels=table["label"], n_grains=int(table["label"].max()))
+
+
+def read_misassignment_csv(path):
+    table = _read_table(path, _MISASSIGNMENT)
+    return np.column_stack([table["x1"], table["x2"]]), table["label_true"], table["label_fit"]
 
 
 def write_theta_csv(path, theta: ParamMatrix) -> None:
-    n = theta.n_grains
     meta = (f"# basis={theta.basis.kind},degree={theta.degree},"
             f"ordering={ORDERING_CONVENTION},gauge={theta.gauge}")
-    header = "alpha1,alpha2," + ",".join(f"theta_{i}" for i in range(1, n + 1))
-    lines = [meta, header]
-    for row, (a1, a2) in enumerate(theta.basis.index_set.indices):
-        vals = ",".join(_fmt(v) for v in theta.values[row])
-        lines.append(f"{a1},{a2},{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    alphas = np.array(theta.basis.index_set.indices).T
+    _write_table(path, _theta_columns(theta.n_grains), [*alphas, *theta.values.T],
+                 preamble=[meta])
 
 
 def read_theta_csv(path) -> ParamMatrix:
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("#"):
+    with open(path) as fh:
+        first, header = fh.readline(), fh.readline()
+    if not first.startswith("#"):
         raise InputFormatError(f"{path}: missing '# basis=...' metadata line")
     meta = {}
-    for item in text[0][1:].strip().split(","):
+    for item in first[1:].strip().split(","):
         if "=" not in item:
             raise InputFormatError(f"{path}: malformed metadata item {item!r}")
         key, value = item.split("=", 1)
@@ -150,55 +186,19 @@ def read_theta_csv(path) -> ParamMatrix:
         raise InputFormatError(f"{path}: unknown gauge {gauge!r}")
 
     basis = DesignBasis.make(kind, degree)
-    reader = csv.reader(text[1:])
-    header = next(reader, None)
-    if header is None or header[:2] != ["alpha1", "alpha2"]:
-        raise InputFormatError(f"{path}: expected header starting with alpha1,alpha2")
-    n = len(header) - 2
+    n = header.count(",") - 1
     if n < 2:
         raise InputFormatError(f"{path}: need at least two coefficient columns")
-    values = np.zeros((basis.dimension, n))
-    seen = 0
-    for i, row in enumerate(reader, start=3):
-        if not row:
-            continue
-        if len(row) != n + 2:
-            raise InputFormatError(f"{path}: row {i}: expected {n + 2} fields, got {len(row)}")
-        a1 = _parse_int(row[0], i, "alpha1")
-        a2 = _parse_int(row[1], i, "alpha2")
-        try:
-            pos = basis.index_set.position((a1, a2))
-        except ValueError as exc:
-            raise InputFormatError(f"{path}: row {i}: {exc}") from None
-        values[pos] = [_parse_float(v, i, f"theta_{j + 1}") for j, v in enumerate(row[2:])]
-        seen += 1
-    if seen != basis.dimension:
+    table = _read_table(path, _theta_columns(n), skip=1)
+    alphas = list(zip(table["alpha1"].tolist(), table["alpha2"].tolist()))
+    if sorted(alphas) != sorted(basis.index_set.indices):
         raise InputFormatError(
-            f"{path}: expected {basis.dimension} coefficient rows for degree {degree}, got {seen}"
+            f"{path}: expected one row per multi-index of degree {degree}, got {alphas}"
         )
+    values = np.empty((basis.dimension, n))
+    values[[basis.index_set.position(a) for a in alphas]] = np.column_stack(
+        [table[f"theta_{j}"] for j in range(1, n + 1)])
     return ParamMatrix(values=values, basis=basis, gauge=gauge)
-
-
-def write_labels_csv(path, grid: PixelGrid, labels: np.ndarray) -> None:
-    write_grain_map_csv(path, GrainMap(grid=grid, labels=labels,
-                                       n_grains=max(2, int(np.max(labels)))))
-
-
-def write_misassignment_csv(path, grid: PixelGrid, true_labels: np.ndarray,
-                            fitted_labels: np.ndarray) -> None:
-    lines = ["x1,x2,label_true,label_fit"]
-    for (x1, x2), t, f in zip(grid.points, true_labels, fitted_labels):
-        lines.append(f"{_fmt(x1)},{_fmt(x2)},{int(t)},{int(f)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_misassignment_csv(path):
-    xs, true_labels, fitted = [], [], []
-    for i, row in _read_rows(path, ["x1", "x2", "label_true", "label_fit"]):
-        xs.append((_parse_float(row[0], i, "x1"), _parse_float(row[1], i, "x2")))
-        true_labels.append(_parse_label(row[2], i, "label_true"))
-        fitted.append(_parse_label(row[3], i, "label_fit"))
-    return np.asarray(xs), np.asarray(true_labels), np.asarray(fitted)
 
 
 def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
@@ -323,31 +323,26 @@ def label_color(label: int) -> tuple[int, int, int]:
     return int(round(255 * r)), int(round(255 * g)), int(round(255 * b))
 
 
+def _image(points: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Image with colors[j] at the pixel of point j."""
+    m, k1, k2 = grid_indices(points)
+    img = np.zeros((2 * m, 2 * m, 3), dtype=np.uint8)
+    img[2 * m - k2, k1 - 1] = colors
+    return img
+
+
 def labels_image(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(2M, 2M, 3) uint8 image of a label map; x2 increases upwards."""
-    m, k1, k2 = grid_indices(points)
-    side = 2 * m
-    img = np.zeros((side, side, 3), dtype=np.uint8)
     colors = np.array([label_color(lab) for lab in range(0, labels.max() + 1)],
                       dtype=np.uint8)
-    rows = side - k2
-    cols = k1 - 1
-    img[rows, cols] = colors[labels]
-    return img
+    return _image(points, colors[labels])
 
 
 def misassignment_image(points: np.ndarray, true_labels: np.ndarray,
                         fitted_labels: np.ndarray) -> np.ndarray:
-    m, k1, k2 = grid_indices(points)
-    side = 2 * m
-    img = np.zeros((side, side, 3), dtype=np.uint8)
-    correct = true_labels == fitted_labels
-    rows = side - k2
-    cols = k1 - 1
-    img[rows, cols] = np.where(correct[:, None],
-                               np.array(MISASSIGN_CORRECT, dtype=np.uint8),
-                               np.array(MISASSIGN_WRONG, dtype=np.uint8))
-    return img
+    return _image(points, np.where((true_labels == fitted_labels)[:, None],
+                                   np.array(MISASSIGN_CORRECT, dtype=np.uint8),
+                                   np.array(MISASSIGN_WRONG, dtype=np.uint8)))
 
 
 def write_ppm(path, image: np.ndarray) -> None:

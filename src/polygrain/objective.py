@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import DesignBasis, DesignMatrix, GAUGE_LAST_ZERO, ParamMatrix, assemble_design_matrix
+from .basis import DesignMatrix, GAUGE_LAST_ZERO, ParamMatrix, assemble_design_matrix
 from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels
 
 CHUNK_SIZE = 8192
@@ -61,16 +61,14 @@ def cost_matrix(theta: ParamMatrix, design: DesignMatrix) -> np.ndarray:
     return theta.values.T @ design.values
 
 
-def hard_assign(theta: ParamMatrix, basis: DesignBasis, grid: PixelGrid,
+def hard_assign(theta: ParamMatrix, grid: PixelGrid,
                 design: DesignMatrix | None = None) -> np.ndarray:
     """Arg-min labels of the diagram induced by theta, smallest index on ties.
 
     Costs are formed CHUNK_SIZE pixels at a time, never as a whole N x n matrix.
     """
-    if theta.basis != basis:
-        raise ValueError("parameter matrix was built for a different basis")
     if design is None:
-        design = assemble_design_matrix(basis, grid)
+        design = assemble_design_matrix(theta.basis, grid)
     _check_compatible(theta, design)
     theta_t = theta.values.T
     n = design.values.shape[1]

@@ -261,8 +261,8 @@ def test_criterion_8_conversion_round_trips():
         rep = pg.fit(gm, pg.FitConfig(degree=2, eps=0.1, max_iters=25))
         margin = float(rng.uniform(0.05, 1.0))
         repaired = pg.psd_repair(rep.theta, margin=margin)
-        same = np.array_equal(pg.hard_assign(rep.theta, rep.theta.basis, grid),
-                              pg.hard_assign(repaired, repaired.basis, grid))
+        same = np.array_equal(pg.hard_assign(rep.theta, grid),
+                              pg.hard_assign(repaired, grid))
         repair_identical = repair_identical and same
         mono = pg.coeffs_to_basis(repaired, pg.MONOMIAL)
         lam = pg.sym2x2_eigvals(pg.theta_to_apd(mono).anisotropy)[:, 0]

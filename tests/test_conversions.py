@@ -45,8 +45,8 @@ class TestPdTheta:
         c = rng.normal(size=3)
         shifted = theta.with_values(theta.values + c[:, None])
         grid = pg.make_grid(7)
-        assert np.array_equal(pg.hard_assign(theta, theta.basis, grid),
-                              pg.hard_assign(shifted, theta.basis, grid))
+        assert np.array_equal(pg.hard_assign(theta, grid),
+                              pg.hard_assign(shifted, grid))
         moved = pg.theta_to_pd(shifted)
         assert not np.allclose(moved.seeds, pd.seeds)
 
@@ -91,7 +91,7 @@ class TestApdTheta:
         with pytest.raises(ValueError, match="singular"):
             rec.to_apd()
         # the induced diagram is still perfectly meaningful
-        labels = pg.hard_assign(theta, theta.basis, pg.make_grid(5))
+        labels = pg.hard_assign(theta, pg.make_grid(5))
         assert labels.min() >= 1
 
 
@@ -155,8 +155,8 @@ class TestPsdRepair:
             theta = rep.theta
             margin = float(rng.uniform(0.05, 1.0))
             repaired = pg.psd_repair(theta, margin=margin)
-            assert np.array_equal(pg.hard_assign(theta, theta.basis, grid),
-                                  pg.hard_assign(repaired, repaired.basis, grid))
+            assert np.array_equal(pg.hard_assign(theta, grid),
+                                  pg.hard_assign(repaired, grid))
             mono = pg.coeffs_to_basis(repaired, pg.MONOMIAL)
             lam_min = pg.sym2x2_eigvals(pg.theta_to_apd(mono).anisotropy)[:, 0]
             assert np.all(lam_min >= margin - 1e-12)

@@ -2,11 +2,84 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import polygrain as pg
 from polygrain import fileio
 from polygrain.cli import main
 from conftest import random_pd, random_theta
+
+
+# The per-row f-string writers that the column writer replaced. The codec's
+# output must stay byte-identical to them.
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def reference_grain_map_text(points, labels) -> str:
+    lines = ["x1,x2,label"]
+    for (x1, x2), lab in zip(points, labels):
+        lines.append(f"{_fmt(x1)},{_fmt(x2)},{int(lab)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_misassignment_text(points, true_labels, fitted_labels) -> str:
+    lines = ["x1,x2,label_true,label_fit"]
+    for (x1, x2), t, f in zip(points, true_labels, fitted_labels):
+        lines.append(f"{_fmt(x1)},{_fmt(x2)},{int(t)},{int(f)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_theta_text(theta) -> str:
+    n = theta.n_grains
+    meta = (f"# basis={theta.basis.kind},degree={theta.degree},"
+            f"ordering={pg.ORDERING_CONVENTION},gauge={theta.gauge}")
+    header = "alpha1,alpha2," + ",".join(f"theta_{i}" for i in range(1, n + 1))
+    lines = [meta, header]
+    for row, (a1, a2) in enumerate(theta.basis.index_set.indices):
+        vals = ",".join(_fmt(v) for v in theta.values[row])
+        lines.append(f"{a1},{a2},{vals}")
+    return "\n".join(lines) + "\n"
+
+
+def with_blank_lines(path, after, first):
+    """Insert an empty line after each listed line number >= first (1-based)."""
+    lines = path.read_text().splitlines(keepends=True)
+    for i in sorted({min(max(a, first), len(lines)) for a in after}, reverse=True):
+        lines.insert(i, "\n")
+    path.write_text("".join(lines))
+
+
+coords = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True, allow_nan=False)
+
+
+@st.composite
+def pixel_tables(draw):
+    """Points strictly inside (-1,1)^2 and two label columns in 1..N, N <= 2^31."""
+    n = draw(st.integers(2, 30))
+    n_grains = draw(st.integers(2, 2 ** 31))
+    points = np.array(draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
+    label_lists = st.lists(st.integers(1, n_grains), min_size=n, max_size=n)
+    labels, fitted = np.array(draw(label_lists)), np.array(draw(label_lists))
+    assume(labels.max() >= 2)
+    return points, labels, fitted
+
+
+@st.composite
+def coefficient_tables(draw):
+    basis = pg.DesignBasis.make(draw(st.sampled_from([pg.MONOMIAL, pg.LEGENDRE])),
+                                draw(st.integers(0, 3)))
+    n = draw(st.integers(2, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(finite, min_size=basis.dimension * n,
+                                    max_size=basis.dimension * n))).reshape(basis.dimension, n)
+    gauge = draw(st.sampled_from([pg.GAUGE_FREE, pg.GAUGE_LAST_ZERO]))
+    if gauge == pg.GAUGE_LAST_ZERO:
+        values[:, -1] = 0.0
+    return pg.ParamMatrix(values=values, basis=basis, gauge=gauge)
+
+
+blank_lines = st.lists(st.integers(0, 40), max_size=4)
 
 
 class TestGrainMapCsv:
@@ -40,6 +113,20 @@ class TestGrainMapCsv:
         with pytest.raises(pg.InputFormatError, match="header"):
             fileio.read_grain_map_csv(path)
 
+    @pytest.mark.parametrize("body,where", [
+        ("0.1,0.2,1\n\n0.3,oops,2\n", r"row 4, column 'x2'"),
+        ("0.1,0.2,1\n0.3,0.4,99999999999999999999999\n", r"row 3, column 'label'"),
+        ("0.1,0.2,1\n\n0.3,0.4,0\n", r"row 4, column 'label'"),
+        ("0.1,0.2,1\n\n\n0.3,0.4\n", r"row 5: expected 3 fields"),
+    ])
+    def test_malformed_body_names_file_line(self, body, where, tmp_path):
+        # Blank lines count: the error names the line of the file, not the
+        # index of the data row.
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,label\n" + body)
+        with pytest.raises(pg.InputFormatError, match=where):
+            fileio.read_grain_map_csv(path)
+
 
 class TestThetaCsv:
     @pytest.mark.parametrize("kind,gauge", [(pg.MONOMIAL, pg.GAUGE_FREE),
@@ -71,6 +158,60 @@ class TestThetaCsv:
         path.write_text(text)
         with pytest.raises(pg.InputFormatError, match="ordering"):
             fileio.read_theta_csv(path)
+
+    def test_repeated_multi_index_rejected(self, rng, tmp_path):
+        theta = random_theta(rng, 1, 3)
+        path = tmp_path / "theta.csv"
+        fileio.write_theta_csv(path, theta)
+        lines = path.read_text().splitlines()
+        lines[3] = "0,1" + lines[3][3:]  # (1, 0) becomes a second (0, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pg.InputFormatError, match="multi-index"):
+            fileio.read_theta_csv(path)
+
+
+class TestCodecProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(table=pixel_tables(), blanks=blank_lines)
+    def test_grain_map_and_labels(self, table, blanks, tmp_path_factory):
+        points, labels, _ = table
+        grid = pg.PixelGrid(points=points)
+        path = tmp_path_factory.mktemp("codec") / "map.csv"
+        grain_map = pg.GrainMap(grid=grid, labels=labels, n_grains=labels.max())
+        for write in (lambda: fileio.write_grain_map_csv(path, grain_map),
+                      lambda: fileio.write_labels_csv(path, grid, labels)):
+            write()
+            assert path.read_text() == reference_grain_map_text(points, labels)
+            with_blank_lines(path, blanks, first=1)
+            back = fileio.read_grain_map_csv(path)
+            assert back.grid.points.tobytes() == points.tobytes()
+            assert np.array_equal(back.labels, labels)
+            assert back.n_grains == labels.max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=pixel_tables(), blanks=blank_lines)
+    def test_misassignment(self, table, blanks, tmp_path_factory):
+        points, labels, fitted = table
+        path = tmp_path_factory.mktemp("codec") / "mis.csv"
+        fileio.write_misassignment_csv(path, pg.PixelGrid(points=points), labels, fitted)
+        assert path.read_text() == reference_misassignment_text(points, labels, fitted)
+        with_blank_lines(path, blanks, first=1)
+        back_points, back_true, back_fit = fileio.read_misassignment_csv(path)
+        assert back_points.tobytes() == points.tobytes()
+        assert np.array_equal(back_true, labels)
+        assert np.array_equal(back_fit, fitted)
+
+    @settings(max_examples=60, deadline=None)
+    @given(theta=coefficient_tables(), blanks=blank_lines)
+    def test_coefficients(self, theta, blanks, tmp_path_factory):
+        path = tmp_path_factory.mktemp("codec") / "theta.csv"
+        fileio.write_theta_csv(path, theta)
+        assert path.read_text() == reference_theta_text(theta)
+        with_blank_lines(path, blanks, first=2)
+        back = fileio.read_theta_csv(path)
+        assert back.basis == theta.basis
+        assert back.gauge == theta.gauge
+        assert back.values.tobytes() == theta.values.tobytes()
 
 
 class TestPhysicalJson:
@@ -209,6 +350,35 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2,label\n0.0,0.0,zero\n")
         assert main(["fit", "--input", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+    def test_label_beyond_int64_gives_input_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,label\n0.1,0.2,1\n0.3,0.4,99999999999999999999999\n")
+        assert main(["fit", "--input", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("data,key", [({"theta": {}}, "'degree'"), ([], "not a fit report")])
+    def test_report_without_key_gives_input_exit_code(self, data, key, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(data))
+        assert main(["metrics", "--inputs", str(report),
+                     "--out", str(tmp_path / "metrics.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "report.json" in err and key in err
+
+    def test_design_allocation_failure_gives_resource_exit_code(self, tmp_path, capsys,
+                                                                monkeypatch):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+
+        def fail(self, points):
+            raise MemoryError
+
+        monkeypatch.setattr(pg.DesignBasis, "evaluate", fail)
+        assert main(["fit", "--input", str(gen / "grain_map.csv"),
+                     "--out-dir", str(tmp_path / "fit")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("resource error:") and "bytes" in err
 
     def test_render_unstructured_rejected(self, tmp_path, rng):
         grid = pg.PixelGrid(points=rng.uniform(-0.9, 0.9, (7, 2)))

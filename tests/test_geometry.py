@@ -80,7 +80,7 @@ class TestHardAssign:
         basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
         column = rng.normal(size=3)
         theta = pg.ParamMatrix(np.tile(column[:, None], (1, 4)), basis)
-        assert np.all(pg.hard_assign(theta, basis, grid) == 1)
+        assert np.all(pg.hard_assign(theta, grid) == 1)
 
     def test_halfplane_split_on_sign_of_x1(self):
         grid = pg.make_grid(6)
@@ -88,7 +88,7 @@ class TestHardAssign:
         values = np.zeros((3, 2))
         values[basis.index_set.position((1, 0)), 1] = 1.0  # h_2 = x1, h_1 = 0
         theta = pg.ParamMatrix(values, basis)
-        labels = pg.hard_assign(theta, basis, grid)
+        labels = pg.hard_assign(theta, grid)
         expected = np.where(grid.points[:, 0] > 0, 1, 2)
         assert np.array_equal(labels, expected)
 
@@ -96,7 +96,7 @@ class TestHardAssign:
         pd = pg.PhysicalPD(seeds=np.array([[-0.5, 0.0], [0.5, 0.0]]),
                            weights=np.zeros(2))
         grid = pg.make_grid(8)
-        labels = pg.hard_assign(pg.pd_to_theta(pd), pg.DesignBasis.make(pg.MONOMIAL, 1), grid)
+        labels = pg.hard_assign(pg.pd_to_theta(pd), grid)
         expected = np.where(grid.points[:, 0] < 0, 1, 2)
         assert np.array_equal(labels, expected)
 
@@ -104,8 +104,9 @@ class TestHardAssign:
         basis1 = pg.DesignBasis.make(pg.MONOMIAL, 1)
         basis2 = pg.DesignBasis.make(pg.MONOMIAL, 2)
         theta = pg.ParamMatrix(rng.normal(size=(3, 2)), basis1)
+        grid = pg.make_grid(2)
         with pytest.raises(ValueError):
-            pg.hard_assign(theta, basis2, pg.make_grid(2))
+            pg.hard_assign(theta, grid, pg.assemble_design_matrix(basis2, grid))
 
     def test_tie_break_prefers_smaller_index(self, rng):
         # Duplicate a column: the later copy must never win.
@@ -114,7 +115,7 @@ class TestHardAssign:
         values = rng.normal(size=(6, 4))
         values[:, 3] = values[:, 1]
         theta = pg.ParamMatrix(values, basis)
-        labels = pg.hard_assign(theta, basis, grid)
+        labels = pg.hard_assign(theta, grid)
         assert not np.any(labels == 4)
 
 
@@ -143,7 +144,7 @@ class TestGeneratePD:
         grid = pg.make_grid(70)
         gm = pg.generate_pd(pd, grid)
         theta = pg.pd_to_theta(pd)
-        labels = pg.hard_assign(theta, theta.basis, grid)
+        labels = pg.hard_assign(theta, grid)
         assert np.array_equal(gm.labels, labels)
         assert np.array_equal(gm.labels, pg.argmin_labels(physical_costs(pd, grid.points)))
 

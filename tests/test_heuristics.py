@@ -136,7 +136,7 @@ class TestHeuristicTheta:
         apd = random_apd(rng, 10, level=0.3)
         gm = pg.generate_apd(apd, pg.make_grid(20))
         theta = pg.heuristic_theta(gm, 2, pg.LEGENDRE)
-        labels = pg.hard_assign(theta, theta.basis, gm.grid)
+        labels = pg.hard_assign(theta, gm.grid)
         acc, _ = pg.accuracy_and_error(gm, labels)
         assert acc >= 0.8
 
