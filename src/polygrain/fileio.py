@@ -72,21 +72,21 @@ def _read_table(path, columns: dict[str, str], skip: int = 0) -> np.ndarray:
         header = next(itertools.islice(fh, skip, None), "")
         if [h.strip() for h in header.split(",")] != list(columns):
             raise InputFormatError(
-                f"{path}: expected header {','.join(columns)!r}, got {header.strip()!r}"
-            )
+                f"{path}: expected header {','.join(columns)!r}, got {header.strip()!r}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # a header without rows
+                warnings.simplefilter("error", DeprecationWarning)  # NumPy < 2 reads 2.5 as 2
                 table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
                                    dtype=[(name, _DTYPES[kind]) for name, kind in columns.items()])
-        except ValueError as exc:
-            raise _first_bad_field(path, columns, skip + 2, exc) from exc
+        except (ValueError, DeprecationWarning) as exc:
+            raise _first_bad_field(path, columns, skip + 2) from exc
     if any(np.any(table[name] < 1) for name, kind in columns.items() if kind == "label"):
-        raise _first_bad_field(path, columns, skip + 2, "a label is below 1")
+        raise _first_bad_field(path, columns, skip + 2)
     return table
 
 
-def _first_bad_field(path, columns: dict[str, str], first_line: int, cause) -> InputFormatError:
+def _first_bad_field(path, columns: dict[str, str], first_line: int) -> InputFormatError:
     with open(path) as fh:
         for i, line in enumerate(itertools.islice(fh, first_line - 1, None), start=first_line):
             fields = line.rstrip("\n").split(",")
@@ -94,10 +94,11 @@ def _first_bad_field(path, columns: dict[str, str], first_line: int, cause) -> I
                 continue
             if len(fields) != len(columns):
                 return InputFormatError(
-                    f"{path}: row {i}: expected {len(columns)} fields, got {len(fields)}"
-                )
+                    f"{path}: row {i}: expected {len(columns)} fields, got {len(fields)}")
             for text, (name, kind) in zip(fields, columns.items()):
                 try:
+                    if not text.isascii() or "_" in text:  # np.loadtxt rejects these
+                        raise ValueError(text)
                     value = float(text) if kind == "number" else int(text)
                     ok = kind == "number" or (-2**63 <= value < 2**63
                                               and (kind == "integer" or value >= 1))
@@ -106,7 +107,7 @@ def _first_bad_field(path, columns: dict[str, str], first_line: int, cause) -> I
                 if not ok:
                     return InputFormatError(
                         f"{path}: row {i}, column {name!r}: not a valid {kind}: {text!r}")
-    return InputFormatError(f"{path}: {cause}")
+    return InputFormatError(f"{path}: malformed table")  # only if numpy rejects what Python parses
 
 
 def write_grain_map_csv(path, grain_map: GrainMap) -> None:
@@ -163,12 +164,10 @@ def read_theta_csv(path) -> ParamMatrix:
         first, header = fh.readline(), fh.readline()
     if not first.startswith("#"):
         raise InputFormatError(f"{path}: missing '# basis=...' metadata line")
-    meta = {}
-    for item in first[1:].strip().split(","):
-        if "=" not in item:
-            raise InputFormatError(f"{path}: malformed metadata item {item!r}")
-        key, value = item.split("=", 1)
-        meta[key.strip()] = value.strip()
+    items = [item.split("=", 1) for item in first[1:].strip().split(",")]
+    if any(len(item) != 2 for item in items):
+        raise InputFormatError(f"{path}: malformed metadata line {first.strip()!r}")
+    meta = {key.strip(): value.strip() for key, value in items}
     kind = meta.get("basis")
     if kind not in BASIS_KINDS:
         raise InputFormatError(f"{path}: unknown basis kind {kind!r}")
@@ -177,10 +176,8 @@ def read_theta_csv(path) -> ParamMatrix:
     except ValueError:
         raise InputFormatError(f"{path}: bad degree {meta.get('degree')!r}") from None
     if meta.get("ordering") != ORDERING_CONVENTION:
-        raise InputFormatError(
-            f"{path}: ordering {meta.get('ordering')!r} not supported "
-            f"(expected {ORDERING_CONVENTION!r})"
-        )
+        raise InputFormatError(f"{path}: ordering {meta.get('ordering')!r} not supported "
+                               f"(expected {ORDERING_CONVENTION!r})")
     gauge = meta.get("gauge", GAUGE_FREE)
     if gauge not in (GAUGE_FREE, GAUGE_LAST_ZERO):
         raise InputFormatError(f"{path}: unknown gauge {gauge!r}")
@@ -193,8 +190,7 @@ def read_theta_csv(path) -> ParamMatrix:
     alphas = list(zip(table["alpha1"].tolist(), table["alpha2"].tolist()))
     if sorted(alphas) != sorted(basis.index_set.indices):
         raise InputFormatError(
-            f"{path}: expected one row per multi-index of degree {degree}, got {alphas}"
-        )
+            f"{path}: expected one row per multi-index of degree {degree}, got {alphas}")
     values = np.empty((basis.dimension, n))
     values[[basis.index_set.position(a) for a in alphas]] = np.column_stack(
         [table[f"theta_{j}"] for j in range(1, n + 1)])
@@ -323,26 +319,31 @@ def label_color(label: int) -> tuple[int, int, int]:
     return int(round(255 * r)), int(round(255 * g)), int(round(255 * b))
 
 
-def _image(points: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """Image with colors[j] at the pixel of point j."""
-    m, k1, k2 = grid_indices(points)
-    img = np.zeros((2 * m, 2 * m, 3), dtype=np.uint8)
-    img[2 * m - k2, k1 - 1] = colors
-    return img
-
-
 def labels_image(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(2M, 2M, 3) uint8 image of a label map; x2 increases upwards."""
+    m, k1, k2 = grid_indices(points)
+    side = 2 * m
+    img = np.zeros((side, side, 3), dtype=np.uint8)
     colors = np.array([label_color(lab) for lab in range(0, labels.max() + 1)],
                       dtype=np.uint8)
-    return _image(points, colors[labels])
+    rows = side - k2
+    cols = k1 - 1
+    img[rows, cols] = colors[labels]
+    return img
 
 
 def misassignment_image(points: np.ndarray, true_labels: np.ndarray,
                         fitted_labels: np.ndarray) -> np.ndarray:
-    return _image(points, np.where((true_labels == fitted_labels)[:, None],
-                                   np.array(MISASSIGN_CORRECT, dtype=np.uint8),
-                                   np.array(MISASSIGN_WRONG, dtype=np.uint8)))
+    m, k1, k2 = grid_indices(points)
+    side = 2 * m
+    img = np.zeros((side, side, 3), dtype=np.uint8)
+    correct = true_labels == fitted_labels
+    rows = side - k2
+    cols = k1 - 1
+    img[rows, cols] = np.where(correct[:, None],
+                               np.array(MISASSIGN_CORRECT, dtype=np.uint8),
+                               np.array(MISASSIGN_WRONG, dtype=np.uint8))
+    return img
 
 
 def write_ppm(path, image: np.ndarray) -> None:

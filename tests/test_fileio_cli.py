@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,12 @@ class TestGrainMapCsv:
         ("0.1,0.2,1\n0.3,0.4,99999999999999999999999\n", r"row 3, column 'label'"),
         ("0.1,0.2,1\n\n0.3,0.4,0\n", r"row 4, column 'label'"),
         ("0.1,0.2,1\n\n\n0.3,0.4\n", r"row 5: expected 3 fields"),
+        ("0.1,0.2,1\n0.3,0.4,2.5\n", r"row 3, column 'label'"),
+        ("0.1,0.2,1\n\n0.3,0.4,1e3\n", r"row 4, column 'label'"),
+        # Python's int()/float() accept these, np.loadtxt does not.
+        ("0.1,0.2,1\n\n0.3,0.4,1_000\n", r"row 4, column 'label'"),
+        ("0.1,0.2,1\n1_0.5,0.4,2\n", r"row 3, column 'x1'"),
+        ("0.1,0.2,1\n0.3,0.4,\u0661\n", r"row 3, column 'label'"),
     ])
     def test_malformed_body_names_file_line(self, body, where, tmp_path):
         # Blank lines count: the error names the line of the file, not the
@@ -125,6 +132,22 @@ class TestGrainMapCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2,label\n" + body)
         with pytest.raises(pg.InputFormatError, match=where):
+            fileio.read_grain_map_csv(path)
+
+    def test_integer_read_via_float_is_rejected(self, tmp_path, monkeypatch):
+        # NumPy < 2 parses "2.5" in an int64 column as a float, stores 2 and
+        # only emits a DeprecationWarning. Simulate that parser.
+        real_loadtxt = np.loadtxt
+
+        def truncating_loadtxt(fh, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return real_loadtxt(["0.1,0.2,1", "0.3,0.4,2"], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,label\n0.1,0.2,1\n0.3,0.4,2.5\n")
+        with pytest.raises(pg.InputFormatError, match=r"row 3, column 'label'"):
             fileio.read_grain_map_csv(path)
 
 
@@ -167,6 +190,16 @@ class TestThetaCsv:
         lines[3] = "0,1" + lines[3][3:]  # (1, 0) becomes a second (0, 1)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(pg.InputFormatError, match="multi-index"):
+            fileio.read_theta_csv(path)
+
+    def test_non_integer_exponent_rejected(self, rng, tmp_path):
+        theta = random_theta(rng, 1, 3)
+        path = tmp_path / "theta.csv"
+        fileio.write_theta_csv(path, theta)
+        lines = path.read_text().splitlines()
+        lines[3] = "1.0" + lines[3][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(pg.InputFormatError, match=r"row 4, column 'alpha1'"):
             fileio.read_theta_csv(path)
 
 
