@@ -176,7 +176,7 @@ def _add_fit(sub):
                    help="'zero', 'heuristic', or a coefficient CSV path")
     p.add_argument("--record-every", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
-                   help="1 = sequential bit-reproducible reduction")
+                   help="threads over pixel chunks; every count gives the same bits")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_fit,
                    defaults={"input": "grain_map.csv", "degree": 1, "basis": LEGENDRE,
@@ -226,7 +226,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for add in (_add_generate, _add_fit, _add_render, _add_convert, _add_metrics):
         add(sub)
+    for p in sub.choices.values():
+        p.set_defaults(actions={a.dest: a for a in p._actions})
     return parser
+
+
+def _config_value(path, key, value, action, item=False):
+    """A config file's ``value`` for ``key``, converted and checked as argparse does the flag."""
+    if action.nargs == "+" and not item:
+        items = value if isinstance(value, list) and value else [value]
+        return [_config_value(path, key, v, action, item=True) for v in items]
+    kind = action.type or str
+    accepted = (str, int, float) if kind is float else (str, kind)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InputFormatError(f"{path}: {key!r} must be {kind.__name__}, got {value!r}")
+    try:
+        value = kind(value)
+    except (ValueError, OverflowError):
+        raise InputFormatError(f"{path}: {key!r}: invalid {kind.__name__}: {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise InputFormatError(f"{path}: {key!r}: {value!r} is not one of {action.choices}")
+    return value
 
 
 def _apply_config(args) -> None:
@@ -240,8 +260,9 @@ def _apply_config(args) -> None:
             raise InputFormatError(f"{args.config}: config must be a JSON object")
     for key, fallback in args.defaults.items():
         if getattr(args, key, None) is None:
-            value = file_values.get(key.replace("_", "-"), file_values.get(key, fallback))
-            setattr(args, key, value)
+            name = next((k for k in (key.replace("_", "-"), key) if k in file_values), None)
+            setattr(args, key, fallback if name is None else
+                    _config_value(args.config, name, file_values[name], args.actions[key]))
 
 
 def main(argv=None) -> int:

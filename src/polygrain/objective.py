@@ -13,8 +13,8 @@ All evaluations subtract the per-pixel minimum cost before exponentiating, so
 the winning term contributes exp(0) and no overflow can occur for finite
 inputs. Exponents are floored at Z_FLOOR so that exp never underflows.
 Reductions over pixels run in fixed-size chunks whose partial sums are folded
-left to right in chunk order, also when a thread pool computes the chunks, so
-every thread count gives bit-identical results.
+left to right in chunk order, also when a persistent thread pool computes them
+with OpenBLAS on one thread, so every thread count gives bit-identical results.
 
 Every pass over all grains and all pixels goes through that chunked kernel:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -147,6 +149,37 @@ def _combine(a, b):
     return lse, gacc, a[2] + b[2], a[3] + b[3]
 
 
+@functools.cache
+def _pool(pid: int, threads: int) -> ThreadPoolExecutor:  # per pid: a fork copies no threads
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="polygrain")
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
+    import ctypes
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it: this only gets a handle
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _pool_map(fn, items, threads: int) -> list:
+    """``fn`` over ``items`` in the persistent pool, the bundled OpenBLAS held at 1 thread."""
+    get, set_ = _blas_threads() or (lambda: None, lambda count: None)
+    before = get()
+    set_(1)
+    try:
+        return list(_pool(os.getpid(), threads).map(fn, items))
+    finally:
+        set_(before)
+
+
 def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                        labels0: np.ndarray, eps: float, *, want_grad: bool = True,
                        want_assign: bool = False, threads: int = 1,
@@ -154,10 +187,12 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     """Chunked evaluation of the objective and, optionally, gradient and assignment stats.
 
     ``labels0`` are 0-based true labels. Chunk partial sums are folded left to
-    right in chunk order; threads > 1 only computes the partials in a thread
-    pool, so the result is bit-identical to threads == 1. Exponents are
-    floored at ``Z_FLOOR``, which moves no weight by more than exp(Z_FLOOR).
+    right in chunk order; threads > 1 computes them in a persistent pool with
+    the bundled OpenBLAS on one thread, bit-identical to threads == 1. Exponents
+    are floored at ``Z_FLOOR``, which moves no weight by more than exp(Z_FLOOR).
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     n = design_values.shape[1]
     slices = [slice(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
@@ -166,8 +201,7 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                             want_grad, want_assign)
 
     if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(stats, slices))
+        parts = _pool_map(stats, slices, threads)
     else:
         parts = map(stats, slices)
     total = functools.reduce(_combine, parts)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -129,10 +130,8 @@ class FitConfig:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.max_iters < 1 or self.memory < 1 or self.record_every < 1:
-            raise ValueError("max_iters, memory and record_every must be positive")
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        if min(self.degree, self.max_iters, self.memory, self.record_every, self.threads) < 1:
+            raise ValueError("degree, max_iters, memory, record_every and threads must be >= 1")
         if isinstance(self.init, str) and self.init not in ("zero", "heuristic"):
             raise ValueError("init must be 'zero', 'heuristic' or an explicit ParamMatrix")
 
@@ -223,8 +222,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         )
 
     report = FitReport(theta=theta0, eps=config.eps, n_grains=n_grains,
-                       n_pixels=len(grain_map))
-    report.design_spans = _design_spans(design.values)
+                       n_pixels=len(grain_map), design_spans=_design_spans(design.values))
 
     def record(it, phi_val, err_val, e0_val):
         report.iters.append(it)
@@ -234,9 +232,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
 
     record(0, phi, err, e0)
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=config.memory)  # (s, y, rho)
     # Certifies err == 0 when crossed: misassignment costs at least log2/n.
     certify_threshold = -1e-12 * math.log(2.0) / len(grain_map)
     stop_reason = "budget"
@@ -247,18 +243,16 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         if gnorm2 == 0.0:
             stop_reason = "stationary"
             break
-        if s_hist:
+        if hist:
             q = g.copy()
             alphas = []
-            for s_vec, y_vec, rho in zip(reversed(s_hist), reversed(y_hist),
-                                         reversed(rho_hist)):
+            for s_vec, y_vec, rho in reversed(hist):
                 a = rho * float(s_vec @ q)
                 q -= a * y_vec
                 alphas.append(a)
-            gamma = float(s_hist[-1] @ y_hist[-1]) / float(y_hist[-1] @ y_hist[-1])
-            r = gamma * q
-            for s_vec, y_vec, rho, a in zip(s_hist, y_hist, rho_hist,
-                                            reversed(alphas)):
+            s_last, y_last, _ = hist[-1]
+            r = float(s_last @ y_last) / float(y_last @ y_last) * q
+            for (s_vec, y_vec, rho), a in zip(hist, reversed(alphas)):
                 b = rho * float(y_vec @ r)
                 r += s_vec * (a - b)
             direction = r
@@ -267,9 +261,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         slope0 = float(g @ direction)
         if not np.isfinite(slope0) or slope0 <= 0.0:
             # Quasi-Newton memory went bad; restart from the scaled gradient.
-            s_hist.clear()
-            y_hist.clear()
-            rho_hist.clear()
+            hist.clear()
             direction = g / gnorm2
             slope0 = float(g @ direction)
             if not np.isfinite(slope0) or slope0 <= 0.0:
@@ -298,13 +290,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         y_vec = g - g_new
         sy = float(s_vec @ y_vec)
         if sy > CURVATURE_SKIP * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > config.memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            hist.append((s_vec, y_vec, 1.0 / sy))  # the oldest pair drops out at the memory
 
         u, phi, g, err, e0 = u_new, phi_new, g_new, err_new, e0_new
         iterations = it
@@ -317,18 +303,16 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     if report.iters[-1] != iterations:
         record(iterations, phi, err, e0)
 
-    theta_final = ParamMatrix(values=unpack(u), basis=basis, gauge=GAUGE_LAST_ZERO)
-    report.theta = theta_final
+    report.theta = ParamMatrix(values=unpack(u), basis=basis, gauge=GAUGE_LAST_ZERO)
     report.phi_final = float(phi)
     report.err_final = float(err)
     report.acc_final = 1.0 - float(err)
     report.iterations_run = iterations
     report.stop_reason = stop_reason
-    report.gauge_residual = float(np.abs(theta_final.values[:, -1]).max())
+    report.gauge_residual = float(np.abs(report.theta.values[:, -1]).max())
 
     checks = [bounds_hold(p, e, e0_val, config.eps, n_grains)
               for p, e, e0_val in zip(report.phi_traj, report.err_traj, report.e0_traj)]
-    report.bound_phi_err_ok = all(phi_err_ok for phi_err_ok, _ in checks)
-    report.bound_energy_ok = all(energy_ok for _, energy_ok in checks)
+    report.bound_phi_err_ok, report.bound_energy_ok = map(all, zip(*checks))
     report.wall_clock_s = time.perf_counter() - start
     return report

@@ -438,6 +438,49 @@ class TestCli:
         assert (used / "grain_map.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_gives_input_exit_code(self, threads, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+        assert main(["fit", "--input", str(gen / "grain_map.csv"), "--iters", "5",
+                     "--threads", threads, "--out-dir", str(tmp_path / "fit")]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("values", [{"degree": "x"}, {"degree": 2.5}, {"degree": True},
+                                        {"basis": "foo"}, {"eps": "small"}, {"eps": [0.1]},
+                                        {"init": 3}])
+    def test_bad_config_value_gives_input_exit_code(self, values, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(gen / "grain_map.csv"), "iters": 5,
+                                   "out-dir": str(tmp_path / "fit"), **values}))
+        assert main(["--config", str(cfg), "fit"]) == 2
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and repr(next(iter(values))) in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_config_values_convert_as_flags_do(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(gen / "grain_map.csv"), "degree": "2",
+                                   "eps": 1, "iters": "5", "record_every": 2,
+                                   "out-dir": str(tmp_path / "fit")}))
+        assert main(["--config", str(cfg), "fit"]) == 0
+        report = json.loads((tmp_path / "fit" / "report.json").read_text())
+        assert report["theta"]["degree"] == 2 and report["epsilon"] == 1.0
+        assert report["trajectory"]["iteration"] == [0, 2, 4, 5]
+        for inputs in ([str(tmp_path / "fit" / "report.json")],
+                       str(tmp_path / "fit" / "report.json")):
+            cfg.write_text(json.dumps({"inputs": inputs, "out": str(tmp_path / "m.csv")}))
+            assert main(["--config", str(cfg), "metrics"]) == 0
+            assert (tmp_path / "m.csv").read_text().splitlines()[1].startswith("2,6,")
+
     def test_psd_repair_command(self, tmp_path, rng):
         theta = random_theta(rng, 2, 4, kind=pg.LEGENDRE, gauge=pg.GAUGE_LAST_ZERO)
         src = tmp_path / "theta.csv"

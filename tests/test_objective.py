@@ -1,4 +1,9 @@
 import math
+import os
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 import polygrain as pg
 from conftest import random_labels_map, random_theta
 from polygrain.objective import evaluate_objective
+
+# ``pg.objective`` is the function of that name; the module holds the thread path.
+objective_module = sys.modules["polygrain.objective"]
 
 
 def small_problem(rng, degree=2, n_grains=4, m=5, kind=pg.LEGENDRE):
@@ -317,6 +325,14 @@ class TestReduction:
         assert seq.err == par.err
         assert seq.e0 == par.e0
 
+    def test_rejects_thread_count_below_one(self, rng):
+        gm, basis, design = small_problem(rng)
+        theta = random_theta(rng, 2, 4)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                evaluate_objective(theta.values, design.values, gm.labels - 1, 0.1,
+                                   threads=threads)
+
     def test_chunked_matches_single_chunk(self, rng):
         gm = random_labels_map(rng, 8, 3)
         basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
@@ -411,3 +427,104 @@ class TestExponentFloor:
         res = evaluate_objective(theta, d, g0, eps, chunk_size=n)
         assert abs(res.phi - phi_ref) <= 1e-14 * abs(phi_ref)
         assert np.abs(res.grad - grad_ref).max() <= 1e-14 * np.abs(grad_ref).max()
+
+
+def thread_problem(rng, m=16):
+    """(theta, design, 0-based labels) for a 4M^2-pixel map of six grains."""
+    gm = random_labels_map(rng, m, 6)
+    basis = pg.DesignBasis.make(pg.LEGENDRE, 2)
+    design = pg.assemble_design_matrix(basis, gm.grid)
+    return random_theta(rng, 2, 6, scale=3.0).values, design.values, gm.labels - 1
+
+
+class TestThreadPath:
+    @pytest.fixture(params=["blas found", "blas not found"])
+    def blas_lookup(self, request, monkeypatch):
+        if request.param == "blas not found":
+            monkeypatch.setattr(objective_module, "_blas_threads", lambda: None)
+
+    @pytest.mark.parametrize("chunk_size", [128, 1024])
+    def test_every_thread_count_is_bit_identical(self, rng, blas_lookup, chunk_size):
+        theta, design, labels0 = thread_problem(rng, m=32)  # 4096 pixels
+        seq, *par = [evaluate_objective(theta, design, labels0, 0.05, want_assign=True,
+                                        threads=threads, chunk_size=chunk_size)
+                     for threads in (1, 2, 3)]
+        for res in par:
+            assert res.phi == seq.phi
+            assert np.array_equal(res.grad, seq.grad)
+            assert res.err == seq.err
+            assert res.e0 == seq.e0
+
+    def test_blas_runs_single_threaded_in_the_pool_and_is_restored(self, rng, monkeypatch):
+        blas = objective_module._blas_threads()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS that exposes its thread count")
+        get, set_ = blas
+        theta, design, labels0 = thread_problem(rng)
+        seen = []
+        chunk_stats = objective_module._chunk_stats
+
+        def spy(*args):
+            seen.append(get())
+            return chunk_stats(*args)
+
+        monkeypatch.setattr(objective_module, "_chunk_stats", spy)
+        original = get()
+        set_(2)
+        try:
+            before = get()
+            evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+            assert seen and set(seen) == {1}
+            assert get() == before
+            # labels too short for the design: the last chunk raises in a worker
+            with pytest.raises(ValueError):
+                evaluate_objective(theta, design, labels0[:-10], 0.1, threads=2,
+                                   chunk_size=128)
+            assert get() == before
+            seen.clear()
+            evaluate_objective(theta, design, labels0, 0.1, threads=1, chunk_size=128)
+            assert set(seen) == {before}  # the sequential path leaves BLAS alone
+        finally:
+            set_(original)
+
+    def test_pool_persists_across_evaluations(self, rng, monkeypatch):
+        theta, design, labels0 = thread_problem(rng)
+        workers = set()
+        chunk_stats = objective_module._chunk_stats
+
+        def spy(*args):
+            workers.add(threading.current_thread())
+            return chunk_stats(*args)
+
+        evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+        before = threading.active_count()
+        monkeypatch.setattr(objective_module, "_chunk_stats", spy)
+        for _ in range(50):
+            evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+        assert threading.active_count() == before
+        assert 1 <= len(workers) <= 2  # the same two threads, not a pool per call
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_evaluates_in_its_own_pool(self, rng):
+        theta, design, labels0 = thread_problem(rng)
+        want = evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:
+            try:
+                got = evaluate_objective(theta, design, labels0, 0.1, threads=2,
+                                         chunk_size=128)
+                os._exit(0 if got.phi == want.phi else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                assert os.waitstatus_to_exitcode(status) == 0
+                return
+            time.sleep(0.05)
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("a forked child deadlocked on the parent's pool")

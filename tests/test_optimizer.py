@@ -196,3 +196,8 @@ class TestFit:
             pg.FitConfig(max_iters=0)
         with pytest.raises(ValueError):
             pg.FitConfig(init="warm")
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                pg.FitConfig(threads=threads)
+        with pytest.raises(ValueError, match="degree"):
+            pg.FitConfig(degree=0)
