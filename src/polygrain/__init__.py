@@ -19,11 +19,8 @@ from .basis import (
     assemble_design_matrix,
     basis_change,
     basis_change_inverse,
-    eval_design,
     feature_count,
-    gram_condition,
     legendre_all,
-    legendre_eval,
     zero_pad,
 )
 from .conversions import (
@@ -43,7 +40,6 @@ from .geometry import (
     PhysicalAPD,
     PhysicalPD,
     PixelGrid,
-    accuracy_and_error,
     argmin_labels,
     make_grid,
     sym2x2_eigvals,
@@ -51,23 +47,15 @@ from .geometry import (
 from .heuristics import MomentSummary, heuristic_theta, moments
 from .metrics import (
     BoundReport,
-    CompressionEntry,
     SweepRow,
     bound_report,
     compression,
-    compression_entry,
     degree_sweep,
-    padded_objective,
 )
 from .objective import (
-    cost_matrix,
-    energy_eps,
-    energy_zero,
     gradient,
     hard_assign,
-    hessian_block,
     objective,
-    soft_assign,
 )
 from .optimizer import FitConfig, FitReport, fit, init_zero, line_search
 
@@ -76,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "APDRecovery",
     "BoundReport",
-    "CompressionEntry",
     "DesignBasis",
     "DesignMatrix",
     "FitConfig",
@@ -97,7 +84,6 @@ __all__ = [
     "PixelGrid",
     "ResourceError",
     "SweepRow",
-    "accuracy_and_error",
     "apd_to_theta",
     "argmin_labels",
     "assemble_design_matrix",
@@ -106,32 +92,22 @@ __all__ = [
     "bound_report",
     "coeffs_to_basis",
     "compression",
-    "compression_entry",
-    "cost_matrix",
     "degree_sweep",
-    "energy_eps",
-    "energy_zero",
-    "eval_design",
     "feature_count",
     "fit",
     "generate_apd",
     "generate_pd",
     "gradient",
-    "gram_condition",
     "hard_assign",
     "heuristic_theta",
-    "hessian_block",
     "init_zero",
     "legendre_all",
-    "legendre_eval",
     "line_search",
     "make_grid",
     "moments",
     "objective",
-    "padded_objective",
     "pd_to_theta",
     "psd_repair",
-    "soft_assign",
     "sym2x2_eigvals",
     "theta_to_apd",
     "theta_to_pd",

@@ -142,21 +142,6 @@ def legendre_all(degree: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def legendre_eval(m: int, t):
-    """Legendre polynomial P_m evaluated at t (scalar or array)."""
-    if m < 0:
-        raise ValueError("Legendre degree must be non-negative")
-    arr = np.asarray(t, dtype=np.float64)
-    value = legendre_all(m, arr)[m]
-    return float(value) if np.isscalar(t) or arr.ndim == 0 else value
-
-
-def eval_design(basis: DesignBasis, x) -> np.ndarray:
-    """Feature vector eta(x) of length K_d for a single point x in [-1,1]^2."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, 2)
-    return basis.evaluate(x)[:, 0]
-
-
 @dataclass(frozen=True)
 class DesignMatrix:
     """Feature matrix of a basis over a grid: column j equals eta(x_j)."""
@@ -261,23 +246,6 @@ def basis_change_inverse(degree: int) -> np.ndarray:
     if degree < 1:
         raise ValueError("degree must be >= 1")
     return _basis_change_pair(degree)[1]
-
-
-def gram_condition(design: DesignMatrix) -> float:
-    """Condition number of the normalised feature Gram matrix.
-
-    The Gram matrix is (1/n) sum_x eta(x) eta(x)^T; the condition number is
-    the ratio of its extreme eigenvalues, +inf when singular. Used as a
-    conditioning diagnostic when comparing basis kinds.
-    """
-    k, n = design.values.shape
-    if k > n:
-        raise ValueError(f"need at least K={k} points, got {n}")
-    gram = design.values @ design.values.T / n
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 0.0:
-        return float("inf")
-    return float(eigs[-1] / eigs[0])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Every command is deterministic given its flags (and seed). Exit codes:
 0 success, 2 input error, 3 numerical failure, 4 I/O error, 5 resource error
 (an allocation failed; the message carries the byte estimate). A JSON config
-file may supply any flag; explicit flags win.
+file may supply any flag of the command; explicit flags win, and a key that
+names no flag is an input error.
 """
 
 from __future__ import annotations
@@ -258,6 +259,11 @@ def _apply_config(args) -> None:
             raise InputFormatError(f"{args.config}: invalid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
             raise InputFormatError(f"{args.config}: config must be a JSON object")
+        names = {name for key in args.defaults for name in (key, key.replace("_", "-"))}
+        unknown = sorted(set(file_values) - names)
+        if unknown:
+            raise InputFormatError(f"{args.config}: {unknown[0]!r} names no flag of "
+                                   f"{args.command!r}")
     for key, fallback in args.defaults.items():
         if getattr(args, key, None) is None:
             name = next((k for k in (key.replace("_", "-"), key) if k in file_values), None)

@@ -199,8 +199,7 @@ def coeffs_to_basis(theta: ParamMatrix, target_kind: str) -> ParamMatrix:
                        gauge=theta.gauge)
 
 
-def psd_repair(theta: ParamMatrix, margin: float | None = None,
-               no_op_if_pd: bool = False) -> ParamMatrix:
+def psd_repair(theta: ParamMatrix, margin: float | None = None) -> ParamMatrix:
     """Shift all quadratic blocks by the same multiple of the identity.
 
     Adds lam = max(0, -min_i lambda_min(A_i)) + margin to the x1^2 and x2^2
@@ -208,9 +207,8 @@ def psd_repair(theta: ParamMatrix, margin: float | None = None,
     leaving the induced diagram unchanged (common shifts cancel in cost
     differences). Afterwards every A_i has smallest eigenvalue >= margin.
 
-    The shift is applied unconditionally for determinism; ``no_op_if_pd``
-    skips it when the eigenvalue floor already holds. The returned matrix is
-    in the free gauge (the common shift breaks a zero final column) and in
+    The shift is applied unconditionally for determinism. The returned matrix
+    is in the free gauge (the common shift breaks a zero final column) and in
     the same basis kind as the input.
     """
     original_kind = theta.basis.kind
@@ -223,8 +221,6 @@ def psd_repair(theta: ParamMatrix, margin: float | None = None,
         margin = 1e-3 * (1.0 + float(np.abs(eigs).max()))
     if margin <= 0:
         raise ValueError("margin must be positive")
-    if no_op_if_pd and lam_min >= margin:
-        return theta
     lam = max(0.0, -lam_min) + margin
     idx = work.basis.index_set
     vals = work.values.copy()

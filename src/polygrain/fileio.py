@@ -33,7 +33,7 @@ import numpy as np
 from .basis import BASIS_KINDS, DesignBasis, GAUGE_FREE, GAUGE_LAST_ZERO, ORDERING_CONVENTION, ParamMatrix
 from .conversions import APDRecovery
 from .errors import InputFormatError
-from .geometry import GrainMap, PhysicalAPD, PhysicalPD, PixelGrid, make_grid
+from .geometry import GrainMap, PhysicalAPD, PhysicalPD, PixelGrid
 from .optimizer import FitReport
 
 MISASSIGN_CORRECT = (250, 218, 221)
@@ -124,25 +124,12 @@ def write_misassignment_csv(path, grid: PixelGrid, true_labels: np.ndarray,
                  [grid.points[:, 0], grid.points[:, 1], true_labels, fitted_labels])
 
 
-def infer_resolution(points: np.ndarray) -> int | None:
-    """M if the points are exactly a regular grid in canonical order, else None."""
-    n = points.shape[0]
-    side = math.isqrt(n)
-    if side * side != n or side % 2 != 0:
-        return None
-    m = side // 2
-    if np.array_equal(points, make_grid(m).points):
-        return m
-    return None
-
-
 def read_grain_map_csv(path) -> GrainMap:
     """Read a grain map; the grain count is the largest label present."""
     table = _read_table(path, _GRAIN_MAP)
     if len(table) < 2:
         raise InputFormatError(f"{path}: need at least two pixels")
-    points = np.column_stack([table["x1"], table["x2"]])
-    grid = PixelGrid(points=points, resolution=infer_resolution(points))
+    grid = PixelGrid(points=np.column_stack([table["x1"], table["x2"]]))
     return GrainMap(grid=grid, labels=table["label"], n_grains=int(table["label"].max()))
 
 
@@ -248,19 +235,15 @@ def physical_to_dict(params: PhysicalPD | PhysicalAPD | APDRecovery) -> dict:
             "seeds": [[float(a), float(b)] for a, b in params.seeds],
             "weights": [float(w) for w in params.weights],
         }
-    if isinstance(params, PhysicalAPD):
-        rec = {"kind": "apd", "recoverable": [True] * params.n_grains}
-        seeds, weights, mats = params.seeds, params.weights, params.anisotropy
-    else:
-        rec = {"kind": "apd", "recoverable": [bool(r) for r in params.recoverable]}
-        seeds, weights, mats = params.seeds, params.weights, params.anisotropy
+    recoverable = getattr(params, "recoverable", np.ones(params.n_grains, dtype=bool))
+    rec = {"kind": "apd", "recoverable": [bool(r) for r in recoverable]}
     rec["seeds"] = [
         [float(a), float(b)] if np.isfinite(a) and np.isfinite(b) else None
-        for a, b in seeds
+        for a, b in params.seeds
     ]
-    rec["weights"] = [float(w) if np.isfinite(w) else None for w in weights]
+    rec["weights"] = [float(w) if np.isfinite(w) else None for w in params.weights]
     rec["anisotropy"] = [[[float(m[0, 0]), float(m[0, 1])],
-                          [float(m[1, 0]), float(m[1, 1])]] for m in mats]
+                          [float(m[1, 0]), float(m[1, 1])]] for m in params.anisotropy]
     return rec
 
 

@@ -24,13 +24,11 @@ TIE_RTOL = 1e-12
 class PixelGrid:
     """A finite list of sample points in [-1,1]^2.
 
-    ``resolution`` is M for regular (2M)x(2M) grids, None for unstructured
-    point lists. Point order is fixed and reproducible: row-major in (k1,k2)
-    for regular grids, file/constructor order otherwise.
+    Point order is fixed and reproducible: row-major in (k1,k2) for the
+    regular grids of ``make_grid``, file/constructor order otherwise.
     """
 
     points: np.ndarray
-    resolution: int | None = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -42,14 +40,6 @@ class PixelGrid:
             raise ValueError("grid points must be finite")
         if np.any(np.abs(pts) >= 1.0):
             raise ValueError("grid points must lie strictly inside [-1,1]^2")
-        if self.resolution is not None:
-            m = int(self.resolution)
-            if m < 1:
-                raise ValueError("resolution must be a positive integer")
-            if pts.shape[0] != (2 * m) ** 2:
-                raise ValueError(
-                    f"regular grid with M={m} requires {(2 * m) ** 2} points, got {pts.shape[0]}"
-                )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -69,7 +59,7 @@ def make_grid(m: int) -> PixelGrid:
     coords = -1.0 + (np.arange(1, 2 * m + 1) - 0.5) / m
     x1 = np.repeat(coords, 2 * m)
     x2 = np.tile(coords, 2 * m)
-    return PixelGrid(points=np.column_stack([x1, x2]), resolution=m)
+    return PixelGrid(points=np.column_stack([x1, x2]))
 
 
 @dataclass(frozen=True)
@@ -102,10 +92,6 @@ class GrainMap:
 
     def __len__(self) -> int:
         return len(self.grid)
-
-    def grain_sizes(self) -> np.ndarray:
-        """Pixel count per grain, shape (N,)."""
-        return np.bincount(self.labels - 1, minlength=self.n_grains)
 
 
 @dataclass(frozen=True)
@@ -209,17 +195,3 @@ def argmin_labels(costs: np.ndarray) -> np.ndarray:
     m = costs.min(axis=0)
     tol = TIE_RTOL * (1.0 + np.abs(m))
     return np.argmax(costs <= m + tol, axis=0).astype(np.int64) + 1
-
-
-def accuracy_and_error(grain_map: GrainMap, assigned: np.ndarray) -> tuple[float, float]:
-    """Fraction of correctly assigned pixels and its complement.
-
-    Returns (acc, err) with acc + err == 1 exactly.
-    """
-    assigned = np.asarray(assigned)
-    if assigned.shape != grain_map.labels.shape:
-        raise ValueError(
-            f"label array length {assigned.shape} != grain map length {grain_map.labels.shape}"
-        )
-    acc = float(np.count_nonzero(assigned == grain_map.labels)) / len(grain_map)
-    return acc, 1.0 - acc

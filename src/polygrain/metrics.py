@@ -12,24 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .basis import DesignMatrix, ParamMatrix, feature_count, zero_pad
+from .basis import DesignMatrix, ParamMatrix, feature_count
 from .geometry import GrainMap
-from .objective import bounds_hold, evaluate, objective
+from .objective import bounds_hold, evaluate
 from .optimizer import FitConfig, FitReport, fit
-
-
-@dataclass(frozen=True)
-class CompressionEntry:
-    degree: int
-    n_grains: int
-    n_pixels: int
-    k_d: int
-    ratio: float
-
-    @property
-    def percent(self) -> float:
-        """Ratio as a percentage rounded half-to-even to two decimals."""
-        return round(100.0 * self.ratio, 2)
 
 
 def compression(degree: int, n_grains: int, n_pixels: int) -> float:
@@ -37,12 +23,6 @@ def compression(degree: int, n_grains: int, n_pixels: int) -> float:
     if degree < 1 or n_grains < 1 or n_pixels < 1:
         raise ValueError("degree, grain count and pixel count must be positive")
     return feature_count(degree) * n_grains / (3.0 * n_pixels)
-
-
-def compression_entry(degree: int, n_grains: int, n_pixels: int) -> CompressionEntry:
-    return CompressionEntry(degree=degree, n_grains=n_grains, n_pixels=n_pixels,
-                            k_d=feature_count(degree),
-                            ratio=compression(degree, n_grains, n_pixels))
 
 
 @dataclass(frozen=True)
@@ -76,16 +56,6 @@ def degree_sweep(grain_map: GrainMap, degrees: list[int],
     return rows, reports
 
 
-def padded_objective(theta: ParamMatrix, degree: int, design: DesignMatrix,
-                     grain_map: GrainMap, eps: float) -> float:
-    """Objective of a lower-degree coefficient matrix embedded at ``degree``.
-
-    Zero padding is an exact embedding, so this witnesses that any
-    lower-degree fit is admissible at the higher degree.
-    """
-    return objective(zero_pad(theta, degree), design, grain_map, eps)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of the analytic consistency checks at one parameter value."""
@@ -109,17 +79,17 @@ class BoundReport:
 
 
 def bound_report(theta: ParamMatrix, grain_map: GrainMap, design: DesignMatrix,
-                 eps: float, slack: float = 1e-12) -> BoundReport:
+                 eps: float) -> BoundReport:
     """Verify the objective/error inequalities at one parameter value.
 
-    Checks, the first two with additive ``slack``:
+    Checks, the first two with additive ``objective.BOUND_SLACK``:
       * phi <= -log(2) * err (every misassigned pixel costs at least log 2);
       * 0 <= -eps*phi - e0 <= eps*log(N) (log-sum-exp sandwich);
       * phi > -log(2)/n forces err == 0 exactly.
     """
     phi, _, err, e0 = evaluate(theta, design, grain_map, eps, want_assign=True)
     n = len(grain_map)
-    phi_err_ok, energy_ok = bounds_hold(phi, err, e0, eps, grain_map.n_grains, slack)
+    phi_err_ok, energy_ok = bounds_hold(phi, err, e0, eps, grain_map.n_grains)
     near_optimal = phi > -math.log(2.0) / n
     return BoundReport(
         phi=phi, err=err, energy_eps=-eps * phi, energy_zero=e0, eps=eps,

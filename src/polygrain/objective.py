@@ -20,8 +20,7 @@ Every pass over all grains and all pixels goes through that chunked kernel:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
 assignment statistics) and ``hard_assign`` (arg-min labels, which also
 generate synthetic maps). ``bounds_hold`` is the one implementation of the
-paper's objective/error bounds. ``cost_matrix``, ``soft_assign`` and
-``energy_zero`` build whole N x n matrices and serve as dense references.
+paper's objective/error bounds.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
@@ -46,6 +46,15 @@ CHUNK_SIZE = 8192
 # less than 1e-304, is far below the rounding of s.
 Z_FLOOR = -700.0
 
+# Additive rounding allowance of the bound checks in ``bounds_hold``.
+BOUND_SLACK = 1e-12
+
+# Serialises the save -> map -> restore of the BLAS thread count in ``_pool_map``.
+# A fork can copy it held by another thread, so the child gets a fresh one.
+_blas_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: globals().update(_blas_lock=threading.Lock()))
+
 
 def _check_compatible(theta: ParamMatrix, design: DesignMatrix) -> None:
     if theta.basis != design.basis:
@@ -55,12 +64,6 @@ def _check_compatible(theta: ParamMatrix, design: DesignMatrix) -> None:
         )
     if not np.all(np.isfinite(theta.values)):
         raise ValueError("parameter matrix contains non-finite entries")
-
-
-def cost_matrix(theta: ParamMatrix, design: DesignMatrix) -> np.ndarray:
-    """Per-grain, per-pixel costs h_i(x_j) as an (N, n) matrix."""
-    _check_compatible(theta, design)
-    return theta.values.T @ design.values
 
 
 def hard_assign(theta: ParamMatrix, grid: PixelGrid,
@@ -76,19 +79,6 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
     n = design.values.shape[1]
     return np.concatenate([argmin_labels(theta_t @ design.values[:, lo:lo + CHUNK_SIZE])
                            for lo in range(0, n, CHUNK_SIZE)])
-
-
-def soft_assign(theta: ParamMatrix, design: DesignMatrix, eps: float) -> np.ndarray:
-    """Softmax memberships p_i(x_j) at temperature eps, shape (N, n).
-
-    Stabilised by min-cost subtraction; column j is a distribution over grains.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    costs = cost_matrix(theta, design)
-    z = (costs.min(axis=0)[None, :] - costs) / eps
-    e = np.exp(z)
-    return e / e.sum(axis=0)[None, :]
 
 
 class EvalResult(NamedTuple):
@@ -172,12 +162,13 @@ def _blas_threads():
 def _pool_map(fn, items, threads: int) -> list:
     """``fn`` over ``items`` in the persistent pool, the bundled OpenBLAS held at 1 thread."""
     get, set_ = _blas_threads() or (lambda: None, lambda count: None)
-    before = get()
-    set_(1)
-    try:
-        return list(_pool(os.getpid(), threads).map(fn, items))
-    finally:
-        set_(before)
+    with _blas_lock:
+        before = get()
+        set_(1)
+        try:
+            return list(_pool(os.getpid(), threads).map(fn, items))
+        finally:
+            set_(before)
 
 
 def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
@@ -227,16 +218,16 @@ def evaluate(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap, eps:
                               want_grad=want_grad, want_assign=want_assign)
 
 
-def bounds_hold(phi: float, err: float, e0: float, eps: float, n_grains: int,
-                slack: float = 1e-12) -> tuple[bool, bool]:
-    """The paper's bounds at one parameter value, each with additive ``slack``.
+def bounds_hold(phi: float, err: float, e0: float, eps: float,
+                n_grains: int) -> tuple[bool, bool]:
+    """The paper's bounds at one parameter value, each with additive ``BOUND_SLACK``.
 
     Returns (phi <= -log(2) * err, 0 <= -eps*phi - e0 <= eps*log(N)): every
     misassigned pixel costs at least log 2, and log-sum-exp is sandwiched
     between its maximum term and that term plus log N.
     """
-    phi_err_ok = phi <= -math.log(2.0) * err + slack
-    energy_ok = -slack <= -eps * phi - e0 <= eps * math.log(n_grains) + slack
+    phi_err_ok = phi <= -math.log(2.0) * err + BOUND_SLACK
+    energy_ok = -BOUND_SLACK <= -eps * phi - e0 <= eps * math.log(n_grains) + BOUND_SLACK
     return bool(phi_err_ok), bool(energy_ok)
 
 
@@ -257,36 +248,3 @@ def gradient(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
     if theta.gauge == GAUGE_LAST_ZERO:
         grad[:, -1] = 0.0
     return grad
-
-
-def hessian_block(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
-                  eps: float, i: int, k: int) -> np.ndarray:
-    """The (i, k) block of the Hessian (grain indices 1-based), shape (K_d, K_d).
-
-    Equals -(1/(eps^2 n)) sum_x p_i(x) (1[i==k] - p_k(x)) eta(x) eta(x)^T.
-    Dense and intended for diagnostics on small problems; the optimiser never
-    forms it.
-    """
-    n_grains = theta.n_grains
-    if not (1 <= i <= n_grains and 1 <= k <= n_grains):
-        raise ValueError(f"grain indices must lie in 1..{n_grains}")
-    p = soft_assign(theta, design, eps)
-    pi, pk = p[i - 1], p[k - 1]
-    w = pi * ((1.0 if i == k else 0.0) - pk)
-    d = design.values
-    n = d.shape[1]
-    return -(d * w[None, :]) @ d.T / (eps * eps * n)
-
-
-def energy_eps(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap,
-               eps: float) -> float:
-    """Rescaled energy -eps * Phi; converges uniformly to ``energy_zero`` as eps -> 0."""
-    return -eps * objective(theta, design, grain_map, eps)
-
-
-def energy_zero(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap) -> float:
-    """Mean excess cost of the true labels over the per-pixel minimum; >= 0."""
-    costs = cost_matrix(theta, design)
-    cols = np.arange(costs.shape[1])
-    excess = costs[grain_map.labels - 1, cols] - costs.min(axis=0)
-    return float(excess.mean())

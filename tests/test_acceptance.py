@@ -16,6 +16,7 @@ from polygrain import fileio
 from polygrain.cli import main
 from polygrain.objective import evaluate_objective
 from conftest import random_apd, random_labels_map, random_pd, random_theta
+from reference import cost_matrix, hessian_block
 
 
 def criterion(number: int, ok: bool, detail: str) -> None:
@@ -107,7 +108,7 @@ def test_criterion_4_concavity_and_gauge():
     eps = 0.4
     n_grains, k = 3, basis.dimension
     theta = random_theta(rng, 1, n_grains)
-    blocks = [[pg.hessian_block(theta, design, gm, eps, i, j)
+    blocks = [[hessian_block(theta, design, gm, eps, i, j)
                for j in range(1, n_grains + 1)] for i in range(1, n_grains + 1)]
 
     worst_q = -np.inf
@@ -167,8 +168,8 @@ def test_criterion_5_eps_scaling_identities():
         a = pg.objective(theta, design, gm, eps)
         b = pg.objective(theta.with_values(theta.values / eps), design, gm, 1.0)
         worst_phi = max(worst_phi, abs(a - b) / (1 + abs(a)))
-        la = pg.argmin_labels(pg.cost_matrix(theta, design))
-        lb = pg.argmin_labels(pg.cost_matrix(theta.with_values(eps * theta.values), design))
+        la = pg.argmin_labels(cost_matrix(theta, design))
+        lb = pg.argmin_labels(cost_matrix(theta.with_values(eps * theta.values), design))
         assign_exact = assign_exact and np.array_equal(la, lb)
     ok_ident = worst_phi <= 1e-12
 
@@ -228,7 +229,7 @@ def test_criterion_7_compression_table():
         (245, 63252): [0.39, 0.77, 1.29, 1.94, 2.71, 3.62, 4.65, 5.81],
         (4686, 1033376): [0.45, 0.91, 1.51, 2.27, 3.17, 4.23, 5.44, 6.80],
     }
-    got = {shape: [pg.compression_entry(d, *shape).percent for d in range(1, 9)]
+    got = {shape: [round(100.0 * pg.compression(d, *shape), 2) for d in range(1, 9)]
            for shape in expected}
     ok = got == expected
     criterion(7, ok, f"16 printed compression percentages reproduced: {got}")
@@ -290,7 +291,7 @@ def test_criterion_9_degree_monotonicity():
         basis_next = pg.DesignBasis.make(theta.basis.kind, next_degree)
         design_next = pg.assemble_design_matrix(basis_next, gm.grid)
         a = pg.objective(theta, design_here, gm, 1e-2)
-        b = pg.padded_objective(theta, next_degree, design_next, gm, 1e-2)
+        b = pg.objective(pg.zero_pad(theta, next_degree), design_next, gm, 1e-2)
         worst_pad = max(worst_pad, abs(a - b) / (1 + abs(a)))
     ok_pad = worst_pad <= 1e-12
 

@@ -4,6 +4,7 @@ from numpy.polynomial import legendre as npleg
 
 import polygrain as pg
 from polygrain.basis import MultiIndexSet
+from reference import gram_condition
 
 
 class TestMultiIndexSet:
@@ -29,44 +30,40 @@ class TestMultiIndexSet:
 
 class TestLegendreEval:
     def test_p0_p1(self):
-        assert pg.legendre_eval(0, 0.77) == 1.0
-        assert pg.legendre_eval(1, 0.3) == 0.3
+        assert pg.legendre_all(0, 0.77)[0] == 1.0
+        assert pg.legendre_all(1, 0.3)[1] == 0.3
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 9])
     def test_value_one_at_one(self, m):
-        assert pg.legendre_eval(m, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert pg.legendre_all(m, 1.0)[m] == pytest.approx(1.0, abs=1e-14)
 
     def test_p3_half(self):
-        assert pg.legendre_eval(3, 0.5) == pytest.approx(-0.4375, abs=0)
+        assert pg.legendre_all(3, 0.5)[3] == pytest.approx(-0.4375, abs=0)
 
     @pytest.mark.parametrize("m", range(8))
     def test_matches_reference_series(self, m, rng):
         t = rng.uniform(-1, 1, 50)
         coeffs = np.zeros(m + 1)
         coeffs[m] = 1.0
-        assert np.allclose(pg.legendre_eval(m, t), npleg.legval(t, coeffs),
+        assert np.allclose(pg.legendre_all(m, t)[m], npleg.legval(t, coeffs),
                            rtol=1e-13, atol=1e-13)
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            pg.legendre_eval(-1, 0.0)
 
 
 class TestEvalDesign:
     def test_d1_monomial_components(self):
         basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
-        vec = pg.eval_design(basis, (0.2, -0.4))
+        vec = basis.evaluate(np.array([[0.2, -0.4]]))[:, 0]
         # index order (0,0), (1,0), (0,1)
         assert vec.tolist() == [1.0, 0.2, -0.4]
 
     def test_d2_monomial_all_ones_at_corner(self):
         # the feature map itself has no domain-boundary special cases
         basis = pg.DesignBasis.make(pg.MONOMIAL, 2)
-        assert pg.eval_design(basis, (1.0, 1.0)).tolist() == [1.0] * 6
+        assert basis.evaluate(np.array([[1.0, 1.0]]))[:, 0].tolist() == [1.0] * 6
 
     def test_d2_legendre_at_origin(self):
         basis = pg.DesignBasis.make(pg.LEGENDRE, 2)
-        vec = pg.eval_design(basis, (0.0, 0.0))
+        vec = basis.evaluate(np.array([[0.0, 0.0]]))[:, 0]
         assert vec[basis.index_set.position((2, 0))] == pytest.approx(-0.5, abs=0)
         assert vec[basis.index_set.position((0, 2))] == pytest.approx(-0.5, abs=0)
         assert vec[basis.index_set.position((1, 1))] == 0.0
@@ -98,7 +95,7 @@ class TestDesignMatrix:
         grid = pg.PixelGrid(points=rng.uniform(-0.9, 0.9, (17, 2)))
         design = pg.assemble_design_matrix(basis, grid)
         for j in (0, 5, 16):
-            assert np.array_equal(design.values[:, j], pg.eval_design(basis, grid.points[j]))
+            assert np.array_equal(design.values[:, j], basis.evaluate(grid.points[j:j + 1])[:, 0])
 
 
 class TestBasisChange:
@@ -146,31 +143,43 @@ class TestGramCondition:
         m2 = float(np.mean(grid.points[:, 0] ** 2))
         expected = np.diag([1.0, m2, m2])
         assert np.allclose(gram, expected, atol=1e-14)
-        assert pg.gram_condition(design) == pytest.approx(1.0 / m2, rel=1e-12)
+        assert gram_condition(design) == pytest.approx(1.0 / m2, rel=1e-12)
 
     def test_legendre_not_worse_than_monomial_d5(self):
         grid = pg.make_grid(50)
-        cond_m = pg.gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 5), grid))
-        cond_l = pg.gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 5), grid))
+        cond_m = gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 5), grid))
+        cond_l = gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 5), grid))
         assert cond_l <= cond_m
 
     def test_equal_conditions_at_degree_one(self):
         grid = pg.make_grid(7)
-        cond_m = pg.gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 1), grid))
-        cond_l = pg.gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 1), grid))
+        cond_m = gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 1), grid))
+        cond_l = gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 1), grid))
         assert cond_m == pytest.approx(cond_l, rel=1e-12)
 
     def test_singular_gram_reports_infinity(self):
         # three collinear points cannot span the degree-1 feature space
         grid = pg.PixelGrid(points=np.array([[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]))
         design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 1), grid)
-        assert pg.gram_condition(design) == float("inf")
+        assert gram_condition(design) == float("inf")
+
+    def test_infinite_exactly_where_fit_reports_no_span(self):
+        # the package's spanning check in fit is the same Gram eigenvalue test
+        collinear = pg.PixelGrid(points=np.array([[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]))
+        spans = []
+        for grid in (collinear, pg.make_grid(3)):
+            gm = pg.GrainMap(grid=grid, labels=np.arange(len(grid)) % 2 + 1, n_grains=2)
+            report = pg.fit(gm, pg.FitConfig(degree=1, basis_kind=pg.MONOMIAL, max_iters=1))
+            design = pg.assemble_design_matrix(report.theta.basis, grid)
+            assert report.design_spans == (gram_condition(design) < float("inf"))
+            spans.append(report.design_spans)
+        assert spans == [False, True]
 
     def test_requires_enough_points(self):
         grid = pg.make_grid(1)
         design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 2), grid)
         with pytest.raises(ValueError):
-            pg.gram_condition(design)
+            gram_condition(design)
 
     def test_legendre_offdiagonals_shrink_with_resolution(self):
         vals = []

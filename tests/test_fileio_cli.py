@@ -91,7 +91,6 @@ class TestGrainMapCsv:
         back = fileio.read_grain_map_csv(path)
         assert np.array_equal(back.labels, gm.labels)
         assert np.array_equal(back.grid.points, gm.grid.points)
-        assert back.grid.resolution == 5
 
     def test_round_trip_unstructured(self, rng, tmp_path):
         grid = pg.PixelGrid(points=rng.uniform(-0.9, 0.9, (11, 2)))
@@ -99,7 +98,6 @@ class TestGrainMapCsv:
         path = tmp_path / "map.csv"
         fileio.write_grain_map_csv(path, gm)
         back = fileio.read_grain_map_csv(path)
-        assert back.grid.resolution is None
         assert np.array_equal(back.grid.points, grid.points)
 
     def test_malformed_value_reports_row_and_column(self, tmp_path):
@@ -461,6 +459,19 @@ class TestCli:
         assert main(["--config", str(cfg), "fit"]) == 2
         err = capsys.readouterr().err
         assert "cfg.json" in err and repr(next(iter(values))) in err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("key", ["degre", "threads_", "config", "kind"])
+    def test_unknown_config_key_gives_input_exit_code(self, key, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"input": str(gen / "grain_map.csv"), "iters": 3,
+                                   "out-dir": str(tmp_path / "fit"), key: 3}))
+        assert main(["--config", str(cfg), "fit"]) == 2
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and repr(key) in err
         assert not (tmp_path / "fit").exists()
 
     def test_config_values_convert_as_flags_do(self, tmp_path):

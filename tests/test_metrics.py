@@ -5,6 +5,7 @@ import pytest
 
 import polygrain as pg
 from conftest import random_apd, random_labels_map
+from reference import accuracy_and_error, cost_matrix, energy_zero
 from polygrain.objective import bounds_hold
 
 SMALL_SHAPE = (245, 63252)
@@ -31,13 +32,12 @@ class TestCompression:
                              [(SMALL_SHAPE, SMALL_PERCENTS), (BIG_SHAPE, BIG_PERCENTS)])
     def test_printed_table_reproduced(self, shape, expected):
         n, omega = shape
-        got = [pg.compression_entry(d, n, omega).percent for d in range(1, 9)]
+        got = [round(100.0 * pg.compression(d, n, omega), 2) for d in range(1, 9)]
         assert got == expected
 
     def test_entry_consistency(self):
-        e = pg.compression_entry(3, 10, 1000)
-        assert e.k_d == 10
-        assert e.ratio == 10 * 10 / 3000.0
+        assert pg.feature_count(3) == 10
+        assert pg.compression(3, 10, 1000) == 10 * 10 / 3000.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -63,7 +63,7 @@ class TestDegreeSweep:
             design_next = pg.assemble_design_matrix(basis_next, gm.grid)
             design_here = pg.assemble_design_matrix(theta.basis, gm.grid)
             a = pg.objective(theta, design_here, gm, 1e-2)
-            b = pg.padded_objective(theta, next_degree, design_next, gm, 1e-2)
+            b = pg.objective(pg.zero_pad(theta, next_degree), design_next, gm, 1e-2)
             assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
     def test_accuracy_improves_from_pd_to_apd_target(self, sweep):
@@ -114,10 +114,10 @@ class TestBoundReport:
         for scale in (0.1, 1.0, 30.0):
             theta = random_theta(rng, 2, 6, scale=scale)
             rep = pg.bound_report(theta, gm, design, 0.05)
-            costs = pg.cost_matrix(theta, design)
+            costs = cost_matrix(theta, design)
             assert rep.phi == pg.objective(theta, design, gm, 0.05)
-            assert rep.err == pg.accuracy_and_error(gm, pg.argmin_labels(costs))[1]
-            assert rep.energy_zero == pytest.approx(pg.energy_zero(theta, design, gm),
+            assert rep.err == accuracy_and_error(gm, pg.argmin_labels(costs))[1]
+            assert rep.energy_zero == pytest.approx(energy_zero(theta, design, gm),
                                                     rel=1e-12, abs=1e-12)
             assert rep.energy_eps == pytest.approx(-0.05 * rep.phi, abs=0)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import polygrain as pg
 from conftest import random_labels_map, random_theta
+from reference import accuracy_and_error, cost_matrix, energy_zero, hessian_block, soft_assign
 from polygrain.objective import evaluate_objective
 
 # ``pg.objective`` is the function of that name; the module holds the thread path.
@@ -34,7 +35,7 @@ class TestSoftAssign:
     def test_zero_theta_is_uniform(self, rng):
         gm, basis, design = small_problem(rng, n_grains=5)
         theta = pg.ParamMatrix(np.zeros((basis.dimension, 5)), basis)
-        p = pg.soft_assign(theta, design, 0.3)
+        p = soft_assign(theta, design, 0.3)
         assert np.all(p == 0.2)
         assert_distributions(p)
 
@@ -48,7 +49,7 @@ class TestSoftAssign:
         values = np.zeros((3, 2))
         values[basis.index_set.position((0, 0)), 1] = math.log(3.0) * eps
         theta = pg.ParamMatrix(values, basis)
-        p = pg.soft_assign(theta, design, eps)
+        p = soft_assign(theta, design, eps)
         assert p[0, 0] == pytest.approx(0.75, abs=1e-15)
         assert p[1, 0] == pytest.approx(0.25, abs=1e-15)
 
@@ -56,26 +57,37 @@ class TestSoftAssign:
         gm, basis, design = small_problem(rng)
         theta = random_theta(rng, 2, 4)
         eps = 0.01
-        a = pg.soft_assign(theta, design, eps)
-        b = pg.soft_assign(theta.with_values(theta.values / eps), design, 1.0)
+        a = soft_assign(theta, design, eps)
+        b = soft_assign(theta.with_values(theta.values / eps), design, 1.0)
         assert np.allclose(a, b, rtol=1e-12, atol=0)
 
     def test_columns_are_distributions(self, rng):
         gm, basis, design = small_problem(rng)
-        assert_distributions(pg.soft_assign(random_theta(rng, 2, 4, scale=3.0), design, 0.5))
+        assert_distributions(soft_assign(random_theta(rng, 2, 4, scale=3.0), design, 0.5))
 
     def test_no_overflow_for_extreme_parameters(self, rng):
         gm, basis, design = small_problem(rng)
         theta = random_theta(rng, 2, 4, scale=1e8)
         with np.errstate(over="raise"):
-            p = pg.soft_assign(theta, design, 1e-2)
+            p = soft_assign(theta, design, 1e-2)
         assert np.all(np.isfinite(p))
 
     def test_rejects_nonpositive_eps(self, rng):
         gm, basis, design = small_problem(rng)
         theta = random_theta(rng, 2, 4)
         with pytest.raises(ValueError):
-            pg.soft_assign(theta, design, 0.0)
+            soft_assign(theta, design, 0.0)
+
+    def test_package_gradient_is_the_soft_residual(self, rng):
+        # the gradient block i is -(1/(eps*n)) sum_x (1[i == g(x)] - p_i(x)) eta(x)
+        gm, basis, design = small_problem(rng)
+        theta = random_theta(rng, 2, 4, scale=2.0)
+        eps = 0.2
+        residual = -soft_assign(theta, design, eps)
+        residual[gm.labels - 1, np.arange(len(gm))] += 1.0
+        want = -(design.values @ residual.T) / (eps * len(gm))
+        got = pg.gradient(theta, design, gm, eps)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestObjective:
@@ -95,7 +107,7 @@ class TestObjective:
         vals[0, 0] = np.nan
         calls = [lambda th, g, e: pg.objective(th, design, g, e),
                  lambda th, g, e: pg.gradient(th, design, g, e),
-                 lambda th, g, e: pg.energy_eps(th, design, g, e),
+                 lambda th, g, e: -e * pg.objective(th, design, g, e),
                  lambda th, g, e: pg.bound_report(th, g, design, e)]
         bad = [(theta, gm, 0.0), (theta, gm, -1.0),
                (random_theta(rng, 2, 4, kind=pg.MONOMIAL), gm, 0.1),
@@ -122,8 +134,8 @@ class TestObjective:
         for _ in range(20):
             theta = random_theta(rng, 2, 4, scale=rng.uniform(0.1, 4.0))
             phi = pg.objective(theta, design, gm, 0.3)
-            labels = pg.argmin_labels(pg.cost_matrix(theta, design))
-            _, err = pg.accuracy_and_error(gm, labels)
+            labels = pg.argmin_labels(cost_matrix(theta, design))
+            _, err = accuracy_and_error(gm, labels)
             assert phi <= -math.log(2.0) * err + 1e-12
 
 
@@ -180,7 +192,7 @@ class TestHessian:
         gm, basis, design = small_problem(rng, n_grains=4)
         n_grains, eps = 4, 0.7
         theta = pg.ParamMatrix(np.zeros((basis.dimension, n_grains)), basis)
-        block = pg.hessian_block(theta, design, gm, eps, 2, 2)
+        block = hessian_block(theta, design, gm, eps, 2, 2)
         outer = design.values @ design.values.T
         expected = -(1.0 / n_grains) * (1 - 1.0 / n_grains) * outer / (eps * eps * len(gm))
         assert np.allclose(block, expected, atol=1e-14)
@@ -188,7 +200,7 @@ class TestHessian:
     def test_quadratic_form_nonpositive(self, rng):
         gm, basis, design = small_problem(rng, degree=1, n_grains=3, m=4)
         theta = random_theta(rng, 1, 3)
-        blocks = [[pg.hessian_block(theta, design, gm, 0.4, i, k)
+        blocks = [[hessian_block(theta, design, gm, 0.4, i, k)
                    for k in range(1, 4)] for i in range(1, 4)]
         for _ in range(100):
             v = rng.normal(size=(3, basis.dimension))
@@ -198,7 +210,7 @@ class TestHessian:
     def test_gauge_direction_is_null(self, rng):
         gm, basis, design = small_problem(rng, degree=1, n_grains=3, m=4)
         theta = random_theta(rng, 1, 3)
-        blocks = [[pg.hessian_block(theta, design, gm, 0.4, i, k)
+        blocks = [[hessian_block(theta, design, gm, 0.4, i, k)
                    for k in range(1, 4)] for i in range(1, 4)]
         c = rng.normal(size=basis.dimension)
         q = sum(c @ blocks[i][k] @ c for i in range(3) for k in range(3))
@@ -209,7 +221,7 @@ class TestHessian:
         gm, basis, design = small_problem(rng, degree=1, n_grains=3, m=4)
         theta = random_theta(rng, 1, 3)
         k = basis.dimension
-        h = np.block([[pg.hessian_block(theta, design, gm, 0.4, i, kk)
+        h = np.block([[hessian_block(theta, design, gm, 0.4, i, kk)
                        for kk in range(1, 4)] for i in range(1, 4)])
         restricted = h[: 2 * k, : 2 * k]  # gauge-fixed: last grain frozen
         assert np.linalg.eigvalsh(restricted).max() < -1e-12
@@ -219,10 +231,10 @@ class TestHessian:
         gm, basis, design = small_problem(rng, degree=1, n_grains=3, m=3)
         eps = 0.4
         theta = random_theta(rng, 1, 3)
-        p = pg.soft_assign(theta, design, eps)
+        p = soft_assign(theta, design, eps)
         for _ in range(10):
             v = rng.normal(size=(3, basis.dimension))
-            q_blocks = sum(v[i] @ pg.hessian_block(theta, design, gm, eps, i + 1, k + 1) @ v[k]
+            q_blocks = sum(v[i] @ hessian_block(theta, design, gm, eps, i + 1, k + 1) @ v[k]
                            for i in range(3) for k in range(3))
             proj = v @ design.values
             mean = (p * proj).sum(axis=0)
@@ -230,13 +242,34 @@ class TestHessian:
             q_var = -var.sum() / (eps * eps * len(gm))
             assert q_blocks == pytest.approx(q_var, abs=1e-12)
 
+    def test_matches_central_differences_of_package_gradient(self, rng):
+        # block (i, k) column b is d grad[:, i] / d theta[b, k]
+        gm, basis, design = small_problem(rng, degree=2, n_grains=3, m=4)
+        theta = random_theta(rng, 2, 3)
+        eps, h = 0.5, 1e-5
+        worst = scale = 0.0
+        for k in range(3):
+            for b in range(basis.dimension):
+                vp = theta.values.copy()
+                vp[b, k] += h
+                vm = theta.values.copy()
+                vm[b, k] -= h
+                fd = (pg.gradient(theta.with_values(vp), design, gm, eps)
+                      - pg.gradient(theta.with_values(vm), design, gm, eps)) / (2 * h)
+                for i in range(3):
+                    column = hessian_block(theta, design, gm, eps, i + 1, k + 1)[:, b]
+                    worst = max(worst, float(np.abs(column - fd[:, i]).max()))
+                    scale = max(scale, float(np.abs(column).max()))
+        assert scale > 0.0
+        assert worst <= 1e-8 * scale
+
     def test_index_out_of_range(self, rng):
         gm, basis, design = small_problem(rng)
         theta = random_theta(rng, 2, 4)
         with pytest.raises(ValueError):
-            pg.hessian_block(theta, design, gm, 0.5, 0, 1)
+            hessian_block(theta, design, gm, 0.5, 0, 1)
         with pytest.raises(ValueError):
-            pg.hessian_block(theta, design, gm, 0.5, 1, 5)
+            hessian_block(theta, design, gm, 0.5, 1, 5)
 
 
 class TestEnergies:
@@ -244,8 +277,8 @@ class TestEnergies:
         gm, basis, design = small_problem(rng, n_grains=6)
         theta = pg.ParamMatrix(np.zeros((basis.dimension, 6)), basis)
         eps = 0.05
-        assert pg.energy_zero(theta, design, gm) == 0.0
-        e = pg.energy_eps(theta, design, gm, eps)
+        assert energy_zero(theta, design, gm) == 0.0
+        e = -eps * pg.objective(theta, design, gm, eps)
         assert abs(e - eps * math.log(6.0)) <= 1e-12
 
     def test_sandwich_bound(self, rng):
@@ -254,7 +287,7 @@ class TestEnergies:
         for _ in range(25):
             theta = random_theta(rng, 2, 4, scale=rng.uniform(0.2, 5.0))
             eps = float(rng.uniform(0.01, 2.0))
-            gap = pg.energy_eps(theta, design, gm, eps) - pg.energy_zero(theta, design, gm)
+            gap = -eps * pg.objective(theta, design, gm, eps) - energy_zero(theta, design, gm)
             assert -1e-12 <= gap <= eps * log_n + 1e-12
 
     def test_perfect_reconstruction_zero_energy(self, rng):
@@ -262,7 +295,7 @@ class TestEnergies:
         gm = pg.generate_pd(pd, pg.make_grid(6))
         theta = pg.pd_to_theta(pd)
         design = pg.assemble_design_matrix(theta.basis, gm.grid)
-        assert pg.energy_zero(theta, design, gm) <= 1e-15
+        assert energy_zero(theta, design, gm) <= 1e-15
 
 
 class TestInvariances:
@@ -275,8 +308,8 @@ class TestInvariances:
             a = pg.objective(theta, design, gm, 0.3)
             b = pg.objective(shifted, design, gm, 0.3)
             assert abs(a - b) <= 1e-12 * (1 + abs(a))
-            assert np.array_equal(pg.argmin_labels(pg.cost_matrix(theta, design)),
-                                  pg.argmin_labels(pg.cost_matrix(shifted, design)))
+            assert np.array_equal(pg.argmin_labels(cost_matrix(theta, design)),
+                                  pg.argmin_labels(cost_matrix(shifted, design)))
 
     def test_eps_scaling_identity(self, rng):
         gm, basis, design = small_problem(rng)
@@ -289,10 +322,10 @@ class TestInvariances:
     def test_positive_scaling_preserves_hard_labels(self, rng):
         gm, basis, design = small_problem(rng)
         theta = random_theta(rng, 2, 4)
-        base = pg.argmin_labels(pg.cost_matrix(theta, design))
+        base = pg.argmin_labels(cost_matrix(theta, design))
         for lam in (1e-2, 0.5, 3.0, 100.0):
             scaled = theta.with_values(lam * theta.values)
-            assert np.array_equal(base, pg.argmin_labels(pg.cost_matrix(scaled, design)))
+            assert np.array_equal(base, pg.argmin_labels(cost_matrix(scaled, design)))
 
     def test_segment_concavity(self, rng):
         gm, basis, design = small_problem(rng)
@@ -306,6 +339,46 @@ class TestInvariances:
                 mid = ta.with_values(lm * ta.values + (1 - lm) * tb.values)
                 val = pg.objective(mid, design, gm, 0.3)
                 assert val >= lm * fa + (1 - lm) * fb - 1e-10
+
+
+@st.composite
+def invariance_problems(draw):
+    """A random map, design and parameter matrix; costs up to about 10 * scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_grains = draw(st.integers(2, 6))
+    gm = random_labels_map(rng, draw(st.integers(2, 5)), n_grains)
+    basis = pg.DesignBasis.make(draw(st.sampled_from([pg.MONOMIAL, pg.LEGENDRE])),
+                                draw(st.integers(1, 3)))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    theta = pg.ParamMatrix(rng.normal(0.0, scale, (basis.dimension, n_grains)), basis)
+    return gm, pg.assemble_design_matrix(basis, gm.grid), theta, rng
+
+
+def cost_scale(*thetas, design):
+    return max(float(np.abs(cost_matrix(t, design)).max()) for t in thetas)
+
+
+class TestInvarianceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=invariance_problems(), eps=st.floats(1e-3, 1.0),
+           shift=st.sampled_from([0.1, 1.0, 100.0]))
+    def test_gauge_shift_leaves_phi_and_e0_unchanged(self, problem, eps, shift):
+        gm, design, theta, rng = problem
+        c = rng.normal(0.0, shift, theta.values.shape[0])
+        shifted = theta.with_values(theta.values + c[:, None])
+        a = objective_module.evaluate(theta, design, gm, eps, want_assign=True)
+        b = objective_module.evaluate(shifted, design, gm, eps, want_assign=True)
+        rounding = 1e-14 * (1.0 + cost_scale(theta, shifted, design=design))
+        assert abs(a.phi - b.phi) <= rounding / eps
+        assert abs(a.e0 - b.e0) <= rounding
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=invariance_problems(), eps=st.floats(1e-3, 1.0))
+    def test_eps_scaling_gives_the_same_phi(self, problem, eps):
+        gm, design, theta, _ = problem
+        a = pg.objective(theta, design, gm, eps)
+        b = pg.objective(theta.with_values(theta.values / eps), design, gm, 1.0)
+        assert abs(a - b) <= 1e-14 * (1.0 + cost_scale(theta, design=design)) / eps
 
 
 class TestReduction:
@@ -381,9 +454,9 @@ class TestAssignmentStats:
     def test_err_and_e0_match_hard_assignment(self, problem, eps, small):
         theta, gm, design = problem
         n = len(gm)
-        labels = pg.argmin_labels(pg.cost_matrix(theta, design))
+        labels = pg.argmin_labels(cost_matrix(theta, design))
         want_err = 1.0 - np.count_nonzero(labels == gm.labels) / n
-        want_e0 = pg.energy_zero(theta, design, gm)
+        want_e0 = energy_zero(theta, design, gm)
         for chunk_size in (min(small, n - 1), 2 * n):
             res = evaluate_objective(theta.values, design.values, gm.labels - 1, eps,
                                      want_assign=True, chunk_size=chunk_size)
@@ -487,6 +560,61 @@ class TestThreadPath:
         finally:
             set_(original)
 
+    def test_concurrent_evaluations_restore_the_starting_count(self, rng, monkeypatch):
+        # A fake BLAS count and a lock that reports arrivals. Evaluation A holds
+        # its first chunk until B arrives at the lock or, unguarded, reads the
+        # count; without the lock B saves the 1 that A has set.
+        theta, design, labels0 = thread_problem(rng)
+        count, seen = [4], []
+        a_in_map, b_arrived, gate = threading.Event(), threading.Event(), threading.Lock()
+
+        def get():
+            seen.append(count[0])
+            if a_in_map.is_set():
+                b_arrived.set()
+            return count[0]
+
+        def set_(value):
+            count[0] = value
+
+        class ArrivalLock:
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                if a_in_map.is_set():
+                    b_arrived.set()
+                self.lock.acquire()
+
+            def __exit__(self, *exc):
+                self.lock.release()
+
+        chunk_stats = objective_module._chunk_stats
+
+        def spy(*args):
+            if gate.acquire(blocking=False):  # the first chunk of A only
+                a_in_map.set()
+                b_arrived.wait(30.0)
+            return chunk_stats(*args)
+
+        monkeypatch.setattr(objective_module, "_blas_threads", lambda: (get, set_))
+        monkeypatch.setattr(objective_module, "_blas_lock", ArrivalLock(), raising=False)
+        monkeypatch.setattr(objective_module, "_chunk_stats", spy)
+
+        def run():
+            evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+
+        a = threading.Thread(target=run)
+        a.start()
+        assert a_in_map.wait(30.0)
+        b = threading.Thread(target=run)
+        b.start()
+        a.join(60.0)
+        b.join(60.0)
+        assert b_arrived.is_set() and not a.is_alive() and not b.is_alive()
+        assert seen == [4, 4]  # each evaluation saved the starting count
+        assert count[0] == 4
+
     def test_pool_persists_across_evaluations(self, rng, monkeypatch):
         theta, design, labels0 = thread_problem(rng)
         workers = set()
@@ -508,23 +636,38 @@ class TestThreadPath:
     def test_forked_child_evaluates_in_its_own_pool(self, rng):
         theta, design, labels0 = thread_problem(rng)
         want = evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-            pid = os.fork()
-        if pid == 0:
-            try:
-                got = evaluate_objective(theta, design, labels0, 0.1, threads=2,
-                                         chunk_size=128)
-                os._exit(0 if got.phi == want.phi else 1)
-            finally:
-                os._exit(2)
-        deadline = time.monotonic() + 30.0
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                assert os.waitstatus_to_exitcode(status) == 0
-                return
-            time.sleep(0.05)
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-        pytest.fail("a forked child deadlocked on the parent's pool")
+        code = forked_evaluation_exit_code(theta, design, labels0, want)
+        assert code is not None, "a forked child deadlocked on the parent's pool"
+        assert code == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_free_blas_lock(self, rng):
+        theta, design, labels0 = thread_problem(rng)
+        want = evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+        with objective_module._blas_lock:  # as if another thread were evaluating
+            code = forked_evaluation_exit_code(theta, design, labels0, want)
+        assert code is not None, "a forked child deadlocked on a copied BLAS lock"
+        assert code == 0
+
+
+def forked_evaluation_exit_code(theta, design, labels0, want, timeout=30.0):
+    """Exit code of a forked child that evaluates with threads=2 and compares
+    phi with ``want``; None if it has not finished within ``timeout`` s."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        try:
+            got = evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+            os._exit(0 if got.phi == want.phi else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.05)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    return None
