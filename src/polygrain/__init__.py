@@ -13,7 +13,6 @@ from .basis import (
     GAUGE_LAST_ZERO,
     LEGENDRE,
     MONOMIAL,
-    MultiIndexSet,
     ORDERING_CONVENTION,
     ParamMatrix,
     assemble_design_matrix,
@@ -75,7 +74,6 @@ __all__ = [
     "LEGENDRE",
     "MONOMIAL",
     "MomentSummary",
-    "MultiIndexSet",
     "NumericalError",
     "ORDERING_CONVENTION",
     "ParamMatrix",

@@ -11,6 +11,10 @@ d = 2:
 Monomial feature: x1^a1 * x2^a2. Legendre feature: P_{a1}(x1) * P_{a2}(x2)
 with the standard Legendre polynomials on [-1,1]. Both span the same
 polynomial space; ``basis_change`` returns the exact coefficient conversion.
+It is built from two exact rational (d+1) x (d+1) tables in one variable, the
+monomial coefficients of P_0..P_d and their triangular inverse: both maps
+are tensor products of these tables, so each entry is one rational rounded
+to float once.
 """
 
 from __future__ import annotations
@@ -49,26 +53,27 @@ def _graded_lex_indices(degree: int) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True)
-class MultiIndexSet:
-    """All multi-indices of total degree <= d in graded-lex (a1 descending) order."""
+class DesignBasis:
+    """A basis kind (monomial or legendre) and a degree d >= 0."""
 
+    kind: str
     degree: int
-    indices: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def for_degree(cls, degree: int) -> "MultiIndexSet":
-        degree = int(degree)
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        return cls(degree=degree, indices=_graded_lex_indices(degree))
 
     def __post_init__(self):
-        expected = _graded_lex_indices(self.degree)
-        if tuple(self.indices) != expected:
-            raise ValueError("indices must follow the graded-lex (a1 descending) convention")
+        if self.kind not in BASIS_KINDS:
+            raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
+        object.__setattr__(self, "degree", int(self.degree))
+        if self.degree < 0:
+            raise ValueError("degree must be non-negative")
 
-    def __len__(self) -> int:
-        return len(self.indices)
+    @property
+    def indices(self) -> tuple[tuple[int, int], ...]:
+        """All multi-indices of total degree <= d in graded-lex (a1 descending) order."""
+        return _graded_lex_indices(self.degree)
+
+    @property
+    def dimension(self) -> int:
+        return feature_count(self.degree)
 
     def position(self, alpha: tuple[int, int]) -> int:
         """Row position of a multi-index; O(1) from the graded-lex layout."""
@@ -77,30 +82,6 @@ class MultiIndexSet:
         if a1 < 0 or a2 < 0 or total > self.degree:
             raise ValueError(f"multi-index {alpha} not in the degree-{self.degree} set")
         return feature_count(total - 1) + (total - a1)
-
-
-@dataclass(frozen=True)
-class DesignBasis:
-    """A basis kind (monomial or legendre) together with its multi-index set."""
-
-    kind: str
-    index_set: MultiIndexSet
-
-    @classmethod
-    def make(cls, kind: str, degree: int) -> "DesignBasis":
-        return cls(kind=kind, index_set=MultiIndexSet.for_degree(degree))
-
-    def __post_init__(self):
-        if self.kind not in BASIS_KINDS:
-            raise ValueError(f"unknown basis kind {self.kind!r}; expected one of {BASIS_KINDS}")
-
-    @property
-    def degree(self) -> int:
-        return self.index_set.degree
-
-    @property
-    def dimension(self) -> int:
-        return len(self.index_set)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Feature matrix of shape (K_d, n) for points of shape (n, 2)."""
@@ -113,7 +94,7 @@ class DesignBasis:
         else:
             u1 = legendre_all(d, x1)
             u2 = legendre_all(d, x2)
-        rows = [u1[a1] * u2[a2] for a1, a2 in self.index_set.indices]
+        rows = [u1[a1] * u2[a2] for a1, a2 in self.indices]
         return np.asarray(rows)
 
 
@@ -144,18 +125,16 @@ def legendre_all(degree: int, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Feature matrix of a basis over a grid: column j equals eta(x_j)."""
+    """Feature matrix of a basis over n points: column j equals eta(x_j)."""
 
     values: np.ndarray
     basis: DesignBasis
-    grid: PixelGrid
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.basis.dimension, len(self.grid)):
+        if vals.ndim != 2 or vals.shape[0] != self.basis.dimension:
             raise ValueError(
-                f"design matrix shape {vals.shape} does not match "
-                f"(K={self.basis.dimension}, n={len(self.grid)})"
+                f"design matrix shape {vals.shape} does not match (K={self.basis.dimension}, n)"
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -171,24 +150,27 @@ def assemble_design_matrix(basis: DesignBasis, grid: PixelGrid) -> DesignMatrix:
             f"design matrix allocation failed: needs about {required} bytes "
             f"({basis.dimension} x {len(grid)} float64)"
         ) from exc
-    return DesignMatrix(values=values, basis=basis, grid=grid)
+    return DesignMatrix(values=values, basis=basis)
 
 
-@lru_cache(maxsize=None)
-def _legendre_coeff_rows(degree: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact monomial coefficients of P_0..P_d; row m has length m+1."""
-    rows = [(Fraction(1),)]
-    if degree >= 1:
-        rows.append((Fraction(0), Fraction(1)))
-    for m in range(1, degree):
-        pm, pm1 = rows[m], rows[m - 1]
-        nxt = [Fraction(0)] * (m + 2)
-        for j, c in enumerate(pm):
-            nxt[j + 1] += Fraction(2 * m + 1) * c
-        for j, c in enumerate(pm1):
-            nxt[j] -= Fraction(m) * c
-        rows.append(tuple(c / (m + 1) for c in nxt))
-    return tuple(rows[: degree + 1])
+def _legendre_tables(degree: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Exact lower-triangular (d+1) x (d+1) tables (L, L^{-1}) in one variable.
+
+    L[m][j] is the coefficient of t^j in P_m, from the three-term recurrence;
+    L^{-1}[m][j], by forward substitution, is the coefficient of P_j in t^m.
+    """
+    n = degree + 1
+    table = [[Fraction(int(j == 0)) for j in range(n)]]  # P_0 = 1
+    for m in range(degree):
+        t_pm = [Fraction(0)] + table[m][:-1]
+        pm1 = table[m - 1] if m else [Fraction(0)] * n  # P_{-1} = 0
+        table.append([((2 * m + 1) * a - m * b) / (m + 1) for a, b in zip(t_pm, pm1)])
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for row in range(n):
+        for col in range(row + 1):
+            s = int(row == col) - sum(table[row][j] * inv[j][col] for j in range(col, row))
+            inv[row][col] = s / table[row][row]
+    return table, inv
 
 
 @lru_cache(maxsize=None)
@@ -198,40 +180,22 @@ def _basis_change_pair(degree: int) -> tuple[np.ndarray, np.ndarray]:
     Let B[a, b] be the monomial coefficient of x^b in the Legendre product
     psi_a, so eta_L = B @ eta_mono as functions. Matching h values gives
     theta_mono = B^T theta_leg, hence theta_leg = (B^T)^{-1} theta_mono.
-    B is lower triangular in graded-lex order (psi_a only contains monomials
-    with b <= a componentwise), so the inverse is computed exactly over the
-    rationals by forward substitution and rounded to float once.
+    B[a, b] = L[a1][b1] L[a2][b2] is the tensor product of the 1-D table. It
+    is non-zero only for b <= a componentwise, and the multi-indices of degree
+    <= d contain every such b of their members, so B^{-1} is the same
+    restriction of the tensor product of L^{-1}. Every entry of both maps is
+    an exact product of two rationals, rounded to float once.
     """
-    idx = MultiIndexSet.for_degree(degree)
-    k = len(idx)
-    uni = _legendre_coeff_rows(degree)
-    b = [[Fraction(0)] * k for _ in range(k)]
-    for row, (a1, a2) in enumerate(idx.indices):
-        for b1 in range(a1 + 1):
-            c1 = uni[a1][b1]
-            if c1 == 0:
-                continue
-            for b2 in range(a2 + 1):
-                c2 = uni[a2][b2]
-                if c2 == 0:
-                    continue
-                b[row][idx.position((b1, b2))] = c1 * c2
+    idx = _graded_lex_indices(degree)
 
-    # Forward substitution: columns of B^{-1} from B X = I.
-    inv = [[Fraction(0)] * k for _ in range(k)]
-    for col in range(k):
-        for row in range(k):
-            s = Fraction(1) if row == col else Fraction(0)
-            for j in range(row):
-                if b[row][j]:
-                    s -= b[row][j] * inv[j][col]
-            inv[row][col] = s / b[row][row]
+    def transposed_tensor(table):
+        out = np.array([[float(table[a1][b1] * table[a2][b2]) for a1, a2 in idx]
+                        for b1, b2 in idx])
+        out.setflags(write=False)
+        return out
 
-    leg_to_mono = np.array([[float(b[i][j]) for i in range(k)] for j in range(k)])
-    mono_to_leg = np.array([[float(inv[i][j]) for i in range(k)] for j in range(k)])
-    leg_to_mono.setflags(write=False)
-    mono_to_leg.setflags(write=False)
-    return mono_to_leg, leg_to_mono
+    table, inv = _legendre_tables(degree)
+    return transposed_tensor(inv), transposed_tensor(table)
 
 
 def basis_change(degree: int) -> np.ndarray:
@@ -252,7 +216,7 @@ def basis_change_inverse(degree: int) -> np.ndarray:
 class ParamMatrix:
     """Coefficient matrix theta with one column per grain.
 
-    Shape (K_d, N) in the row order of ``basis.index_set``. ``gauge`` records
+    Shape (K_d, N) in the row order of ``basis.indices``. ``gauge`` records
     whether the final column is pinned to zero (the reference-grain
     convention used during fitting) or unconstrained.
     """
@@ -286,10 +250,6 @@ class ParamMatrix:
     def degree(self) -> int:
         return self.basis.degree
 
-    def with_values(self, values: np.ndarray, gauge: str | None = None) -> "ParamMatrix":
-        return ParamMatrix(values=values, basis=self.basis,
-                           gauge=self.gauge if gauge is None else gauge)
-
 
 def zero_pad(theta: ParamMatrix, degree: int) -> ParamMatrix:
     """Embed coefficients into a higher degree by zero rows for the new indices.
@@ -302,7 +262,7 @@ def zero_pad(theta: ParamMatrix, degree: int) -> ParamMatrix:
         raise ValueError("target degree is smaller than the current degree")
     if degree == theta.degree:
         return theta
-    target = DesignBasis.make(theta.basis.kind, degree)
+    target = DesignBasis(theta.basis.kind, degree)
     padded = np.zeros((target.dimension, theta.n_grains))
     padded[: theta.values.shape[0]] = theta.values
     return ParamMatrix(values=padded, basis=target, gauge=theta.gauge)

@@ -27,8 +27,8 @@ from .optimizer import FitConfig, fit
 from . import fileio
 
 
-def _random_physical(kind: str, n: int, seed: int, anisotropy: float):
-    rng = np.random.default_rng(seed)
+def _random_physical(kind: str, n: int, rng: np.random.Generator, anisotropy: float):
+    """Random "pd" or "apd" parameters, drawn in the order seeds, weights, angles, strengths."""
     seeds = rng.uniform(-1.0, 1.0, size=(n, 2))
     weights = rng.uniform(0.0, 0.1, size=n)
     if kind == "pd":
@@ -52,7 +52,8 @@ def _random_physical(kind: str, n: int, seed: int, anisotropy: float):
 def cmd_generate(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = _random_physical(args.kind, args.n, args.seed, args.anisotropy)
+    params = _random_physical(args.kind, args.n, np.random.default_rng(args.seed),
+                              args.anisotropy)
     grid = make_grid(args.m)
     if args.kind == "pd":
         grain_map = generate_pd(params, grid)

@@ -39,13 +39,13 @@ from .geometry import GrainMap, PhysicalAPD, PhysicalPD, PixelGrid, sym2x2_eigva
 from .objective import hard_assign
 
 
-def _positions_d1(index_set):
-    return index_set.position((0, 0)), index_set.position((1, 0)), index_set.position((0, 1))
+def _positions_d1(basis):
+    return basis.position((0, 0)), basis.position((1, 0)), basis.position((0, 1))
 
 
-def _positions_d2(index_set):
-    return (index_set.position((2, 0)), index_set.position((1, 1)),
-            index_set.position((0, 2)))
+def _positions_d2(basis):
+    return (basis.position((2, 0)), basis.position((1, 1)),
+            basis.position((0, 2)))
 
 
 def _require_monomial(theta: ParamMatrix, degree: int, op: str) -> None:
@@ -57,8 +57,8 @@ def _require_monomial(theta: ParamMatrix, degree: int, op: str) -> None:
 
 def pd_to_theta(pd: PhysicalPD) -> ParamMatrix:
     """Degree-1 monomial coefficients of a power diagram, one column per grain."""
-    basis = DesignBasis.make(MONOMIAL, 1)
-    p00, p10, p01 = _positions_d1(basis.index_set)
+    basis = DesignBasis(MONOMIAL, 1)
+    p00, p10, p01 = _positions_d1(basis)
     theta = np.empty((3, pd.n_grains))
     y1, y2 = pd.seeds[:, 0], pd.seeds[:, 1]
     theta[p10] = -2.0 * y1
@@ -70,7 +70,7 @@ def pd_to_theta(pd: PhysicalPD) -> ParamMatrix:
 def theta_to_pd(theta: ParamMatrix) -> PhysicalPD:
     """Seeds and weights of the power diagram encoded by degree-1 coefficients."""
     _require_monomial(theta, 1, "theta_to_pd")
-    p00, p10, p01 = _positions_d1(theta.basis.index_set)
+    p00, p10, p01 = _positions_d1(theta.basis)
     t1, t2, t0 = theta.values[p10], theta.values[p01], theta.values[p00]
     seeds = np.column_stack([-0.5 * t1, -0.5 * t2])
     weights = 0.25 * t1 * t1 + 0.25 * t2 * t2 - t0
@@ -79,10 +79,9 @@ def theta_to_pd(theta: ParamMatrix) -> PhysicalPD:
 
 def apd_to_theta(apd: PhysicalAPD) -> ParamMatrix:
     """Degree-2 monomial coefficients of an anisotropic power diagram."""
-    basis = DesignBasis.make(MONOMIAL, 2)
-    idx = basis.index_set
-    p00, p10, p01 = _positions_d1(idx)
-    p20, p11, p02 = _positions_d2(idx)
+    basis = DesignBasis(MONOMIAL, 2)
+    p00, p10, p01 = _positions_d1(basis)
+    p20, p11, p02 = _positions_d2(basis)
     a11 = apd.anisotropy[:, 0, 0]
     a12 = 0.5 * (apd.anisotropy[:, 0, 1] + apd.anisotropy[:, 1, 0])
     a22 = apd.anisotropy[:, 1, 1]
@@ -156,9 +155,8 @@ def theta_to_apd(theta: ParamMatrix) -> APDRecovery:
     A to be invertible and are marked unrecoverable otherwise.
     """
     _require_monomial(theta, 2, "theta_to_apd")
-    idx = theta.basis.index_set
-    p00, p10, p01 = _positions_d1(idx)
-    p20, p11, p02 = _positions_d2(idx)
+    p00, p10, p01 = _positions_d1(theta.basis)
+    p20, p11, p02 = _positions_d2(theta.basis)
     vals = theta.values
     n = theta.n_grains
     a11, a12, a22 = vals[p20], 0.5 * vals[p11], vals[p02]
@@ -195,7 +193,7 @@ def coeffs_to_basis(theta: ParamMatrix, target_kind: str) -> ParamMatrix:
         return theta
     t = basis_change(theta.degree) if target_kind == LEGENDRE else basis_change_inverse(theta.degree)
     return ParamMatrix(values=t @ theta.values,
-                       basis=DesignBasis.make(target_kind, theta.degree),
+                       basis=DesignBasis(target_kind, theta.degree),
                        gauge=theta.gauge)
 
 
@@ -219,12 +217,11 @@ def psd_repair(theta: ParamMatrix, margin: float | None = None) -> ParamMatrix:
     lam_min = float(eigs[:, 0].min())
     if margin is None:
         margin = 1e-3 * (1.0 + float(np.abs(eigs).max()))
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ValueError(f"margin must be finite and positive, got {margin}")
     lam = max(0.0, -lam_min) + margin
-    idx = work.basis.index_set
     vals = work.values.copy()
-    vals[idx.position((2, 0))] += lam
-    vals[idx.position((0, 2))] += lam
+    vals[work.basis.position((2, 0))] += lam
+    vals[work.basis.position((0, 2))] += lam
     repaired = ParamMatrix(values=vals, basis=work.basis, gauge=GAUGE_FREE)
     return coeffs_to_basis(repaired, original_kind)

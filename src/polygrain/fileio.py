@@ -141,7 +141,7 @@ def read_misassignment_csv(path):
 def write_theta_csv(path, theta: ParamMatrix) -> None:
     meta = (f"# basis={theta.basis.kind},degree={theta.degree},"
             f"ordering={ORDERING_CONVENTION},gauge={theta.gauge}")
-    alphas = np.array(theta.basis.index_set.indices).T
+    alphas = np.array(theta.basis.indices).T
     _write_table(path, _theta_columns(theta.n_grains), [*alphas, *theta.values.T],
                  preamble=[meta])
 
@@ -169,17 +169,18 @@ def read_theta_csv(path) -> ParamMatrix:
     if gauge not in (GAUGE_FREE, GAUGE_LAST_ZERO):
         raise InputFormatError(f"{path}: unknown gauge {gauge!r}")
 
-    basis = DesignBasis.make(kind, degree)
+    basis = DesignBasis(kind, degree)
     n = header.count(",") - 1
     if n < 2:
         raise InputFormatError(f"{path}: need at least two coefficient columns")
     table = _read_table(path, _theta_columns(n), skip=1)
     alphas = list(zip(table["alpha1"].tolist(), table["alpha2"].tolist()))
-    if sorted(alphas) != sorted(basis.index_set.indices):
+    # The row count goes first: enumerating the indices of a huge degree exhausts memory.
+    if len(alphas) != basis.dimension or sorted(alphas) != sorted(basis.indices):
         raise InputFormatError(
             f"{path}: expected one row per multi-index of degree {degree}, got {alphas}")
     values = np.empty((basis.dimension, n))
-    values[[basis.index_set.position(a) for a in alphas]] = np.column_stack(
+    values[[basis.position(a) for a in alphas]] = np.column_stack(
         [table[f"theta_{j}"] for j in range(1, n + 1)])
     return ParamMatrix(values=values, basis=basis, gauge=gauge)
 

@@ -208,8 +208,8 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
 def evaluate(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap, eps: float,
              *, want_grad: bool = False, want_assign: bool = False) -> EvalResult:
     """Checked ``evaluate_objective`` of theta on a design; the gradient keeps its last column."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     _check_compatible(theta, design)
     if len(grain_map) != design.values.shape[1]:
         raise ValueError(f"grain map has {len(grain_map)} pixels, design has "

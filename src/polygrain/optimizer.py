@@ -128,8 +128,8 @@ class FitConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if min(self.degree, self.max_iters, self.memory, self.record_every, self.threads) < 1:
             raise ValueError("degree, max_iters, memory, record_every and threads must be >= 1")
         if isinstance(self.init, str) and self.init not in ("zero", "heuristic"):
@@ -162,7 +162,7 @@ class FitReport:
 
 def init_zero(degree: int, n_grains: int, kind: str = LEGENDRE) -> ParamMatrix:
     """The fully ambiguous start: all coefficients zero, gauge trivially satisfied."""
-    basis = DesignBasis.make(kind, degree)
+    basis = DesignBasis(kind, degree)
     return ParamMatrix(values=np.zeros((basis.dimension, n_grains)), basis=basis,
                        gauge=GAUGE_LAST_ZERO)
 
@@ -197,7 +197,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     trajectories, bit-identical for every thread count.
     """
     start = time.perf_counter()
-    basis = DesignBasis.make(config.basis_kind, config.degree)
+    basis = DesignBasis(config.basis_kind, config.degree)
     design = assemble_design_matrix(basis, grain_map.grid)
     theta0 = _initial_theta(grain_map, config)
     labels0 = grain_map.labels - 1

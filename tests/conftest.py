@@ -2,26 +2,15 @@ import numpy as np
 import pytest
 
 import polygrain as pg
+from polygrain.cli import _random_physical
 
 
 def random_pd(rng, n):
-    return pg.PhysicalPD(seeds=rng.uniform(-1.0, 1.0, (n, 2)),
-                         weights=rng.uniform(0.0, 0.1, n))
+    return _random_physical("pd", n, rng, 0.0)
 
 
 def random_apd(rng, n, level=0.3):
-    angles = rng.uniform(0.0, np.pi, n)
-    strengths = rng.uniform(0.5, 1.5, n)
-    e1 = np.exp(level * strengths)
-    e2 = np.exp(-level * strengths)
-    c, s = np.cos(angles), np.sin(angles)
-    mats = np.empty((n, 2, 2))
-    mats[:, 0, 0] = c * c * e1 + s * s * e2
-    mats[:, 0, 1] = c * s * (e1 - e2)
-    mats[:, 1, 0] = mats[:, 0, 1]
-    mats[:, 1, 1] = s * s * e1 + c * c * e2
-    return pg.PhysicalAPD(seeds=rng.uniform(-1.0, 1.0, (n, 2)),
-                          weights=rng.uniform(0.0, 0.1, n), anisotropy=mats)
+    return _random_physical("apd", n, rng, level)
 
 
 def random_grain_map(rng, m, n):
@@ -43,7 +32,7 @@ def random_labels_map(rng, m, n):
 
 
 def random_theta(rng, degree, n, kind=pg.LEGENDRE, scale=1.0, gauge=pg.GAUGE_FREE):
-    basis = pg.DesignBasis.make(kind, degree)
+    basis = pg.DesignBasis(kind, degree)
     values = rng.normal(0.0, scale, (basis.dimension, n))
     if gauge == pg.GAUGE_LAST_ZERO:
         values[:, -1] = 0.0

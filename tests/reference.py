@@ -6,6 +6,8 @@ quantities the textbook way, so the tests can check the kernel against an
 independent route; each is itself checked against package code in the tests.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -83,3 +85,40 @@ def physical_costs(params, points):
     z1 = points[None, :, 0] - params.seeds[:, 0, None]
     z2 = points[None, :, 1] - params.seeds[:, 1, None]
     return a11 * z1 * z1 + 2.0 * a12 * z1 * z2 + a22 * z2 * z2 - params.weights[:, None]
+
+
+def basis_change_pair(degree):
+    """(monomial->legendre, legendre->monomial) maps by K x K rational substitution.
+
+    Builds the whole K x K monomial-coefficient matrix B of the Legendre
+    products in graded-lex order and inverts it exactly by forward
+    substitution, without the package's tensor-product shortcut; every entry
+    is rounded to float once.
+    """
+    indices = [(a1, total - a1) for total in range(degree + 1) for a1 in range(total, -1, -1)]
+    position = {alpha: row for row, alpha in enumerate(indices)}
+    uni = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for m in range(1, degree):
+        nxt = [Fraction(0)] * (m + 2)
+        for j, c in enumerate(uni[m]):
+            nxt[j + 1] += Fraction(2 * m + 1) * c
+        for j, c in enumerate(uni[m - 1]):
+            nxt[j] -= Fraction(m) * c
+        uni.append([c / (m + 1) for c in nxt])
+    k = len(indices)
+    b = [[Fraction(0)] * k for _ in range(k)]
+    for row, (a1, a2) in enumerate(indices):
+        for b1, c1 in enumerate(uni[a1]):
+            for b2, c2 in enumerate(uni[a2]):
+                b[row][position[(b1, b2)]] = c1 * c2
+    inv = [[Fraction(0)] * k for _ in range(k)]
+    for col in range(k):
+        for row in range(k):
+            s = Fraction(1) if row == col else Fraction(0)
+            for j in range(row):
+                if b[row][j]:
+                    s -= b[row][j] * inv[j][col]
+            inv[row][col] = s / b[row][row]
+    leg_to_mono = np.array([[float(b[i][j]) for i in range(k)] for j in range(k)])
+    mono_to_leg = np.array([[float(inv[i][j]) for i in range(k)] for j in range(k)])
+    return mono_to_leg, leg_to_mono

@@ -7,6 +7,7 @@ with ``pytest tests/test_acceptance.py -v -s`` to see the criterion lines.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def test_criterion_3_gradient_matches_finite_differences():
                     labels = rng.integers(1, n_grains + 1, size=len(grid))
                     labels[0], labels[1] = 1, 2
                     gm = pg.GrainMap(grid=grid, labels=labels, n_grains=n_grains)
-                    basis = pg.DesignBasis.make(kind, degree)
+                    basis = pg.DesignBasis(kind, degree)
                     design = pg.assemble_design_matrix(basis, grid)
                     theta = pg.ParamMatrix(
                         rng.normal(0.0, 1.0, (basis.dimension, n_grains)), basis)
@@ -89,8 +90,8 @@ def test_criterion_3_gradient_matches_finite_differences():
                             vp[r, c] += h
                             vm = theta.values.copy()
                             vm[r, c] -= h
-                            fd = (pg.objective(theta.with_values(vp), design, gm, eps)
-                                  - pg.objective(theta.with_values(vm), design, gm, eps)) / (2 * h)
+                            fd = (pg.objective(replace(theta, values=vp), design, gm, eps)
+                                  - pg.objective(replace(theta, values=vm), design, gm, eps)) / (2 * h)
                             a = grad[r, c]
                             err = abs(a - fd) if abs(a) < 1e-8 else abs(a - fd) / abs(a)
                             worst = max(worst, err)
@@ -103,7 +104,7 @@ def test_criterion_3_gradient_matches_finite_differences():
 def test_criterion_4_concavity_and_gauge():
     rng = np.random.default_rng(42)
     gm = random_labels_map(rng, 4, 3)
-    basis = pg.DesignBasis.make(pg.LEGENDRE, 1)
+    basis = pg.DesignBasis(pg.LEGENDRE, 1)
     design = pg.assemble_design_matrix(basis, gm.grid)
     eps = 0.4
     n_grains, k = 3, basis.dimension
@@ -130,7 +131,7 @@ def test_criterion_4_concavity_and_gauge():
         t = random_theta(rng, 1, n_grains)
         c = rng.normal(size=k)
         a = pg.objective(t, design, gm, eps)
-        b = pg.objective(t.with_values(t.values + c[:, None]), design, gm, eps)
+        b = pg.objective(replace(t, values=t.values + c[:, None]), design, gm, eps)
         worst_shift = max(worst_shift, abs(a - b) / (1 + abs(a)))
     ok_shift = worst_shift <= 1e-12
 
@@ -142,7 +143,7 @@ def test_criterion_4_concavity_and_gauge():
         fa = pg.objective(ta, design, gm, eps)
         fb = pg.objective(tb, design, gm, eps)
         for t in lam:
-            mid = pg.objective(ta.with_values(t * ta.values + (1 - t) * tb.values),
+            mid = pg.objective(replace(ta, values=t * ta.values + (1 - t) * tb.values),
                                design, gm, eps)
             worst_gap = min(worst_gap, mid - (t * fa + (1 - t) * fb))
     ok_segments = worst_gap >= -1e-10
@@ -157,7 +158,7 @@ def test_criterion_4_concavity_and_gauge():
 def test_criterion_5_eps_scaling_identities():
     rng = np.random.default_rng(77)
     gm = random_labels_map(rng, 5, 4)
-    basis = pg.DesignBasis.make(pg.LEGENDRE, 2)
+    basis = pg.DesignBasis(pg.LEGENDRE, 2)
     design = pg.assemble_design_matrix(basis, gm.grid)
 
     worst_phi = 0.0
@@ -166,10 +167,10 @@ def test_criterion_5_eps_scaling_identities():
         theta = random_theta(rng, 2, 4, scale=rng.uniform(0.3, 3.0))
         eps = float(rng.uniform(1e-3, 0.9))
         a = pg.objective(theta, design, gm, eps)
-        b = pg.objective(theta.with_values(theta.values / eps), design, gm, 1.0)
+        b = pg.objective(replace(theta, values=theta.values / eps), design, gm, 1.0)
         worst_phi = max(worst_phi, abs(a - b) / (1 + abs(a)))
         la = pg.argmin_labels(cost_matrix(theta, design))
-        lb = pg.argmin_labels(cost_matrix(theta.with_values(eps * theta.values), design))
+        lb = pg.argmin_labels(cost_matrix(replace(theta, values=eps * theta.values), design))
         assign_exact = assign_exact and np.array_equal(la, lb)
     ok_ident = worst_phi <= 1e-12
 
@@ -288,7 +289,7 @@ def test_criterion_9_degree_monotonicity():
     for rep, next_degree in zip(reports[:-1], (2, 3, 4, 5)):
         theta = rep.theta
         design_here = pg.assemble_design_matrix(theta.basis, gm.grid)
-        basis_next = pg.DesignBasis.make(theta.basis.kind, next_degree)
+        basis_next = pg.DesignBasis(theta.basis.kind, next_degree)
         design_next = pg.assemble_design_matrix(basis_next, gm.grid)
         a = pg.objective(theta, design_here, gm, 1e-2)
         b = pg.objective(pg.zero_pad(theta, next_degree), design_next, gm, 1e-2)

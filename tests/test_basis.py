@@ -1,31 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import legendre as npleg
 
 import polygrain as pg
-from polygrain.basis import MultiIndexSet
-from reference import gram_condition
+from reference import basis_change_pair, gram_condition
 
 
 class TestMultiIndexSet:
     @pytest.mark.parametrize("degree,expected", [(1, 3), (2, 6), (3, 10), (7, 36)])
     def test_counts(self, degree, expected):
-        assert len(MultiIndexSet.for_degree(degree)) == expected
+        basis = pg.DesignBasis(pg.MONOMIAL, degree)
+        assert len(basis.indices) == basis.dimension == expected
         assert pg.feature_count(degree) == expected
 
     def test_graded_lex_order_d2(self):
-        idx = MultiIndexSet.for_degree(2)
+        idx = pg.DesignBasis(pg.MONOMIAL, 2)
         assert idx.indices == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
     def test_positions_consistent(self):
-        idx = MultiIndexSet.for_degree(5)
+        idx = pg.DesignBasis(pg.MONOMIAL, 5)
         for pos, alpha in enumerate(idx.indices):
             assert idx.position(alpha) == pos
 
     def test_position_rejects_outside(self):
-        idx = MultiIndexSet.for_degree(2)
+        idx = pg.DesignBasis(pg.MONOMIAL, 2)
         with pytest.raises(ValueError):
             idx.position((3, 0))
+
+    def test_basis_is_its_kind_and_degree(self):
+        basis = pg.DesignBasis(pg.LEGENDRE, np.int64(3))
+        assert type(basis.degree) is int
+        assert basis == pg.DesignBasis(pg.LEGENDRE, 3)
+        assert hash(basis) == hash(pg.DesignBasis(pg.LEGENDRE, 3))
+        assert basis != pg.DesignBasis(pg.MONOMIAL, 3)
+
+    def test_rejects_negative_degree_and_unknown_kind(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            pg.DesignBasis(pg.MONOMIAL, -1)
+        with pytest.raises(ValueError, match="basis kind"):
+            pg.DesignBasis("chebyshev", 2)
+
+    def test_huge_degree_is_cheap_until_enumerated(self):
+        basis = pg.DesignBasis(pg.MONOMIAL, 10 ** 9)
+        assert basis.dimension == pg.feature_count(10 ** 9)
+        assert basis.position((0, 10 ** 9)) == basis.dimension - 1
 
 
 class TestLegendreEval:
@@ -51,51 +70,58 @@ class TestLegendreEval:
 
 class TestEvalDesign:
     def test_d1_monomial_components(self):
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
         vec = basis.evaluate(np.array([[0.2, -0.4]]))[:, 0]
         # index order (0,0), (1,0), (0,1)
         assert vec.tolist() == [1.0, 0.2, -0.4]
 
     def test_d2_monomial_all_ones_at_corner(self):
         # the feature map itself has no domain-boundary special cases
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 2)
+        basis = pg.DesignBasis(pg.MONOMIAL, 2)
         assert basis.evaluate(np.array([[1.0, 1.0]]))[:, 0].tolist() == [1.0] * 6
 
     def test_d2_legendre_at_origin(self):
-        basis = pg.DesignBasis.make(pg.LEGENDRE, 2)
+        basis = pg.DesignBasis(pg.LEGENDRE, 2)
         vec = basis.evaluate(np.array([[0.0, 0.0]]))[:, 0]
-        assert vec[basis.index_set.position((2, 0))] == pytest.approx(-0.5, abs=0)
-        assert vec[basis.index_set.position((0, 2))] == pytest.approx(-0.5, abs=0)
-        assert vec[basis.index_set.position((1, 1))] == 0.0
+        assert vec[basis.position((2, 0))] == pytest.approx(-0.5, abs=0)
+        assert vec[basis.position((0, 2))] == pytest.approx(-0.5, abs=0)
+        assert vec[basis.position((1, 1))] == 0.0
 
 
 class TestDesignMatrix:
     def test_constant_row_is_ones(self):
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
         design = pg.assemble_design_matrix(basis, pg.make_grid(1))
         assert design.values.shape == (3, 4)
-        assert np.all(design.values[basis.index_set.position((0, 0))] == 1.0)
+        assert np.all(design.values[basis.position((0, 0))] == 1.0)
 
     def test_cross_term_row_on_m1(self):
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 2)
+        basis = pg.DesignBasis(pg.MONOMIAL, 2)
         design = pg.assemble_design_matrix(basis, pg.make_grid(1))
-        row = design.values[basis.index_set.position((1, 1))]
+        row = design.values[basis.position((1, 1))]
         assert row.tolist() == [0.25, -0.25, -0.25, 0.25]
 
     def test_large_shape(self):
         # unstructured list standing in for an irregular pixel set
         rng = np.random.default_rng(0)
         grid = pg.PixelGrid(points=rng.uniform(-0.99, 0.99, (63252, 2)))
-        basis = pg.DesignBasis.make(pg.LEGENDRE, 7)
+        basis = pg.DesignBasis(pg.LEGENDRE, 7)
         design = pg.assemble_design_matrix(basis, grid)
         assert design.values.shape == (36, 63252)
 
     def test_columns_match_eval_design(self, rng):
-        basis = pg.DesignBasis.make(pg.LEGENDRE, 3)
+        basis = pg.DesignBasis(pg.LEGENDRE, 3)
         grid = pg.PixelGrid(points=rng.uniform(-0.9, 0.9, (17, 2)))
         design = pg.assemble_design_matrix(basis, grid)
         for j in (0, 5, 16):
             assert np.array_equal(design.values[:, j], basis.evaluate(grid.points[j:j + 1])[:, 0])
+
+    def test_shape_is_k_rows_by_any_columns(self):
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
+        assert pg.DesignMatrix(np.ones((3, 5)), basis).values.shape == (3, 5)
+        for bad in (np.ones((4, 5)), np.ones(3), np.ones((3, 5, 1))):
+            with pytest.raises(ValueError, match="K=3"):
+                pg.DesignMatrix(bad, basis)
 
 
 class TestBasisChange:
@@ -103,7 +129,7 @@ class TestBasisChange:
         assert np.array_equal(pg.basis_change(1), np.eye(3))
 
     def test_x1_squared_expansion(self):
-        idx = MultiIndexSet.for_degree(2)
+        idx = pg.DesignBasis(pg.MONOMIAL, 2)
         e = np.zeros(6)
         e[idx.position((2, 0))] = 1.0
         coeffs = pg.basis_change(2) @ e
@@ -111,6 +137,29 @@ class TestBasisChange:
         expected[idx.position((0, 0))] = 1.0 / 3.0
         expected[idx.position((2, 0))] = 2.0 / 3.0
         assert np.allclose(coeffs, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_byte_equal_to_rational_reference(self, degree):
+        mono_to_leg, leg_to_mono = basis_change_pair(degree)
+        assert pg.basis_change(degree).tobytes() == mono_to_leg.tobytes()
+        assert pg.basis_change_inverse(degree).tobytes() == leg_to_mono.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(1, 6),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_monomial_legendre_round_trip_keeps_costs(self, seed, degree, scale):
+        rng = np.random.default_rng(seed)
+        theta = pg.ParamMatrix(rng.normal(0.0, scale, (pg.feature_count(degree), 3)),
+                               pg.DesignBasis(pg.MONOMIAL, degree))
+        leg = pg.coeffs_to_basis(theta, pg.LEGENDRE)
+        back = pg.coeffs_to_basis(leg, pg.MONOMIAL)
+        size = np.abs(theta.values).max()
+        assert leg.basis == pg.DesignBasis(pg.LEGENDRE, degree)
+        assert np.abs(back.values - theta.values).max() <= 1e-12 * size
+        x = rng.uniform(-1.0, 1.0, (200, 2))
+        h_mono = theta.values.T @ theta.basis.evaluate(x)
+        h_leg = leg.values.T @ leg.basis.evaluate(x)
+        assert np.abs(h_mono - h_leg).max() <= 1e-12 * size
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 5, 7, 10])
     def test_round_trip_identity(self, degree):
@@ -122,8 +171,8 @@ class TestBasisChange:
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 5, 7])
     def test_cost_values_agree_across_bases(self, degree, rng):
-        basis_m = pg.DesignBasis.make(pg.MONOMIAL, degree)
-        basis_l = pg.DesignBasis.make(pg.LEGENDRE, degree)
+        basis_m = pg.DesignBasis(pg.MONOMIAL, degree)
+        basis_l = pg.DesignBasis(pg.LEGENDRE, degree)
         t = pg.basis_change(degree)
         x = rng.uniform(-1, 1, (1000, 2))
         em = basis_m.evaluate(x)
@@ -137,7 +186,7 @@ class TestBasisChange:
 class TestGramCondition:
     def test_monomial_gram_diagonal_on_symmetric_grid(self):
         grid = pg.make_grid(6)
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
         design = pg.assemble_design_matrix(basis, grid)
         gram = design.values @ design.values.T / len(grid)
         m2 = float(np.mean(grid.points[:, 0] ** 2))
@@ -147,20 +196,20 @@ class TestGramCondition:
 
     def test_legendre_not_worse_than_monomial_d5(self):
         grid = pg.make_grid(50)
-        cond_m = gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 5), grid))
-        cond_l = gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 5), grid))
+        cond_m = gram_condition(pg.assemble_design_matrix(pg.DesignBasis(pg.MONOMIAL, 5), grid))
+        cond_l = gram_condition(pg.assemble_design_matrix(pg.DesignBasis(pg.LEGENDRE, 5), grid))
         assert cond_l <= cond_m
 
     def test_equal_conditions_at_degree_one(self):
         grid = pg.make_grid(7)
-        cond_m = gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 1), grid))
-        cond_l = gram_condition(pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 1), grid))
+        cond_m = gram_condition(pg.assemble_design_matrix(pg.DesignBasis(pg.MONOMIAL, 1), grid))
+        cond_l = gram_condition(pg.assemble_design_matrix(pg.DesignBasis(pg.LEGENDRE, 1), grid))
         assert cond_m == pytest.approx(cond_l, rel=1e-12)
 
     def test_singular_gram_reports_infinity(self):
         # three collinear points cannot span the degree-1 feature space
         grid = pg.PixelGrid(points=np.array([[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]))
-        design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 1), grid)
+        design = pg.assemble_design_matrix(pg.DesignBasis(pg.MONOMIAL, 1), grid)
         assert gram_condition(design) == float("inf")
 
     def test_infinite_exactly_where_fit_reports_no_span(self):
@@ -177,7 +226,7 @@ class TestGramCondition:
 
     def test_requires_enough_points(self):
         grid = pg.make_grid(1)
-        design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.MONOMIAL, 2), grid)
+        design = pg.assemble_design_matrix(pg.DesignBasis(pg.MONOMIAL, 2), grid)
         with pytest.raises(ValueError):
             gram_condition(design)
 
@@ -185,7 +234,7 @@ class TestGramCondition:
         vals = []
         for m in (10, 40):
             grid = pg.make_grid(m)
-            design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 4), grid)
+            design = pg.assemble_design_matrix(pg.DesignBasis(pg.LEGENDRE, 4), grid)
             gram = design.values @ design.values.T / len(grid)
             off = gram - np.diag(np.diag(gram))
             vals.append(np.abs(off).max())
@@ -194,17 +243,17 @@ class TestGramCondition:
 
 class TestParamMatrix:
     def test_rejects_wrong_row_count(self, rng):
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 2)
+        basis = pg.DesignBasis(pg.MONOMIAL, 2)
         with pytest.raises(ValueError):
             pg.ParamMatrix(rng.normal(size=(5, 3)), basis)
 
     def test_gauge_requires_zero_final_column(self, rng):
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
         with pytest.raises(ValueError):
             pg.ParamMatrix(rng.normal(size=(3, 3)), basis, gauge=pg.GAUGE_LAST_ZERO)
 
     def test_zero_pad_preserves_costs(self, rng):
-        basis = pg.DesignBasis.make(pg.LEGENDRE, 2)
+        basis = pg.DesignBasis(pg.LEGENDRE, 2)
         theta = pg.ParamMatrix(rng.normal(size=(6, 3)), basis)
         padded = pg.zero_pad(theta, 4)
         assert padded.values.shape == (15, 3)

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polygrain as pg
 from conftest import random_apd, random_labels_map, random_pd, random_theta
@@ -16,14 +19,14 @@ class TestPdTheta:
         pd = pg.PhysicalPD(seeds=np.array([[1.0, 2.0], [0.0, 0.0]]),
                            weights=np.array([1.0, 0.0]))
         theta = pg.pd_to_theta(pd)
-        idx = theta.basis.index_set
+        idx = theta.basis
         assert theta.values[idx.position((1, 0)), 0] == -2.0
         assert theta.values[idx.position((0, 1)), 0] == -4.0
         assert theta.values[idx.position((0, 0)), 0] == 4.0
 
     def test_inverse_of_known_coefficients(self):
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
-        idx = basis.index_set
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
+        idx = basis
         values = np.zeros((3, 2))
         values[idx.position((1, 0)), 0] = -2.0
         values[idx.position((0, 1)), 0] = -4.0
@@ -44,7 +47,7 @@ class TestPdTheta:
         pd = random_pd(rng, 5)
         theta = pg.pd_to_theta(pd)
         c = rng.normal(size=3)
-        shifted = theta.with_values(theta.values + c[:, None])
+        shifted = replace(theta, values=theta.values + c[:, None])
         grid = pg.make_grid(7)
         assert np.array_equal(pg.hard_assign(theta, grid),
                               pg.hard_assign(shifted, grid))
@@ -65,7 +68,7 @@ class TestApdTheta:
         apd = pg.PhysicalAPD(seeds=np.zeros((2, 2)), weights=np.zeros(2),
                              anisotropy=np.broadcast_to(np.eye(2), (2, 2, 2)).copy())
         theta = pg.apd_to_theta(apd)
-        idx = theta.basis.index_set
+        idx = theta.basis
         col = theta.values[:, 0]
         assert col[idx.position((2, 0))] == 1.0
         assert col[idx.position((0, 2))] == 1.0
@@ -173,14 +176,35 @@ class TestPsdRepair:
         with pytest.raises(ValueError, match="degree 2"):
             pg.psd_repair(theta)
 
+    @pytest.mark.parametrize("margin", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_margin_that_is_not_finite_positive(self, margin, rng):
+        theta = random_theta(rng, 2, 3, kind=pg.MONOMIAL)
+        with pytest.raises(ValueError, match="finite and positive"):
+            pg.psd_repair(theta, margin=margin)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_grains=st.integers(2, 6),
+           kind=st.sampled_from([pg.MONOMIAL, pg.LEGENDRE]),
+           margin=st.floats(1e-3, 10.0))
+    def test_keeps_labels_and_lifts_eigenvalues(self, seed, n_grains, kind, margin):
+        rng = np.random.default_rng(seed)
+        theta = random_theta(rng, 2, n_grains, kind=kind)
+        grid = pg.make_grid(8)
+        repaired = pg.psd_repair(theta, margin=margin)
+        assert repaired.basis == theta.basis
+        assert np.array_equal(pg.hard_assign(theta, grid), pg.hard_assign(repaired, grid))
+        mono = pg.coeffs_to_basis(repaired, pg.MONOMIAL)
+        lam_min = pg.sym2x2_eigvals(pg.theta_to_apd(mono).anisotropy)[:, 0]
+        assert np.all(lam_min >= margin - 1e-12 * (1.0 + margin))
+
 
 class TestMultiplicativeInvariance:
     def test_scaling_preserves_diagram_but_not_objective(self, rng):
         gm = random_labels_map(rng, 6, 4)
-        design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 2), gm.grid)
+        design = pg.assemble_design_matrix(pg.DesignBasis(pg.LEGENDRE, 2), gm.grid)
         theta = random_theta(rng, 2, 4)
         lam = 7.5
-        scaled = theta.with_values(lam * theta.values)
+        scaled = replace(theta, values=lam * theta.values)
         assert np.array_equal(pg.argmin_labels(cost_matrix(theta, design)),
                               pg.argmin_labels(cost_matrix(scaled, design)))
         phi_a = pg.objective(theta, design, gm, 0.5)

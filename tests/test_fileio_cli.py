@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -37,7 +38,7 @@ def reference_theta_text(theta) -> str:
             f"ordering={pg.ORDERING_CONVENTION},gauge={theta.gauge}")
     header = "alpha1,alpha2," + ",".join(f"theta_{i}" for i in range(1, n + 1))
     lines = [meta, header]
-    for row, (a1, a2) in enumerate(theta.basis.index_set.indices):
+    for row, (a1, a2) in enumerate(theta.basis.indices):
         vals = ",".join(_fmt(v) for v in theta.values[row])
         lines.append(f"{a1},{a2},{vals}")
     return "\n".join(lines) + "\n"
@@ -68,8 +69,8 @@ def pixel_tables(draw):
 
 @st.composite
 def coefficient_tables(draw):
-    basis = pg.DesignBasis.make(draw(st.sampled_from([pg.MONOMIAL, pg.LEGENDRE])),
-                                draw(st.integers(0, 3)))
+    basis = pg.DesignBasis(draw(st.sampled_from([pg.MONOMIAL, pg.LEGENDRE])),
+                           draw(st.integers(0, 3)))
     n = draw(st.integers(2, 5))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = np.array(draw(st.lists(finite, min_size=basis.dimension * n,
@@ -435,6 +436,26 @@ class TestCli:
         assert main(["--config", str(cfg), "generate", "--out-dir", str(used)]) == 0
         assert (used / "grain_map.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_gives_input_exit_code(self, eps, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+        assert main(["fit", "--input", str(gen / "grain_map.csv"), "--iters", "5",
+                     "--eps", eps, "--out-dir", str(tmp_path / "fit")]) == 2
+        assert "eps must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_huge_degree_in_coefficient_file_exits_quickly(self, tmp_path, capsys):
+        path = tmp_path / "theta.csv"
+        path.write_text("# basis=legendre,degree=1000000000,ordering=graded-lex-a1-desc,"
+                        "gauge=free\nalpha1,alpha2,theta_1,theta_2\n0,0,1.0,2.0\n")
+        start = time.perf_counter()
+        assert main(["convert", "--input", str(path), "--direction", "to-monomial",
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "multi-index of degree 1000000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_gives_input_exit_code(self, threads, tmp_path, capsys):

@@ -62,16 +62,16 @@ class TestGrainMap:
 class TestHardAssign:
     def test_total_tie_gives_label_one(self, rng):
         grid = pg.make_grid(4)
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
         column = rng.normal(size=3)
         theta = pg.ParamMatrix(np.tile(column[:, None], (1, 4)), basis)
         assert np.all(pg.hard_assign(theta, grid) == 1)
 
     def test_halfplane_split_on_sign_of_x1(self):
         grid = pg.make_grid(6)
-        basis = pg.DesignBasis.make(pg.MONOMIAL, 1)
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
         values = np.zeros((3, 2))
-        values[basis.index_set.position((1, 0)), 1] = 1.0  # h_2 = x1, h_1 = 0
+        values[basis.position((1, 0)), 1] = 1.0  # h_2 = x1, h_1 = 0
         theta = pg.ParamMatrix(values, basis)
         labels = pg.hard_assign(theta, grid)
         expected = np.where(grid.points[:, 0] > 0, 1, 2)
@@ -86,8 +86,8 @@ class TestHardAssign:
         assert np.array_equal(labels, expected)
 
     def test_dimension_mismatch(self, rng):
-        basis1 = pg.DesignBasis.make(pg.MONOMIAL, 1)
-        basis2 = pg.DesignBasis.make(pg.MONOMIAL, 2)
+        basis1 = pg.DesignBasis(pg.MONOMIAL, 1)
+        basis2 = pg.DesignBasis(pg.MONOMIAL, 2)
         theta = pg.ParamMatrix(rng.normal(size=(3, 2)), basis1)
         grid = pg.make_grid(2)
         with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ class TestHardAssign:
     def test_tie_break_prefers_smaller_index(self, rng):
         # Duplicate a column: the later copy must never win.
         grid = pg.make_grid(5)
-        basis = pg.DesignBasis.make(pg.LEGENDRE, 2)
+        basis = pg.DesignBasis(pg.LEGENDRE, 2)
         values = rng.normal(size=(6, 4))
         values[:, 3] = values[:, 1]
         theta = pg.ParamMatrix(values, basis)

@@ -92,7 +92,7 @@ class TestHeuristicTheta:
 
         gm = random_grain_map(rng, 6, 3)
         theta = pg.heuristic_theta(gm, 4, pg.MONOMIAL)
-        idx = theta.basis.index_set
+        idx = theta.basis
         for pos, alpha in enumerate(idx.indices):
             if sum(alpha) > 2:
                 assert np.all(theta.values[pos] == 0.0)

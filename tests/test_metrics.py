@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestDegreeSweep:
         gm, rows, reports = sweep
         for rep, next_degree in zip(reports, (2, 3, 4)):
             theta = rep.theta
-            basis_next = pg.DesignBasis.make(theta.basis.kind, next_degree)
+            basis_next = pg.DesignBasis(theta.basis.kind, next_degree)
             design_next = pg.assemble_design_matrix(basis_next, gm.grid)
             design_here = pg.assemble_design_matrix(theta.basis, gm.grid)
             a = pg.objective(theta, design_here, gm, 1e-2)
@@ -84,7 +85,7 @@ class TestDegreeSweep:
 class TestBoundReport:
     def test_zero_theta(self, rng):
         gm = random_labels_map(rng, 5, 4)
-        basis = pg.DesignBasis.make(pg.LEGENDRE, 1)
+        basis = pg.DesignBasis(pg.LEGENDRE, 1)
         design = pg.assemble_design_matrix(basis, gm.grid)
         theta = pg.ParamMatrix(np.zeros((3, 4)), basis)
         rep = pg.bound_report(theta, gm, design, 1e-2)
@@ -99,7 +100,7 @@ class TestBoundReport:
         pd = random_pd(rng, 5)
         gm = pg.generate_pd(pd, pg.make_grid(8))
         theta = pg.pd_to_theta(pd)
-        big = theta.with_values(1e4 * theta.values)
+        big = replace(theta, values=1e4 * theta.values)
         design = pg.assemble_design_matrix(theta.basis, gm.grid)
         rep = pg.bound_report(big, gm, design, 1e-2)
         assert rep.near_optimal
@@ -110,7 +111,7 @@ class TestBoundReport:
         from conftest import random_theta
 
         gm = random_labels_map(rng, 7, 6)
-        design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 2), gm.grid)
+        design = pg.assemble_design_matrix(pg.DesignBasis(pg.LEGENDRE, 2), gm.grid)
         for scale in (0.1, 1.0, 30.0):
             theta = random_theta(rng, 2, 6, scale=scale)
             rep = pg.bound_report(theta, gm, design, 0.05)
@@ -125,7 +126,7 @@ class TestBoundReport:
         from conftest import random_theta
 
         gm = random_labels_map(rng, 6, 5)
-        design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 2), gm.grid)
+        design = pg.assemble_design_matrix(pg.DesignBasis(pg.LEGENDRE, 2), gm.grid)
         for _ in range(20):
             theta = random_theta(rng, 2, 5, scale=rng.uniform(0.2, 3.0))
             rep = pg.bound_report(theta, gm, design, float(rng.uniform(0.01, 1.0)))

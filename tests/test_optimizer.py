@@ -159,7 +159,7 @@ class TestFit:
     def test_gradient_norm_decreases_with_budget(self, rng):
         # imperfect-reconstruction regime: a maximiser exists and is approached
         gm = random_labels_map(rng, 5, 4)
-        design = pg.assemble_design_matrix(pg.DesignBasis.make(pg.LEGENDRE, 1), gm.grid)
+        design = pg.assemble_design_matrix(pg.DesignBasis(pg.LEGENDRE, 1), gm.grid)
 
         def grad_norm(iters):
             rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=iters, eps=0.5))
@@ -191,8 +191,9 @@ class TestFit:
         assert rep.err_final == 0.0  # fitting still works
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            pg.FitConfig(eps=0.0)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                pg.FitConfig(eps=eps)
         with pytest.raises(ValueError):
             pg.FitConfig(max_iters=0)
         with pytest.raises(ValueError):
