@@ -57,9 +57,25 @@ def _write_table(path, columns: dict[str, str], values, preamble=()) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join([*preamble, ",".join(columns)]) + "\n")
         for lo in range(0, len(arrays[0]), _ROWS_PER_WRITE):
-            texts = [map(repr if kind == "number" else str, a[lo:lo + _ROWS_PER_WRITE].tolist())
+            texts = [_texts(a[lo:lo + _ROWS_PER_WRITE], kind)
                      for kind, a in zip(columns.values(), arrays)]
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
+def _texts(block: np.ndarray, kind: str) -> list[str]:
+    """The text of each entry; a value repeated in the block is formatted once.
+
+    Values are told apart by their int64 bit pattern: ``np.unique`` of the
+    floats would merge -0.0 into 0.0. A block of mostly distinct values (an
+    unstructured point set) is formatted entry by entry, which is cheaper.
+    """
+    fmt = repr if kind == "number" else str
+    bits = block.view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    if 2 * len(distinct) > len(bits):
+        return list(map(fmt, block.tolist()))
+    texts = np.array(list(map(fmt, distinct.view(block.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _read_table(path, columns: dict[str, str], skip: int = 0) -> np.ndarray:

@@ -12,9 +12,12 @@ and the fitting objective is the mean log-probability of the true labels,
 All evaluations subtract the per-pixel minimum cost before exponentiating, so
 the winning term contributes exp(0) and no overflow can occur for finite
 inputs. Exponents are floored at Z_FLOOR so that exp never underflows.
-Reductions over pixels run in fixed-size chunks whose partial sums are folded
-left to right in chunk order, also when a persistent thread pool computes them
-with OpenBLAS on one thread, so every thread count gives bit-identical results.
+Reductions over pixels run in chunks of ``chunk_width(N)`` pixels, sized so
+that one N x chunk float buffer takes about CHUNK_BYTES and its element-wise
+passes run in cache. The chunk partial sums are folded left to right in chunk
+order, also when a persistent thread pool computes them with OpenBLAS on one
+thread; chunk boundaries depend only on N and n, so every thread count gives
+bit-identical results.
 
 Every pass over all grains and all pixels goes through that chunked kernel:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
@@ -26,6 +29,7 @@ paper's objective/error bounds.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import threading
@@ -38,7 +42,12 @@ import numpy as np
 from .basis import DesignMatrix, GAUGE_LAST_ZERO, ParamMatrix, assemble_design_matrix
 from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels
 
-CHUNK_SIZE = 8192
+# Bytes of the N x chunk cost buffer, so that its passes run in a core's L2
+# cache. On the many-grains map (N=200; 2 cores, 2 MiB L2 each) 1 MiB was the
+# fastest of 256 KiB to 4 MiB with two threads; 2 and 4 MiB were slower with one.
+CHUNK_BYTES = 1 << 20
+MIN_CHUNK = 256  # pixels; bounds the per-chunk Python overhead at large N
+TASK_ITEMS = 8  # chunks per pool task; bounds the partial sums a task holds
 
 # Floor of the softmax exponent z = (m - c)/eps. exp(-700) ~ 1e-304 is still a
 # normal double, so exp stays off its slow underflow path. The argmin term
@@ -49,7 +58,7 @@ Z_FLOOR = -700.0
 # Additive rounding allowance of the bound checks in ``bounds_hold``.
 BOUND_SLACK = 1e-12
 
-# Serialises the save -> map -> restore of the BLAS thread count in ``_pool_map``.
+# Serialises the save -> map -> restore of the BLAS thread count in ``_pool_fold``.
 # A fork can copy it held by another thread, so the child gets a fresh one.
 _blas_lock = threading.Lock()
 if hasattr(os, "register_at_fork"):
@@ -66,19 +75,26 @@ def _check_compatible(theta: ParamMatrix, design: DesignMatrix) -> None:
         raise ValueError("parameter matrix contains non-finite entries")
 
 
+def chunk_width(n_grains: int) -> int:
+    """Pixels per chunk: an N x width float64 buffer of about CHUNK_BYTES."""
+    return max(MIN_CHUNK, CHUNK_BYTES // (8 * n_grains))
+
+
 def hard_assign(theta: ParamMatrix, grid: PixelGrid,
                 design: DesignMatrix | None = None) -> np.ndarray:
     """Arg-min labels of the diagram induced by theta, smallest index on ties.
 
-    Costs are formed CHUNK_SIZE pixels at a time, never as a whole N x n matrix.
+    Costs are formed ``chunk_width(N)`` pixels at a time, never as a whole
+    N x n matrix.
     """
     if design is None:
         design = assemble_design_matrix(theta.basis, grid)
     _check_compatible(theta, design)
     theta_t = theta.values.T
     n = design.values.shape[1]
-    return np.concatenate([argmin_labels(theta_t @ design.values[:, lo:lo + CHUNK_SIZE])
-                           for lo in range(0, n, CHUNK_SIZE)])
+    width = chunk_width(theta.n_grains)
+    return np.concatenate([argmin_labels(theta_t @ design.values[:, lo:lo + width])
+                           for lo in range(0, n, width)])
 
 
 class EvalResult(NamedTuple):
@@ -89,6 +105,16 @@ class EvalResult(NamedTuple):
 
 
 def _chunk_stats(theta_values, design_values, labels0, eps, sl, want_grad, want_assign):
+    """Partial sums of one chunk: (sum of log p_g0, gradient product, correct, E0 sum).
+
+    The passes over the N x chunk buffer: the cost GEMM, min, the tie test on
+    the costs (``want_assign``), subtract, divide by -eps, floor, exp, the row
+    sum and the gradient GEMM (``want_grad``). The residual 1[g0] - e/s is
+    never formed. With e_g0 zeroed, rest = sum(e) and s = rest + e_g0; -rest
+    written at g0 and scaled by -1/s gives rest/s there (1 - e_g0/s without
+    its cancellation) and -e/s elsewhere. The -1/s scaling goes onto the
+    K x chunk design slice.
+    """
     d = design_values[:, sl]
     buf = theta_values.T @ d  # costs c; the only N x chunk float array
     g0 = labels0[sl]
@@ -116,20 +142,21 @@ def _chunk_stats(theta_values, design_values, labels0, eps, sl, want_grad, want_
         ncorrect += int(np.count_nonzero((ntied == 0) & (g0 == 0)))
         e0_sum = float((c_g0 - m).sum())
 
-    np.subtract(m[None, :], buf, out=buf)
-    np.divide(buf, eps, out=buf)  # z
-    z_g0 = flat[at_g0]
+    np.subtract(buf, m[None, :], out=buf)
+    np.divide(buf, -eps, out=buf)  # z = (m - c)/eps: negating both operands changes no bit
+    z_g0 = flat[at_g0]  # before the floor: a misassigned pixel may lie below it
     np.maximum(buf, Z_FLOOR, out=buf)
     np.exp(buf, out=buf)  # e
-    s = buf.sum(axis=0)
+    e_g0 = flat[at_g0]
+    flat[at_g0] = 0.0
+    rest = buf.sum(axis=0)
+    s = rest + e_g0
     lse_sum = float(z_g0.sum() - np.log(s).sum())
 
     gacc = None
     if want_grad:
-        np.divide(buf, s[None, :], out=buf)
-        np.negative(buf, out=buf)
-        flat[at_g0] += 1.0  # residual 1[g0] - e/s
-        gacc = d @ buf.T
+        flat[at_g0] = -rest
+        gacc = (d * (-1.0 / s)[None, :]) @ buf.T  # d @ (1[g0] - e/s).T
     return lse_sum, gacc, ncorrect, e0_sum
 
 
@@ -159,14 +186,23 @@ def _blas_threads():
     return None
 
 
-def _pool_map(fn, items, threads: int) -> list:
-    """``fn`` over ``items`` in the persistent pool, the bundled OpenBLAS held at 1 thread."""
+def _pool_fold(fn, items, threads: int):
+    """``fn`` over ``items`` in the persistent pool, the bundled OpenBLAS held at 1
+    thread, folded by ``_combine`` in item order as the results arrive.
+
+    A task maps ``fn`` over up to TASK_ITEMS consecutive items, fewer where a
+    thread would get under 4 tasks. On a map of many cache-sized chunks this
+    saves most of the pool's per-task cost; the fold is the same.
+    """
+    per_task = max(1, min(TASK_ITEMS, len(items) // (4 * threads)))
+    tasks = [items[lo:lo + per_task] for lo in range(0, len(items), per_task)]
     get, set_ = _blas_threads() or (lambda: None, lambda count: None)
     with _blas_lock:
         before = get()
         set_(1)
         try:
-            return list(_pool(os.getpid(), threads).map(fn, items))
+            parts = _pool(os.getpid(), threads).map(lambda task: list(map(fn, task)), tasks)
+            return functools.reduce(_combine, itertools.chain.from_iterable(parts))
         finally:
             set_(before)
 
@@ -174,17 +210,20 @@ def _pool_map(fn, items, threads: int) -> list:
 def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                        labels0: np.ndarray, eps: float, *, want_grad: bool = True,
                        want_assign: bool = False, threads: int = 1,
-                       chunk_size: int = CHUNK_SIZE) -> EvalResult:
+                       chunk_size: int | None = None) -> EvalResult:
     """Chunked evaluation of the objective and, optionally, gradient and assignment stats.
 
     ``labels0`` are 0-based true labels. Chunk partial sums are folded left to
     right in chunk order; threads > 1 computes them in a persistent pool with
     the bundled OpenBLAS on one thread, bit-identical to threads == 1. Exponents
     are floored at ``Z_FLOOR``, which moves no weight by more than exp(Z_FLOOR).
+    ``chunk_size`` defaults to ``chunk_width(N)``.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     n = design_values.shape[1]
+    if chunk_size is None:
+        chunk_size = chunk_width(theta_values.shape[1])
     slices = [slice(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
     def stats(sl):
@@ -192,11 +231,9 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                             want_grad, want_assign)
 
     if threads > 1 and len(slices) > 1:
-        parts = _pool_map(stats, slices, threads)
+        total = _pool_fold(stats, slices, threads)
     else:
-        parts = map(stats, slices)
-    total = functools.reduce(_combine, parts)
-
+        total = functools.reduce(_combine, map(stats, slices))
     lse_sum, gacc, ncorrect, e0_sum = total
     phi = lse_sum / n
     grad = -gacc / (eps * n) if want_grad else None

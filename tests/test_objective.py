@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -501,6 +502,135 @@ class TestExponentFloor:
         res = evaluate_objective(theta, d, g0, eps, chunk_size=n)
         assert abs(res.phi - phi_ref) <= 1e-14 * abs(phi_ref)
         assert np.abs(res.grad - grad_ref).max() <= 1e-14 * np.abs(grad_ref).max()
+
+
+@st.composite
+def kernel_problems(draw):
+    """Random labels and parameters; at the small eps many true labels lie far
+    below the exponent floor (z_g0 < Z_FLOOR)."""
+    n_grains = draw(st.integers(2, 8))
+    grid = pg.make_grid(draw(st.integers(1, 6)))
+    basis = pg.DesignBasis(draw(st.sampled_from([pg.MONOMIAL, pg.LEGENDRE])),
+                           draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    theta = rng.normal(size=(basis.dimension, n_grains)) * draw(st.sampled_from([1.0, 1e3]))
+    labels0 = rng.integers(0, n_grains, size=len(grid))
+    design = pg.assemble_design_matrix(basis, grid).values
+    return theta, design, labels0
+
+
+def longdouble_reference(theta, design, labels0, eps, chunk_size):
+    """From the float64 costs of the kernel's chunks, with the rest in
+    np.longdouble and unfloored: (phi, grad, the scale sum_x |eta(x)| |r(x)| /
+    (eps n) of the gradient's terms, z at the true labels)."""
+    n = design.shape[1]
+    cols = np.arange(n)
+    c = np.concatenate([theta.T @ design[:, lo:lo + chunk_size]
+                        for lo in range(0, n, chunk_size)], axis=1).astype(np.longdouble)
+    z = (c.min(axis=0) - c) / np.longdouble(eps)
+    e = np.exp(z)
+    s = e.sum(axis=0)
+    phi = (z[labels0, cols] - np.log(s)).sum() / n
+    r = -e / s
+    r[labels0, cols] = 0
+    r[labels0, cols] = -r.sum(axis=0)  # 1 - p_g0 without cancelling
+    eta = design.astype(np.longdouble)
+    scale = np.longdouble(eps) * n
+    return phi, -(eta @ r.T) / scale, (np.abs(eta) @ np.abs(r).T) / scale, z[labels0, cols]
+
+
+needs_longdouble = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                                      reason="np.longdouble is no wider than float64 here")
+
+
+class TestKernelAccuracy:
+    @needs_longdouble
+    @settings(max_examples=150, deadline=None)
+    @given(problem=kernel_problems(), eps=st.sampled_from([1e-3, 1e-2, 1.0]),
+           small=st.integers(1, 63))
+    def test_matches_longdouble_reference(self, problem, eps, small):
+        theta, design, labels0 = problem
+        n = design.shape[1]
+        # The floor moves each of the N weights of a pixel by at most exp(Z_FLOOR).
+        floor = theta.shape[1] * math.exp(objective_module.Z_FLOOR)
+        for chunk_size in (min(small, n - 1), 2 * n):
+            phi_ref, grad_ref, grad_scale, _ = longdouble_reference(theta, design, labels0,
+                                                                    eps, chunk_size)
+            # log s of a pixel with s = 1 + tiny is exact only to 2^-53
+            # absolute. The gradient is compared relative to its largest term
+            # sum: a weight exp(z) far below 1 carries the rounding of z, up
+            # to |z|*2^-52 of itself.
+            phi_tol = 1e-13 * abs(phi_ref) + 2.0 ** -52 + floor
+            grad_tol = 1e-13 * grad_scale.max() + floor * np.abs(design).max() / eps
+            res = evaluate_objective(theta, design, labels0, eps, want_grad=True,
+                                     chunk_size=chunk_size)
+            assert abs(res.phi - phi_ref) <= phi_tol
+            assert np.abs(res.grad - grad_ref).max() <= grad_tol
+
+    @needs_longdouble
+    def test_misassigned_pixels_below_the_floor(self, rng):
+        # pixels whose true label lies far beyond the floor keep their full z
+        basis = pg.DesignBasis(pg.LEGENDRE, 2)
+        design = pg.assemble_design_matrix(basis, pg.make_grid(4)).values
+        theta = rng.normal(size=(basis.dimension, 5)) * 1e3
+        labels0 = rng.integers(0, 5, size=design.shape[1])
+        phi_ref, _, _, z_g0 = longdouble_reference(theta, design, labels0, 1e-3, 7)
+        assert np.mean(z_g0 < objective_module.Z_FLOOR) > 0.5
+        res = evaluate_objective(theta, design, labels0, 1e-3, chunk_size=7)
+        assert abs(res.phi - phi_ref) <= 1e-13 * abs(phi_ref)
+
+
+    def test_confident_label_keeps_its_residual(self):
+        # one pixel whose label has probability 1 - e with e = exp(-56) ~ 5e-25:
+        # 1 - p rounds to 0 in float64, the residual rest/s does not
+        basis = pg.DesignBasis(pg.MONOMIAL, 1)
+        design = pg.assemble_design_matrix(basis, pg.PixelGrid(points=np.zeros((1, 2))))
+        theta = np.zeros((basis.dimension, 2))
+        theta[basis.position((0, 0)), 1] = 0.56
+        eps = 0.01
+        e = math.exp((0.0 - 0.56) / eps)
+        r = e / (1.0 + e)
+        want = -np.outer(design.values[:, 0], [r, -r]) / eps
+        res = evaluate_objective(theta, design.values, np.array([0]), eps)
+        assert np.all(np.abs(res.grad - want) <= 1e-13 * np.abs(want))
+
+
+class TestKernelMemory:
+    """The N x chunk buffer is sized by bytes, so the kernel's memory is bounded
+    whatever the number of grains."""
+
+    N_GRAINS = 2000
+    LIMIT = 16 * 2 ** 20
+
+    @pytest.fixture
+    def problem(self, rng):
+        grid = pg.make_grid(64)  # 16384 pixels
+        basis = pg.DesignBasis(pg.LEGENDRE, 2)  # K = 6
+        design = pg.assemble_design_matrix(basis, grid)
+        theta = pg.ParamMatrix(rng.normal(size=(basis.dimension, self.N_GRAINS)), basis)
+        labels0 = rng.integers(0, self.N_GRAINS, size=len(grid))
+        return theta, grid, design, labels0
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_evaluation_peak_is_bounded(self, problem):
+        theta, _, design, labels0 = problem
+        peak = self.peak_bytes(lambda: evaluate_objective(
+            theta.values, design.values, labels0, 0.1, want_grad=True, want_assign=True,
+            threads=1))
+        assert peak < self.LIMIT
+
+    def test_hard_assign_peak_is_bounded(self, problem):
+        theta, grid, design, _ = problem
+        peak = self.peak_bytes(lambda: pg.hard_assign(theta, grid, design))
+        assert peak < self.LIMIT
 
 
 def thread_problem(rng, m=16):
