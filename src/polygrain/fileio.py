@@ -66,14 +66,10 @@ def _texts(block: np.ndarray, kind: str) -> list[str]:
     """The text of each entry; a value repeated in the block is formatted once.
 
     Values are told apart by their int64 bit pattern: ``np.unique`` of the
-    floats would merge -0.0 into 0.0. A block of mostly distinct values (an
-    unstructured point set) is formatted entry by entry, which is cheaper.
+    floats would merge -0.0 into 0.0.
     """
     fmt = repr if kind == "number" else str
-    bits = block.view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    if 2 * len(distinct) > len(bits):
-        return list(map(fmt, block.tolist()))
+    distinct, inverse = np.unique(block.view(np.int64), return_inverse=True)
     texts = np.array(list(map(fmt, distinct.view(block.dtype).tolist())), dtype=object)
     return texts[inverse].tolist()
 

@@ -46,8 +46,11 @@ from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels
 # cache. On the many-grains map (N=200; 2 cores, 2 MiB L2 each) 1 MiB was the
 # fastest of 256 KiB to 4 MiB with two threads; 2 and 4 MiB were slower with one.
 CHUNK_BYTES = 1 << 20
-MIN_CHUNK = 256  # pixels; bounds the per-chunk Python overhead at large N
-TASK_ITEMS = 8  # chunks per pool task; bounds the partial sums a task holds
+# Fewest pixels per chunk, so that the width stays positive and the Python loop
+# over chunks bounded at any N. Its value is not tuned: at N=2000 on 65536
+# pixels (K=6, one thread, 2-core Xeon VM) widths of 65, 256 and 512 evaluated
+# within noise.
+MIN_CHUNK = 256
 
 # Floor of the softmax exponent z = (m - c)/eps. exp(-700) ~ 1e-304 is still a
 # normal double, so exp stays off its slow underflow path. The argmin term
@@ -190,11 +193,11 @@ def _pool_fold(fn, items, threads: int):
     """``fn`` over ``items`` in the persistent pool, the bundled OpenBLAS held at 1
     thread, folded by ``_combine`` in item order as the results arrive.
 
-    A task maps ``fn`` over up to TASK_ITEMS consecutive items, fewer where a
-    thread would get under 4 tasks. On a map of many cache-sized chunks this
-    saves most of the pool's per-task cost; the fold is the same.
+    A task maps ``fn`` over consecutive items, as many as give each thread
+    about 4 tasks. On a map of many cache-sized chunks this saves most of the
+    pool's per-task cost; the fold is the same.
     """
-    per_task = max(1, min(TASK_ITEMS, len(items) // (4 * threads)))
+    per_task = max(1, len(items) // (4 * threads))
     tasks = [items[lo:lo + per_task] for lo in range(0, len(items), per_task)]
     get, set_ = _blas_threads() or (lambda: None, lambda count: None)
     with _blas_lock:
