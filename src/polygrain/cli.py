@@ -154,68 +154,58 @@ def cmd_metrics(args) -> int:
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="synthesise a grain map from a random diagram")
-    p.add_argument("--kind", choices=["pd", "apd"], default=None)
-    p.add_argument("--n", type=int, default=None, help="number of grains")
-    p.add_argument("--m", type=int, default=None, help="grid resolution (gives (2M)^2 pixels)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--anisotropy", type=float, default=None,
+    p.add_argument("--kind", choices=["pd", "apd"], default="pd")
+    p.add_argument("--n", type=int, default=50, help="number of grains")
+    p.add_argument("--m", type=int, default=70, help="grid resolution (gives (2M)^2 pixels)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--anisotropy", type=float, default=0.5,
                    help="anisotropy level; 0 reproduces the pd output")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_generate,
-                   defaults={"kind": "pd", "n": 50, "m": 70, "seed": 0,
-                             "anisotropy": 0.5, "out_dir": "."})
+    p.add_argument("--out-dir", default=".")
+    p.set_defaults(func=cmd_generate)
 
 
 def _add_fit(sub):
     p = sub.add_parser("fit", help="fit a polynomial diagram to a grain map")
-    p.add_argument("--input", default=None, help="grain map CSV")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--basis", choices=[MONOMIAL, LEGENDRE], default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--memory", type=int, default=None)
-    p.add_argument("--init", default=None,
+    p.add_argument("--input", default="grain_map.csv", help="grain map CSV")
+    p.add_argument("--degree", type=int, default=1)
+    p.add_argument("--basis", choices=[MONOMIAL, LEGENDRE], default=LEGENDRE)
+    p.add_argument("--eps", type=float, default=1e-2)
+    p.add_argument("--iters", type=int, default=1000)
+    p.add_argument("--memory", type=int, default=10)
+    p.add_argument("--init", default="zero",
                    help="'zero', 'heuristic', or a coefficient CSV path")
-    p.add_argument("--record-every", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--record-every", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
                    help="threads over pixel chunks; every count gives the same bits")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_fit,
-                   defaults={"input": "grain_map.csv", "degree": 1, "basis": LEGENDRE,
-                             "eps": 1e-2, "iters": 1000, "memory": 10, "init": "zero",
-                             "record_every": 1, "threads": 1, "out_dir": "."})
+    p.add_argument("--out-dir", default=".")
+    p.set_defaults(func=cmd_fit)
 
 
 def _add_render(sub):
     p = sub.add_parser("render", help="render labels or misassignment to a PPM image")
-    p.add_argument("--input", default=None)
-    p.add_argument("--mode", choices=["labels", "misassignment"], default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_render,
-                   defaults={"input": "grain_map.csv", "mode": "labels",
-                             "out": "out.ppm"})
+    p.add_argument("--input", default="grain_map.csv")
+    p.add_argument("--mode", choices=["labels", "misassignment"], default="labels")
+    p.add_argument("--out", default="out.ppm")
+    p.set_defaults(func=cmd_render)
 
 
 def _add_convert(sub):
     p = sub.add_parser("convert", help="coefficient/basis/physical conversions")
-    p.add_argument("--input", default=None, help="coefficient CSV")
+    p.add_argument("--input", default="theta.csv", help="coefficient CSV")
     p.add_argument("--direction",
                    choices=["to-physical", "to-monomial", "to-legendre", "psd-repair"],
-                   default=None)
+                   default="to-physical")
     p.add_argument("--margin", type=float, default=None,
                    help="eigenvalue floor for psd-repair (default: scale-based)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_convert,
-                   defaults={"input": "theta.csv", "direction": "to-physical",
-                             "margin": None, "out": "converted.out"})
+    p.add_argument("--out", default="converted.out")
+    p.set_defaults(func=cmd_convert)
 
 
 def _add_metrics(sub):
     p = sub.add_parser("metrics", help="tabulate fit reports with compression ratios")
-    p.add_argument("--inputs", nargs="+", default=None, help="report JSON paths")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_metrics,
-                   defaults={"inputs": ["report.json"], "out": "metrics.csv"})
+    p.add_argument("--inputs", nargs="+", default=["report.json"], help="report JSON paths")
+    p.add_argument("--out", default="metrics.csv")
+    p.set_defaults(func=cmd_metrics)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for add in (_add_generate, _add_fit, _add_render, _add_convert, _add_metrics):
         add(sub)
-    for p in sub.choices.values():
-        p.set_defaults(actions={a.dest: a for a in p._actions})
     return parser
 
 
@@ -251,32 +239,36 @@ def _config_value(path, key, value, action, item=False):
     return value
 
 
-def _apply_config(args) -> None:
-    file_values = {}
-    if args.config:
-        try:
-            file_values = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{args.config}: invalid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise InputFormatError(f"{args.config}: config must be a JSON object")
-        names = {name for key in args.defaults for name in (key, key.replace("_", "-"))}
-        unknown = sorted(set(file_values) - names)
-        if unknown:
-            raise InputFormatError(f"{args.config}: {unknown[0]!r} names no flag of "
-                                   f"{args.command!r}")
-    for key, fallback in args.defaults.items():
-        if getattr(args, key, None) is None:
-            name = next((k for k in (key.replace("_", "-"), key) if k in file_values), None)
-            setattr(args, key, fallback if name is None else
-                    _config_value(args.config, name, file_values[name], args.actions[key]))
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Make the values of config file ``args.config`` the defaults of the command's
+    flags, keyed by flag name with dashes or underscores, so that explicit flags
+    win when ``parser`` parses again."""
+    try:
+        file_values = json.loads(Path(args.config).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{args.config}: invalid JSON: {exc}") from exc
+    if not isinstance(file_values, dict):
+        raise InputFormatError(f"{args.config}: config must be a JSON object")
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+    names = {name for key in actions for name in (key, key.replace("_", "-"))}
+    unknown = sorted(set(file_values) - names)
+    if unknown:
+        raise InputFormatError(f"{args.config}: {unknown[0]!r} names no flag of "
+                               f"{args.command!r}")
+    for key, action in actions.items():
+        name = next((k for k in (key.replace("_", "-"), key) if k in file_values), None)
+        if name is not None:
+            action.default = _config_value(args.config, name, file_values[name], action)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (InputFormatError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -242,19 +242,15 @@ def dumps_json(obj) -> str:
 
 
 def physical_to_dict(params: PhysicalPD | PhysicalAPD | APDRecovery) -> dict:
+    """JSON-ready parameters; a non-finite seed or weight (an unrecoverable grain) is None."""
+    rec = {"seeds": [[float(a), float(b)] if np.isfinite(a) and np.isfinite(b) else None
+                     for a, b in params.seeds],
+           "weights": [float(w) if np.isfinite(w) else None for w in params.weights]}
     if isinstance(params, PhysicalPD):
-        return {
-            "kind": "pd",
-            "seeds": [[float(a), float(b)] for a, b in params.seeds],
-            "weights": [float(w) for w in params.weights],
-        }
+        return {"kind": "pd", **rec}
     recoverable = getattr(params, "recoverable", np.ones(params.n_grains, dtype=bool))
-    rec = {"kind": "apd", "recoverable": [bool(r) for r in recoverable]}
-    rec["seeds"] = [
-        [float(a), float(b)] if np.isfinite(a) and np.isfinite(b) else None
-        for a, b in params.seeds
-    ]
-    rec["weights"] = [float(w) if np.isfinite(w) else None for w in params.weights]
+    rec["kind"] = "apd"
+    rec["recoverable"] = [bool(r) for r in recoverable]
     rec["anisotropy"] = [[[float(m[0, 0]), float(m[0, 1])],
                           [float(m[1, 0]), float(m[1, 1])]] for m in params.anisotropy]
     return rec
@@ -315,31 +311,28 @@ def label_color(label: int) -> tuple[int, int, int]:
     return int(round(255 * r)), int(round(255 * g)), int(round(255 * b))
 
 
-def labels_image(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(2M, 2M, 3) uint8 image of a label map; x2 increases upwards."""
+def _grid_image(points: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """(2M, 2M, 3) uint8 image of a regular grid, pixel i painted ``colours[i]``;
+    x2 increases upwards."""
     m, k1, k2 = grid_indices(points)
-    side = 2 * m
-    img = np.zeros((side, side, 3), dtype=np.uint8)
-    colors = np.array([label_color(lab) for lab in range(0, labels.max() + 1)],
-                      dtype=np.uint8)
-    rows = side - k2
-    cols = k1 - 1
-    img[rows, cols] = colors[labels]
+    img = np.zeros((2 * m, 2 * m, 3), dtype=np.uint8)
+    img[2 * m - k2, k1 - 1] = colours
     return img
+
+
+def labels_image(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each pixel in its grain's ``label_color``."""
+    colours = np.array([label_color(lab) for lab in range(0, labels.max() + 1)],
+                       dtype=np.uint8)
+    return _grid_image(points, colours[labels])
 
 
 def misassignment_image(points: np.ndarray, true_labels: np.ndarray,
                         fitted_labels: np.ndarray) -> np.ndarray:
-    m, k1, k2 = grid_indices(points)
-    side = 2 * m
-    img = np.zeros((side, side, 3), dtype=np.uint8)
-    correct = true_labels == fitted_labels
-    rows = side - k2
-    cols = k1 - 1
-    img[rows, cols] = np.where(correct[:, None],
-                               np.array(MISASSIGN_CORRECT, dtype=np.uint8),
-                               np.array(MISASSIGN_WRONG, dtype=np.uint8))
-    return img
+    """Correctly assigned pixels in MISASSIGN_CORRECT, the others in MISASSIGN_WRONG."""
+    correct = (true_labels == fitted_labels)[:, None]
+    return _grid_image(points, np.where(correct, np.array(MISASSIGN_CORRECT, dtype=np.uint8),
+                                        np.array(MISASSIGN_WRONG, dtype=np.uint8)))
 
 
 def write_ppm(path, image: np.ndarray) -> None:

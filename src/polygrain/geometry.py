@@ -20,6 +20,13 @@ import numpy as np
 TIE_RTOL = 1e-12
 
 
+def _freeze(obj, **arrays) -> None:
+    """Set the named fields of frozen dataclass ``obj`` to the given arrays, read-only."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class PixelGrid:
     """A finite list of sample points in [-1,1]^2.
@@ -40,8 +47,7 @@ class PixelGrid:
             raise ValueError("grid points must be finite")
         if np.any(np.abs(pts) >= 1.0):
             raise ValueError("grid points must lie strictly inside [-1,1]^2")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        _freeze(self, points=pts)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -86,12 +92,26 @@ class GrainMap:
             raise ValueError("a grain map needs at least two grains")
         if lab.size and (lab.min() < 1 or lab.max() > n):
             raise ValueError(f"labels must lie in 1..{n}")
-        lab.setflags(write=False)
-        object.__setattr__(self, "labels", lab)
+        _freeze(self, labels=lab)
         object.__setattr__(self, "n_grains", n)
 
     def __len__(self) -> int:
         return len(self.grid)
+
+
+def _seeds_and_weights(params) -> tuple[np.ndarray, np.ndarray]:
+    """Checked float64 seeds, shape (N, 2) with N >= 2, and weights, shape (N,)."""
+    seeds, weights = (np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+                      for a in (params.seeds, params.weights))
+    if seeds.ndim != 2 or seeds.shape[1] != 2:
+        raise ValueError("seeds must have shape (N, 2)")
+    if seeds.shape[0] < 2:
+        raise ValueError("need at least two grains")
+    if weights.shape != (seeds.shape[0],):
+        raise ValueError("weights must have shape (N,)")
+    if not (np.all(np.isfinite(seeds)) and np.all(np.isfinite(weights))):
+        raise ValueError("seeds and weights must be finite")
+    return seeds, weights
 
 
 @dataclass(frozen=True)
@@ -102,20 +122,8 @@ class PhysicalPD:
     weights: np.ndarray
 
     def __post_init__(self):
-        seeds = np.ascontiguousarray(np.asarray(self.seeds, dtype=np.float64))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        if seeds.ndim != 2 or seeds.shape[1] != 2:
-            raise ValueError("seeds must have shape (N, 2)")
-        if weights.shape != (seeds.shape[0],):
-            raise ValueError("weights must have shape (N,)")
-        if seeds.shape[0] < 2:
-            raise ValueError("need at least two grains")
-        if not (np.all(np.isfinite(seeds)) and np.all(np.isfinite(weights))):
-            raise ValueError("seeds and weights must be finite")
-        seeds.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "weights", weights)
+        seeds, weights = _seeds_and_weights(self)
+        _freeze(self, seeds=seeds, weights=weights)
 
     @property
     def n_grains(self) -> int:
@@ -136,30 +144,17 @@ class PhysicalAPD:
     anisotropy: np.ndarray
 
     def __post_init__(self):
-        seeds = np.ascontiguousarray(np.asarray(self.seeds, dtype=np.float64))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        seeds, weights = _seeds_and_weights(self)
         mats = np.ascontiguousarray(np.asarray(self.anisotropy, dtype=np.float64))
-        if seeds.ndim != 2 or seeds.shape[1] != 2:
-            raise ValueError("seeds must have shape (N, 2)")
-        n = seeds.shape[0]
-        if n < 2:
-            raise ValueError("need at least two grains")
-        if weights.shape != (n,):
-            raise ValueError("weights must have shape (N,)")
-        if mats.shape != (n, 2, 2):
+        if mats.shape != (seeds.shape[0], 2, 2):
             raise ValueError("anisotropy must have shape (N, 2, 2)")
-        if not (np.all(np.isfinite(seeds)) and np.all(np.isfinite(weights))
-                and np.all(np.isfinite(mats))):
-            raise ValueError("seeds, weights and anisotropy must be finite")
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("anisotropy must be finite")
         asym = np.abs(mats[:, 0, 1] - mats[:, 1, 0])
         scale = 1.0 + np.abs(mats).max(axis=(1, 2))
         if np.any(asym > 1e-12 * scale):
             raise ValueError("anisotropy matrices must be symmetric")
-        for arr in (seeds, weights, mats):
-            arr.setflags(write=False)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "anisotropy", mats)
+        _freeze(self, seeds=seeds, weights=weights, anisotropy=mats)
 
     @property
     def n_grains(self) -> int:
@@ -185,13 +180,17 @@ def sym2x2_eigvals(mats: np.ndarray) -> np.ndarray:
     return np.stack([half_tr - disc, half_tr + disc], axis=-1)
 
 
+def tie_threshold(m):
+    """The largest cost tied with minimum ``m``; ``argmin_labels`` and the objective
+    kernel's error count both use it, so that they round alike and agree."""
+    return m + TIE_RTOL * (1.0 + np.abs(m))
+
+
 def argmin_labels(costs: np.ndarray) -> np.ndarray:
     """Smallest index attaining the (tie-tolerant) minimum of each column.
 
     ``costs`` has shape (N, n); returns 1-based labels of shape (n,). Costs
-    within TIE_RTOL*(1+|min|) of the column minimum count as tied, and the
+    up to ``tie_threshold`` of the column minimum count as tied, and the
     smallest tied index wins.
     """
-    m = costs.min(axis=0)
-    tol = TIE_RTOL * (1.0 + np.abs(m))
-    return np.argmax(costs <= m + tol, axis=0).astype(np.int64) + 1
+    return np.argmax(costs <= tie_threshold(costs.min(axis=0)), axis=0).astype(np.int64) + 1

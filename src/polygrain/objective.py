@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import DesignMatrix, GAUGE_LAST_ZERO, ParamMatrix, assemble_design_matrix
-from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels
+from .geometry import GrainMap, PixelGrid, argmin_labels, tie_threshold
 
 # Bytes of the N x chunk cost buffer, so that its passes run in a core's L2
 # cache. On the many-grains map (N=200; 2 cores, 2 MiB L2 each) 1 MiB was the
@@ -130,7 +130,7 @@ def _chunk_stats(theta_values, design_values, labels0, eps, sl, want_grad, want_
     if want_assign:
         # The comparisons of argmin_labels; a pixel whose label ties alone is
         # correct, and only multi-way ties need the first tied index.
-        thr = m + TIE_RTOL * (1.0 + np.abs(m))
+        thr = tie_threshold(m)
         tied = buf <= thr[None, :]
         ntied = tied.sum(axis=0, dtype=np.int32)
         c_g0 = flat[at_g0]
