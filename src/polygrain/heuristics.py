@@ -27,9 +27,9 @@ RIDGE_SCALE = 1e-6
 class MomentSummary:
     """Per-grain pixel counts, centroids and central second moments.
 
-    ``empty`` flags grains with no pixels (centroid parked at the domain
-    centre); ``degenerate`` flags singular or near-singular second-moment
-    matrices (single pixels, collinear grains).
+    ``empty`` flags grains with no pixels (centroid and spread zero);
+    ``degenerate`` flags singular or near-singular second-moment matrices
+    (empty grains, single pixels, collinear grains).
     """
 
     counts: np.ndarray
@@ -56,7 +56,6 @@ def moments(grain_map: GrainMap) -> MomentSummary:
     s1 = np.bincount(lab0, weights=x1, minlength=n)
     s2 = np.bincount(lab0, weights=x2, minlength=n)
     centroids = np.column_stack([s1 / safe, s2 / safe])
-    centroids[empty] = 0.0
 
     q11 = np.bincount(lab0, weights=x1 * x1, minlength=n) / safe
     q12 = np.bincount(lab0, weights=x1 * x2, minlength=n) / safe
@@ -66,9 +65,8 @@ def moments(grain_map: GrainMap) -> MomentSummary:
     b[:, 0, 1] = q12 - centroids[:, 0] * centroids[:, 1]
     b[:, 1, 0] = b[:, 0, 1]
     b[:, 1, 1] = q22 - centroids[:, 1] ** 2
-    b[empty] = 0.0
 
-    degenerate = (sym2x2_eigvals(b)[:, 0] < DEGENERATE_EIG) | empty
+    degenerate = sym2x2_eigvals(b)[:, 0] < DEGENERATE_EIG
     return MomentSummary(counts=counts, centroids=centroids, second_moments=b,
                          empty=empty, degenerate=degenerate)
 
@@ -76,8 +74,7 @@ def moments(grain_map: GrainMap) -> MomentSummary:
 def _invert_spread(summary: MomentSummary) -> np.ndarray:
     """Anisotropy guesses (B_i)^{-1}, ridge-regularising degenerate spreads."""
     b = summary.second_moments.copy()
-    b[summary.empty] = np.eye(2)
-    for i in np.nonzero(summary.degenerate & ~summary.empty)[0]:
+    for i in np.nonzero(summary.degenerate)[0]:
         tr = b[i, 0, 0] + b[i, 1, 1]
         ridge = RIDGE_SCALE * (tr / 2.0 if tr > 0 else 1.0)
         b[i, 0, 0] += ridge
@@ -88,7 +85,6 @@ def _invert_spread(summary: MomentSummary) -> np.ndarray:
     inv[:, 0, 1] = -b[:, 0, 1] / det
     inv[:, 1, 0] = -b[:, 1, 0] / det
     inv[:, 1, 1] = b[:, 0, 0] / det
-    inv[summary.empty] = np.eye(2)
     return inv
 
 
@@ -98,16 +94,17 @@ def heuristic_theta(grain_map: GrainMap, degree: int, kind: str = LEGENDRE) -> P
     degree 1 uses the power-diagram guess (identity anisotropy); degree >= 2
     uses the inverse-second-moment anisotropy. The weight guess is
     sqrt(det A_i) |G_i| / (n pi), the grain area relative to its moment
-    ellipse. Empty grains get identity anisotropy, centroid (0,0) and weight
-    zero. The result is re-gauged so that the final column is exactly zero,
-    which leaves the induced diagram unchanged.
+    ellipse. An empty grain is parked at the constant cost 1 + min_i |theta_i|_1
+    over the non-empty grains i. Every basis function is at most 1 in absolute
+    value on the square, so grain i's cost never exceeds |theta_i|_1 and the
+    parked grain wins no pixel. The result is re-gauged so that the final
+    column is exactly zero, which leaves the induced diagram unchanged.
     """
     if degree < 1:
         raise ValueError("heuristic initialisation needs degree >= 1")
     summary = moments(grain_map)
     n_pixels = len(grain_map)
     area_ratio = summary.counts / (n_pixels * np.pi)
-    area_ratio = np.where(summary.empty, 0.0, area_ratio)
 
     if degree == 1:
         pd = PhysicalPD(seeds=summary.centroids, weights=area_ratio)
@@ -115,11 +112,15 @@ def heuristic_theta(grain_map: GrainMap, degree: int, kind: str = LEGENDRE) -> P
     else:
         mats = _invert_spread(summary)
         det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        weights = np.where(summary.empty, 0.0, np.sqrt(np.maximum(det, 0.0)) * area_ratio)
+        weights = np.sqrt(np.maximum(det, 0.0)) * area_ratio
         apd = PhysicalAPD(seeds=summary.centroids, weights=weights, anisotropy=mats)
         theta = apd_to_theta(apd)
 
     theta = zero_pad(theta, degree)
     theta = coeffs_to_basis(theta, kind)
-    values = theta.values - theta.values[:, -1][:, None]
+    values = theta.values.copy()
+    values[:, summary.empty] = 0.0
+    values[theta.basis.position((0, 0)), summary.empty] = (
+        1.0 + np.abs(values[:, ~summary.empty]).sum(axis=0).min())
+    values = values - values[:, -1][:, None]
     return ParamMatrix(values=values, basis=theta.basis, gauge=GAUGE_LAST_ZERO)

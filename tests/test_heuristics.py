@@ -147,3 +147,27 @@ class TestHeuristicTheta:
         gm = random_grain_map(rng, 4, 3)
         with pytest.raises(ValueError):
             pg.heuristic_theta(gm, 0)
+
+
+class TestEmptyGrainParking:
+    """An empty grain is parked at a constant cost above every other grain's,
+    so the start assigns it no pixel."""
+
+    @pytest.mark.parametrize("kind", [pg.MONOMIAL, pg.LEGENDRE])
+    @pytest.mark.parametrize("degree", [1, 2, 4])
+    @pytest.mark.parametrize("empty", [2, 3])  # 3: the gauge column is parked
+    def test_empty_grain_wins_no_pixel(self, kind, degree, empty):
+        grid = pg.make_grid(3)
+        labels = np.full(36, 1)
+        labels[:18] = 5 - empty  # the map of test_empty_grain_handling for empty=2
+        gm = pg.GrainMap(grid=grid, labels=labels, n_grains=3)
+        theta = pg.heuristic_theta(gm, degree, kind)
+        assert np.all(theta.values[:, -1] == 0.0)
+        assert not np.any(pg.hard_assign(theta, grid) == empty)
+
+    def test_apd_heuristic_map(self):
+        # the apd-heuristic benchmark map (map seed 23): grain 10 owns no pixel
+        gm = pg.generate_apd(random_apd(np.random.default_rng(23), 20), pg.make_grid(50))
+        assert np.flatnonzero(np.bincount(gm.labels, minlength=21)[1:] == 0).tolist() == [9]
+        labels = pg.hard_assign(pg.heuristic_theta(gm, 2, pg.LEGENDRE), gm.grid)
+        assert not np.any(labels == 10)
