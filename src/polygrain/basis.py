@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceError
-from .geometry import PixelGrid
+from .geometry import PixelGrid, _freeze
 
 ORDERING_CONVENTION = "graded-lex-a1-desc"
 
@@ -136,8 +136,7 @@ class DesignMatrix:
             raise ValueError(
                 f"design matrix shape {vals.shape} does not match (K={self.basis.dimension}, n)"
             )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, values=vals)
 
 
 def assemble_design_matrix(basis: DesignBasis, grid: PixelGrid) -> DesignMatrix:
@@ -186,6 +185,8 @@ def _basis_change_pair(degree: int) -> tuple[np.ndarray, np.ndarray]:
     restriction of the tensor product of L^{-1}. Every entry of both maps is
     an exact product of two rationals, rounded to float once.
     """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
     idx = _graded_lex_indices(degree)
 
     def transposed_tensor(table):
@@ -200,15 +201,11 @@ def _basis_change_pair(degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 def basis_change(degree: int) -> np.ndarray:
     """Matrix T with theta_mono . eta_mono(x) == (T theta_mono) . eta_leg(x)."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     return _basis_change_pair(degree)[0]
 
 
 def basis_change_inverse(degree: int) -> np.ndarray:
     """Exact inverse of ``basis_change``: Legendre coefficients to monomial."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     return _basis_change_pair(degree)[1]
 
 
@@ -216,9 +213,9 @@ def basis_change_inverse(degree: int) -> np.ndarray:
 class ParamMatrix:
     """Coefficient matrix theta with one column per grain.
 
-    Shape (K_d, N) in the row order of ``basis.indices``. ``gauge`` records
-    whether the final column is pinned to zero (the reference-grain
-    convention used during fitting) or unconstrained.
+    Shape (K_d, N) in the row order of ``basis.indices``, every entry finite.
+    ``gauge`` records whether the final column is pinned to zero (the
+    reference-grain convention used during fitting) or unconstrained.
     """
 
     values: np.ndarray
@@ -235,12 +232,13 @@ class ParamMatrix:
             )
         if vals.shape[1] < 2:
             raise ValueError("need at least two grains")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("parameter matrix contains non-finite entries")
         if self.gauge not in (GAUGE_FREE, GAUGE_LAST_ZERO):
             raise ValueError(f"unknown gauge {self.gauge!r}")
         if self.gauge == GAUGE_LAST_ZERO and np.any(vals[:, -1] != 0.0):
             raise ValueError("gauge 'last-column-zero' requires an exactly zero final column")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, values=vals)
 
     @property
     def n_grains(self) -> int:

@@ -167,15 +167,15 @@ def _add_generate(sub):
 def _add_fit(sub):
     p = sub.add_parser("fit", help="fit a polynomial diagram to a grain map")
     p.add_argument("--input", default="grain_map.csv", help="grain map CSV")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--basis", choices=[MONOMIAL, LEGENDRE], default=LEGENDRE)
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--memory", type=int, default=10)
-    p.add_argument("--init", default="zero",
+    p.add_argument("--degree", type=int, default=FitConfig.degree)
+    p.add_argument("--basis", choices=[MONOMIAL, LEGENDRE], default=FitConfig.basis_kind)
+    p.add_argument("--eps", type=float, default=FitConfig.eps)
+    p.add_argument("--iters", type=int, default=FitConfig.max_iters)
+    p.add_argument("--memory", type=int, default=FitConfig.memory)
+    p.add_argument("--init", default=FitConfig.init,
                    help="'zero', 'heuristic', or a coefficient CSV path")
-    p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--record-every", type=int, default=FitConfig.record_every)
+    p.add_argument("--threads", type=int, default=FitConfig.threads,
                    help="threads over pixel chunks; every count gives the same bits")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_fit)

@@ -187,14 +187,11 @@ def theta_to_apd(theta: ParamMatrix) -> APDRecovery:
 
 def coeffs_to_basis(theta: ParamMatrix, target_kind: str) -> ParamMatrix:
     """Re-express coefficients in the other polynomial basis; cost values preserved."""
-    if target_kind not in (MONOMIAL, LEGENDRE):
-        raise ValueError(f"unknown basis kind {target_kind!r}")
     if theta.basis.kind == target_kind:
         return theta
+    target = DesignBasis(target_kind, theta.degree)
     t = basis_change(theta.degree) if target_kind == LEGENDRE else basis_change_inverse(theta.degree)
-    return ParamMatrix(values=t @ theta.values,
-                       basis=DesignBasis(target_kind, theta.degree),
-                       gauge=theta.gauge)
+    return ParamMatrix(values=t @ theta.values, basis=target, gauge=theta.gauge)
 
 
 def psd_repair(theta: ParamMatrix, margin: float | None = None) -> ParamMatrix:

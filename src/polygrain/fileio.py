@@ -9,6 +9,8 @@ Every CSV table has one writer, which formats each column at once, and one
 reader, which parses the body with one ``np.loadtxt`` call (no quoting; blank
 lines skipped). A malformed table raises ``InputFormatError`` naming the file
 line ("row") and the column of the first bad field; labels are int64, >= 1.
+The readers leave every other rule to the type they build, whose ValueError
+becomes an ``InputFormatError`` naming the file.
 
 Grain-map CSV:      header ``x1,x2,label``; one row per pixel. Fitted labels
                     and ``x1,x2,label_true,label_fit`` misassignment tables
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BASIS_KINDS, DesignBasis, GAUGE_FREE, GAUGE_LAST_ZERO, ORDERING_CONVENTION, ParamMatrix
+from .basis import DesignBasis, GAUGE_FREE, ORDERING_CONVENTION, ParamMatrix
 from .conversions import APDRecovery
 from .errors import InputFormatError
 from .geometry import GrainMap, PhysicalAPD, PhysicalPD, PixelGrid
@@ -122,6 +124,14 @@ def _first_bad_field(path, columns: dict[str, str], first_line: int) -> InputFor
     return InputFormatError(f"{path}: malformed table")  # only if numpy rejects what Python parses
 
 
+def _checked(path, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, its ValueError an ``InputFormatError`` naming ``path``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
+
+
 def write_grain_map_csv(path, grain_map: GrainMap) -> None:
     write_labels_csv(path, grain_map.grid, grain_map.labels)
 
@@ -141,8 +151,9 @@ def read_grain_map_csv(path) -> GrainMap:
     table = _read_table(path, _GRAIN_MAP)
     if len(table) < 2:
         raise InputFormatError(f"{path}: need at least two pixels")
-    grid = PixelGrid(points=np.column_stack([table["x1"], table["x2"]]))
-    return GrainMap(grid=grid, labels=table["label"], n_grains=int(table["label"].max()))
+    grid = _checked(path, PixelGrid, points=np.column_stack([table["x1"], table["x2"]]))
+    return _checked(path, GrainMap, grid=grid, labels=table["label"],
+                    n_grains=int(table["label"].max()))
 
 
 def read_misassignment_csv(path):
@@ -167,9 +178,6 @@ def read_theta_csv(path) -> ParamMatrix:
     if any(len(item) != 2 for item in items):
         raise InputFormatError(f"{path}: malformed metadata line {first.strip()!r}")
     meta = {key.strip(): value.strip() for key, value in items}
-    kind = meta.get("basis")
-    if kind not in BASIS_KINDS:
-        raise InputFormatError(f"{path}: unknown basis kind {kind!r}")
     try:
         degree = int(meta.get("degree", ""))
     except ValueError:
@@ -177,14 +185,8 @@ def read_theta_csv(path) -> ParamMatrix:
     if meta.get("ordering") != ORDERING_CONVENTION:
         raise InputFormatError(f"{path}: ordering {meta.get('ordering')!r} not supported "
                                f"(expected {ORDERING_CONVENTION!r})")
-    gauge = meta.get("gauge", GAUGE_FREE)
-    if gauge not in (GAUGE_FREE, GAUGE_LAST_ZERO):
-        raise InputFormatError(f"{path}: unknown gauge {gauge!r}")
-
-    basis = DesignBasis(kind, degree)
+    basis = _checked(path, DesignBasis, meta.get("basis"), degree)
     n = header.count(",") - 1
-    if n < 2:
-        raise InputFormatError(f"{path}: need at least two coefficient columns")
     table = _read_table(path, _theta_columns(n), skip=1)
     alphas = list(zip(table["alpha1"].tolist(), table["alpha2"].tolist()))
     # The row count goes first: enumerating the indices of a huge degree exhausts memory.
@@ -192,9 +194,11 @@ def read_theta_csv(path) -> ParamMatrix:
         raise InputFormatError(
             f"{path}: expected one row per multi-index of degree {degree}, got {alphas}")
     values = np.empty((basis.dimension, n))
-    values[[basis.position(a) for a in alphas]] = np.column_stack(
-        [table[f"theta_{j}"] for j in range(1, n + 1)])
-    return ParamMatrix(values=values, basis=basis, gauge=gauge)
+    rows = [basis.position(a) for a in alphas]
+    for j in range(n):
+        values[rows, j] = table[f"theta_{j + 1}"]
+    return _checked(path, ParamMatrix, values=values, basis=basis,
+                    gauge=meta.get("gauge", GAUGE_FREE))
 
 
 def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
@@ -264,14 +268,14 @@ def read_physical_json(path):
     data = json.loads(Path(path).read_text())
     kind = data.get("kind")
     if kind == "pd":
-        return PhysicalPD(seeds=np.asarray(data["seeds"], dtype=float),
-                          weights=np.asarray(data["weights"], dtype=float))
+        return _checked(path, PhysicalPD, seeds=np.asarray(data["seeds"], dtype=float),
+                        weights=np.asarray(data["weights"], dtype=float))
     if kind == "apd":
         if any(s is None for s in data["seeds"]):
             raise InputFormatError(f"{path}: contains unrecoverable grains")
-        return PhysicalAPD(seeds=np.asarray(data["seeds"], dtype=float),
-                           weights=np.asarray(data["weights"], dtype=float),
-                           anisotropy=np.asarray(data["anisotropy"], dtype=float))
+        return _checked(path, PhysicalAPD, seeds=np.asarray(data["seeds"], dtype=float),
+                        weights=np.asarray(data["weights"], dtype=float),
+                        anisotropy=np.asarray(data["anisotropy"], dtype=float))
     raise InputFormatError(f"{path}: unknown physical parameter kind {kind!r}")
 
 
@@ -321,10 +325,10 @@ def _grid_image(points: np.ndarray, colours: np.ndarray) -> np.ndarray:
 
 
 def labels_image(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each pixel in its grain's ``label_color``."""
-    colours = np.array([label_color(lab) for lab in range(0, labels.max() + 1)],
-                       dtype=np.uint8)
-    return _grid_image(points, colours[labels])
+    """Each pixel in its grain's ``label_color``, computed once per distinct label."""
+    distinct, inverse = np.unique(labels, return_inverse=True)
+    colours = np.array([label_color(lab) for lab in distinct.tolist()], dtype=np.uint8)
+    return _grid_image(points, colours[inverse])
 
 
 def misassignment_image(points: np.ndarray, true_labels: np.ndarray,

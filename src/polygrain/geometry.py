@@ -21,10 +21,12 @@ TIE_RTOL = 1e-12
 
 
 def _freeze(obj, **arrays) -> None:
-    """Set the named fields of frozen dataclass ``obj`` to the given arrays, read-only."""
+    """Set the named fields of frozen dataclass ``obj`` to read-only views of the
+    given arrays; an array that is the caller's own stays writable, uncopied."""
     for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+        view = arr.view()
+        view.setflags(write=False)
+        object.__setattr__(obj, name, view)
 
 
 @dataclass(frozen=True)

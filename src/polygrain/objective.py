@@ -80,8 +80,6 @@ def _check_compatible(theta: ParamMatrix, design: DesignMatrix) -> None:
             f"parameter basis ({theta.basis.kind}, d={theta.degree}) does not match "
             f"design basis ({design.basis.kind}, d={design.basis.degree})"
         )
-    if not np.all(np.isfinite(theta.values)):
-        raise ValueError("parameter matrix contains non-finite entries")
 
 
 def chunk_width(n_grains: int) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 from .basis import DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assemble_design_matrix
 from .errors import NumericalError
 from .geometry import GrainMap
-from .objective import bounds_hold, evaluate_objective
+from .objective import _check_compatible, bounds_hold, evaluate_objective
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -170,8 +170,6 @@ def init_zero(degree: int, n_grains: int, kind: str = LEGENDRE) -> ParamMatrix:
 def _initial_theta(grain_map: GrainMap, config: FitConfig) -> ParamMatrix:
     if isinstance(config.init, ParamMatrix):
         theta = config.init
-        if theta.basis.kind != config.basis_kind or theta.degree != config.degree:
-            raise ValueError("explicit initial parameters do not match the fit basis/degree")
         if theta.n_grains != grain_map.n_grains:
             raise ValueError("explicit initial parameters do not match the grain count")
         values = theta.values - theta.values[:, -1][:, None]
@@ -200,6 +198,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     basis = DesignBasis(config.basis_kind, config.degree)
     design = assemble_design_matrix(basis, grain_map.grid)
     theta0 = _initial_theta(grain_map, config)
+    _check_compatible(theta0, design)
     labels0 = grain_map.labels - 1
     k_dim, n_grains = theta0.values.shape
 

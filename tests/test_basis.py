@@ -252,6 +252,13 @@ class TestParamMatrix:
         with pytest.raises(ValueError):
             pg.ParamMatrix(rng.normal(size=(3, 3)), basis, gauge=pg.GAUGE_LAST_ZERO)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        values = np.zeros((3, 2))
+        values[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pg.ParamMatrix(values, pg.DesignBasis(pg.MONOMIAL, 1))
+
     def test_zero_pad_preserves_costs(self, rng):
         basis = pg.DesignBasis(pg.LEGENDRE, 2)
         theta = pg.ParamMatrix(rng.normal(size=(6, 3)), basis)

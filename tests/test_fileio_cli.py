@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import warnings
 
@@ -84,6 +85,22 @@ def coefficient_tables(draw):
 blank_lines = st.lists(st.integers(0, 40), max_size=4)
 
 
+def edit_theta_file(src, dst, edit):
+    """Copy coefficient file ``src`` to ``dst`` with one rule broken: the first
+    coefficient set to ``edit`` ("nan", "inf"), the basis or gauge value unknown,
+    or only one coefficient column ("columns")."""
+    lines = src.read_text().splitlines()
+    if edit in ("nan", "inf"):
+        fields = lines[2].split(",")
+        fields[2] = edit
+        lines[2] = ",".join(fields)
+    elif edit == "columns":
+        lines[1:] = [",".join(line.split(",")[:3]) for line in lines[1:]]
+    else:
+        lines[0] = re.sub(f"{edit}=[^,]*", f"{edit}=bogus", lines[0])
+    dst.write_text("\n".join(lines) + "\n")
+
+
 class TestGrainMapCsv:
     def test_round_trip_regular_grid(self, rng, tmp_path):
         gm = pg.generate_pd(random_pd(rng, 4), pg.make_grid(5))
@@ -149,6 +166,16 @@ class TestGrainMapCsv:
         with pytest.raises(pg.InputFormatError, match=r"row 3, column 'label'"):
             fileio.read_grain_map_csv(path)
 
+    @pytest.mark.parametrize("body,message", [
+        ("-0.5,-0.5,1\n1.5,0.5,2\n", "strictly inside"),
+        ("-0.5,-0.5,1\n0.5,0.5,1\n", "at least two grains")], ids=["outside", "one-grain"])
+    def test_broken_type_rule_names_the_file(self, body, message, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("x1,x2,label\n" + body)
+        with pytest.raises(pg.InputFormatError, match=message) as info:
+            fileio.read_grain_map_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestThetaCsv:
     @pytest.mark.parametrize("kind,gauge", [(pg.MONOMIAL, pg.GAUGE_FREE),
@@ -200,6 +227,20 @@ class TestThetaCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(pg.InputFormatError, match=r"row 4, column 'alpha1'"):
             fileio.read_theta_csv(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        ("nan", "parameter matrix contains non-finite entries"),
+        ("inf", "parameter matrix contains non-finite entries"),
+        ("basis", "unknown basis kind 'bogus'"),
+        ("gauge", "unknown gauge 'bogus'"),
+        ("columns", "at least two")])
+    def test_broken_type_rule_names_the_file(self, edit, message, rng, tmp_path):
+        src, path = tmp_path / "theta.csv", tmp_path / "edited.csv"
+        fileio.write_theta_csv(src, random_theta(rng, 1, 3))
+        edit_theta_file(src, path, edit)
+        with pytest.raises(pg.InputFormatError, match=message) as info:
+            fileio.read_theta_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestCodecProperties:
@@ -265,6 +306,13 @@ class TestPhysicalJson:
         assert data["seeds"][2] is None
         assert data["anisotropy"][2] == [[0.0, 0.0], [0.0, 0.0]]
 
+    def test_broken_type_rule_names_the_file(self, tmp_path):
+        path = tmp_path / "pd.json"
+        path.write_text(json.dumps({"kind": "pd", "seeds": [[0.0, 0.0]], "weights": [0.0]}))
+        with pytest.raises(pg.InputFormatError, match="at least two grains") as info:
+            fileio.read_physical_json(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestImages:
     def test_label_image_dimensions(self, rng):
@@ -292,6 +340,17 @@ class TestImages:
         pts = rng.uniform(-0.9, 0.9, (9, 2))
         with pytest.raises(ValueError, match="regular grid"):
             fileio.labels_image(pts, np.ones(9, dtype=int))
+
+    def test_label_colour_computed_once_per_distinct_label(self, monkeypatch):
+        real = fileio.label_color
+        calls = []
+        monkeypatch.setattr(fileio, "label_color", lambda lab: calls.append(lab) or real(lab))
+        points = pg.make_grid(1).points
+        labels = np.array([1, 2, 1000, 2])
+        img = fileio.labels_image(points, labels)
+        assert sorted(calls) == [1, 2, 1000]
+        expected = np.array([real(lab) for lab in labels], dtype=np.uint8)
+        assert np.array_equal(img, fileio._grid_image(points, expected))
 
     def test_ppm_bytes(self, tmp_path):
         img = np.zeros((2, 3, 3), dtype=np.uint8)
@@ -456,6 +515,30 @@ class TestCli:
                      "--out", str(tmp_path / "out.csv")]) == 2
         assert time.perf_counter() - start < 1.0
         assert "multi-index of degree 1000000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_init_file_gives_input_exit_code(self, value, tmp_path, capsys):
+        gen, init = tmp_path / "gen", tmp_path / "init.csv"
+        assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+        edit_theta_file(gen / "ground_truth_theta.csv", init, value)
+        assert main(["fit", "--input", str(gen / "grain_map.csv"), "--iters", "5",
+                     "--init", str(init), "--out-dir", str(tmp_path / "fit")]) == 2
+        assert f"{init}: parameter matrix contains non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("direction",
+                             ["to-monomial", "to-legendre", "to-physical", "psd-repair"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coefficient_file_gives_input_exit_code(self, value, direction, rng,
+                                                               tmp_path, capsys):
+        src, path, out = tmp_path / "theta.csv", tmp_path / "bad.csv", tmp_path / "out"
+        fileio.write_theta_csv(src, random_theta(rng, 2, 3, kind=pg.MONOMIAL))
+        edit_theta_file(src, path, value)
+        assert main(["convert", "--input", str(path), "--direction", direction,
+                     "--out", str(out)]) == 2
+        assert f"{path}: parameter matrix contains non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_gives_input_exit_code(self, threads, tmp_path, capsys):

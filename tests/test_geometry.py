@@ -59,6 +59,36 @@ class TestGrainMap:
         assert np.bincount(gm.labels - 1, minlength=4).tolist() == [2, 0, 2, 0]
 
 
+def _array_dataclass(name):
+    """(instance, the caller's arrays by field) for one array dataclass, built from
+    arrays that need no conversion: float64 or int64 and C-contiguous."""
+    points = np.array([[-0.5, 0.0], [0.5, 0.0]])
+    basis = pg.DesignBasis(pg.MONOMIAL, 1)
+    arrays, rest = {
+        "PixelGrid": ({"points": points}, {}),
+        "GrainMap": ({"labels": np.array([1, 2])},
+                     {"grid": pg.PixelGrid(points.copy()), "n_grains": 2}),
+        "PhysicalPD": ({"seeds": points, "weights": np.zeros(2)}, {}),
+        "PhysicalAPD": ({"seeds": points, "weights": np.zeros(2),
+                         "anisotropy": np.array([np.eye(2), np.eye(2)])}, {}),
+        "DesignMatrix": ({"values": basis.evaluate(points)}, {"basis": basis}),
+        "ParamMatrix": ({"values": np.ones((3, 2))}, {"basis": basis}),
+    }[name]
+    return getattr(pg, name)(**arrays, **rest), arrays
+
+
+@pytest.mark.parametrize("name", ["PixelGrid", "GrainMap", "PhysicalPD", "PhysicalAPD",
+                                  "DesignMatrix", "ParamMatrix"])
+def test_stored_arrays_are_read_only_views_of_the_callers(name):
+    obj, arrays = _array_dataclass(name)
+    for field, arr in arrays.items():
+        stored = getattr(obj, field)
+        assert np.shares_memory(stored, arr)  # no copy of a map-sized array
+        assert not stored.flags.writeable
+        assert arr.flags.writeable, field
+        arr.flat[0] = arr.flat[0]
+
+
 class TestHardAssign:
     def test_total_tie_gives_label_one(self, rng):
         grid = pg.make_grid(4)

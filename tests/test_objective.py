@@ -107,13 +107,14 @@ class TestObjective:
         theta = random_theta(rng, 2, 4)
         vals = theta.values.copy()
         vals[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            replace(theta, values=vals)  # so a NaN theta reaches no entry point
         calls = [lambda th, g, e: pg.objective(th, design, g, e),
                  lambda th, g, e: pg.gradient(th, design, g, e),
                  lambda th, g, e: -e * pg.objective(th, design, g, e),
                  lambda th, g, e: pg.bound_report(th, g, design, e)]
         bad = [(theta, gm, 0.0), (theta, gm, -1.0), (theta, gm, np.nan), (theta, gm, np.inf),
                (random_theta(rng, 2, 4, kind=pg.MONOMIAL), gm, 0.1),
-               (replace(theta, values=vals), gm, 0.1),
                (theta, random_labels_map(rng, 6, 4), 0.1)]
         for call in calls:
             for th, g, e in bad:
