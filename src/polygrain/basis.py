@@ -249,6 +249,14 @@ class ParamMatrix:
         return self.basis.degree
 
 
+def park(values: np.ndarray, basis: DesignBasis, parked: np.ndarray) -> None:
+    """Set columns ``parked`` of ``values`` to the constant cost 1 + min |theta_i|_1 over the
+    other columns i. No basis function exceeds 1 in absolute value on the square, so no
+    grain i costs more than |theta_i|_1 there, and a parked grain wins no pixel."""
+    values[:, parked] = 0.0
+    values[basis.position((0, 0)), parked] = 1.0 + np.abs(values[:, ~parked]).sum(axis=0).min()
+
+
 def zero_pad(theta: ParamMatrix, degree: int) -> ParamMatrix:
     """Embed coefficients into a higher degree by zero rows for the new indices.
 

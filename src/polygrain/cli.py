@@ -10,6 +10,7 @@ names no flag is an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -73,8 +74,7 @@ def cmd_fit(args) -> int:
     grain_map = fileio.read_grain_map_csv(args.input)
     init: str | object = args.init
     if init not in ("zero", "heuristic"):
-        theta0 = fileio.read_theta_csv(init)
-        init = coeffs_to_basis(theta0, args.basis)
+        init = fileio.checked(init, coeffs_to_basis, fileio.read_theta_csv(init), args.basis)
     config = FitConfig(degree=args.degree, basis_kind=args.basis, eps=args.eps,
                        max_iters=args.iters, memory=args.memory, init=init,
                        record_every=args.record_every, threads=args.threads)
@@ -108,12 +108,13 @@ def cmd_render(args) -> int:
 
 def cmd_convert(args) -> int:
     theta = fileio.read_theta_csv(args.input)
+    convert = functools.partial(fileio.checked, args.input)  # errors name the input file
     if args.direction == "to-monomial":
-        fileio.write_theta_csv(args.out, coeffs_to_basis(theta, MONOMIAL))
+        fileio.write_theta_csv(args.out, convert(coeffs_to_basis, theta, MONOMIAL))
     elif args.direction == "to-legendre":
-        fileio.write_theta_csv(args.out, coeffs_to_basis(theta, LEGENDRE))
+        fileio.write_theta_csv(args.out, convert(coeffs_to_basis, theta, LEGENDRE))
     elif args.direction == "to-physical":
-        mono = coeffs_to_basis(theta, MONOMIAL)
+        mono = convert(coeffs_to_basis, theta, MONOMIAL)
         if mono.degree == 1:
             fileio.write_physical_json(args.out, theta_to_pd(mono))
         elif mono.degree == 2:
@@ -123,7 +124,7 @@ def cmd_convert(args) -> int:
                 f"physical parameters exist only for degrees 1 and 2, got {mono.degree}"
             )
     else:  # psd-repair
-        repaired = psd_repair(theta, margin=args.margin)
+        repaired = convert(psd_repair, theta, margin=args.margin)
         probe = make_grid(32)
         before = hard_assign(theta, probe)
         after = hard_assign(repaired, probe)

@@ -191,7 +191,11 @@ def coeffs_to_basis(theta: ParamMatrix, target_kind: str) -> ParamMatrix:
         return theta
     target = DesignBasis(target_kind, theta.degree)
     t = basis_change(theta.degree) if target_kind == LEGENDRE else basis_change_inverse(theta.degree)
-    return ParamMatrix(values=t @ theta.values, basis=target, gauge=theta.gauge)
+    with np.errstate(over="ignore"):
+        values = t @ theta.values
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"basis change {theta.basis.kind} -> {target_kind} overflows")
+    return ParamMatrix(values=values, basis=target, gauge=theta.gauge)
 
 
 def psd_repair(theta: ParamMatrix, margin: float | None = None) -> ParamMatrix:
@@ -210,7 +214,11 @@ def psd_repair(theta: ParamMatrix, margin: float | None = None) -> ParamMatrix:
     work = coeffs_to_basis(theta, MONOMIAL)
     if work.degree != 2:
         raise ValueError(f"psd_repair expects degree 2, got {work.degree}")
-    eigs = sym2x2_eigvals(theta_to_apd(work).anisotropy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigs = sym2x2_eigvals(theta_to_apd(work).anisotropy)
+    bad = np.flatnonzero(~np.isfinite(eigs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"anisotropy eigenvalues of grains {(bad + 1).tolist()} overflow")
     lam_min = float(eigs[:, 0].min())
     if margin is None:
         margin = 1e-3 * (1.0 + float(np.abs(eigs).max()))

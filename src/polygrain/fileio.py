@@ -124,10 +124,10 @@ def _first_bad_field(path, columns: dict[str, str], first_line: int) -> InputFor
     return InputFormatError(f"{path}: malformed table")  # only if numpy rejects what Python parses
 
 
-def _checked(path, cls, *args, **kwargs):
-    """``cls(*args, **kwargs)``, its ValueError an ``InputFormatError`` naming ``path``."""
+def checked(path, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its ValueError an ``InputFormatError`` naming ``path``."""
     try:
-        return cls(*args, **kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from None
 
@@ -151,9 +151,9 @@ def read_grain_map_csv(path) -> GrainMap:
     table = _read_table(path, _GRAIN_MAP)
     if len(table) < 2:
         raise InputFormatError(f"{path}: need at least two pixels")
-    grid = _checked(path, PixelGrid, points=np.column_stack([table["x1"], table["x2"]]))
-    return _checked(path, GrainMap, grid=grid, labels=table["label"],
-                    n_grains=int(table["label"].max()))
+    grid = checked(path, PixelGrid, points=np.column_stack([table["x1"], table["x2"]]))
+    return checked(path, GrainMap, grid=grid, labels=table["label"],
+                   n_grains=int(table["label"].max()))
 
 
 def read_misassignment_csv(path):
@@ -185,7 +185,7 @@ def read_theta_csv(path) -> ParamMatrix:
     if meta.get("ordering") != ORDERING_CONVENTION:
         raise InputFormatError(f"{path}: ordering {meta.get('ordering')!r} not supported "
                                f"(expected {ORDERING_CONVENTION!r})")
-    basis = _checked(path, DesignBasis, meta.get("basis"), degree)
+    basis = checked(path, DesignBasis, meta.get("basis"), degree)
     n = header.count(",") - 1
     table = _read_table(path, _theta_columns(n), skip=1)
     alphas = list(zip(table["alpha1"].tolist(), table["alpha2"].tolist()))
@@ -197,8 +197,8 @@ def read_theta_csv(path) -> ParamMatrix:
     rows = [basis.position(a) for a in alphas]
     for j in range(n):
         values[rows, j] = table[f"theta_{j + 1}"]
-    return _checked(path, ParamMatrix, values=values, basis=basis,
-                    gauge=meta.get("gauge", GAUGE_FREE))
+    return checked(path, ParamMatrix, values=values, basis=basis,
+                   gauge=meta.get("gauge", GAUGE_FREE))
 
 
 def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
@@ -206,6 +206,7 @@ def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
     body = {
         "epsilon": float(report.eps),
         "n_grains": int(report.n_grains),
+        "n_empty_grains": int(report.n_empty_grains),
         "n_pixels": int(report.n_pixels),
         "final": {
             "phi": float(report.phi_final),
@@ -268,14 +269,14 @@ def read_physical_json(path):
     data = json.loads(Path(path).read_text())
     kind = data.get("kind")
     if kind == "pd":
-        return _checked(path, PhysicalPD, seeds=np.asarray(data["seeds"], dtype=float),
-                        weights=np.asarray(data["weights"], dtype=float))
+        return checked(path, PhysicalPD, seeds=np.asarray(data["seeds"], dtype=float),
+                       weights=np.asarray(data["weights"], dtype=float))
     if kind == "apd":
         if any(s is None for s in data["seeds"]):
             raise InputFormatError(f"{path}: contains unrecoverable grains")
-        return _checked(path, PhysicalAPD, seeds=np.asarray(data["seeds"], dtype=float),
-                        weights=np.asarray(data["weights"], dtype=float),
-                        anisotropy=np.asarray(data["anisotropy"], dtype=float))
+        return checked(path, PhysicalAPD, seeds=np.asarray(data["seeds"], dtype=float),
+                       weights=np.asarray(data["weights"], dtype=float),
+                       anisotropy=np.asarray(data["anisotropy"], dtype=float))
     raise InputFormatError(f"{path}: unknown physical parameter kind {kind!r}")
 
 

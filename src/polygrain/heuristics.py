@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import LEGENDRE, GAUGE_LAST_ZERO, ParamMatrix, zero_pad
+from .basis import LEGENDRE, GAUGE_LAST_ZERO, ParamMatrix, park, zero_pad
 from .conversions import apd_to_theta, coeffs_to_basis, pd_to_theta
 from .geometry import GrainMap, PhysicalAPD, PhysicalPD, sym2x2_eigvals
 
@@ -94,11 +94,10 @@ def heuristic_theta(grain_map: GrainMap, degree: int, kind: str = LEGENDRE) -> P
     degree 1 uses the power-diagram guess (identity anisotropy); degree >= 2
     uses the inverse-second-moment anisotropy. The weight guess is
     sqrt(det A_i) |G_i| / (n pi), the grain area relative to its moment
-    ellipse. An empty grain is parked at the constant cost 1 + min_i |theta_i|_1
-    over the non-empty grains i. Every basis function is at most 1 in absolute
-    value on the square, so grain i's cost never exceeds |theta_i|_1 and the
-    parked grain wins no pixel. The result is re-gauged so that the final
-    column is exactly zero, which leaves the induced diagram unchanged.
+    ellipse. An empty grain is parked (``basis.park``) at a constant cost
+    above every non-empty grain's, so it wins no pixel. The result is re-gauged
+    so that the final column is exactly zero, which leaves the induced diagram
+    unchanged.
     """
     if degree < 1:
         raise ValueError("heuristic initialisation needs degree >= 1")
@@ -119,8 +118,5 @@ def heuristic_theta(grain_map: GrainMap, degree: int, kind: str = LEGENDRE) -> P
     theta = zero_pad(theta, degree)
     theta = coeffs_to_basis(theta, kind)
     values = theta.values.copy()
-    values[:, summary.empty] = 0.0
-    values[theta.basis.position((0, 0)), summary.empty] = (
-        1.0 + np.abs(values[:, ~summary.empty]).sum(axis=0).min())
-    values = values - values[:, -1][:, None]
-    return ParamMatrix(values=values, basis=theta.basis, gauge=GAUGE_LAST_ZERO)
+    park(values, theta.basis, summary.empty)
+    return ParamMatrix(values=values - values[:, -1:], basis=theta.basis, gauge=GAUGE_LAST_ZERO)

@@ -10,6 +10,11 @@ When the memory is empty the search direction is g/|g|^2, which makes the
 whole trajectory equivariant under the temperature rescaling
 (eps, theta) -> (1, theta/eps): both runs see identical line-search problems,
 so recorded objective values coincide.
+
+Only the N' grains that own a pixel, and the last, which carries the gauge, are
+fitted: an empty grain enters the objective only through the log-sum-exp
+denominator, so the supremum over its coefficients is the objective without it.
+``fit`` runs the kernel on N' columns and parks each dropped grain on output.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assemble_design_matrix
+from .basis import (DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assemble_design_matrix,
+                    park)
 from .errors import NumericalError
 from .geometry import GrainMap
 from .objective import _check_compatible, bounds_hold, evaluate_objective
@@ -153,6 +159,7 @@ class FitReport:
     wall_clock_s: float = 0.0
     eps: float = 1e-2
     n_grains: int = 0
+    n_empty_grains: int = 0
     n_pixels: int = 0
     gauge_residual: float = 0.0
     design_spans: bool = True
@@ -172,8 +179,7 @@ def _initial_theta(grain_map: GrainMap, config: FitConfig) -> ParamMatrix:
         theta = config.init
         if theta.n_grains != grain_map.n_grains:
             raise ValueError("explicit initial parameters do not match the grain count")
-        values = theta.values - theta.values[:, -1][:, None]
-        return ParamMatrix(values=values, basis=theta.basis, gauge=GAUGE_LAST_ZERO)
+        return ParamMatrix(theta.values - theta.values[:, -1:], theta.basis, GAUGE_LAST_ZERO)
     if config.init == "heuristic":
         from .heuristics import heuristic_theta
 
@@ -199,21 +205,23 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     design = assemble_design_matrix(basis, grain_map.grid)
     theta0 = _initial_theta(grain_map, config)
     _check_compatible(theta0, design)
-    labels0 = grain_map.labels - 1
     k_dim, n_grains = theta0.values.shape
+    labels0 = grain_map.labels - 1
+    keep = np.bincount(labels0, minlength=n_grains) > 0
+    keep[-1] = True
+    slot = np.cumsum(keep) - 1  # each grain's column among the kept ones
+    np.take(slot, labels0, out=labels0, mode="clip")  # in place: "clip" is unbuffered
+    n_kept = int(slot[-1]) + 1
 
     def unpack(u):
-        theta = np.zeros((k_dim, n_grains))
-        theta[:, : n_grains - 1] = u.reshape(k_dim, n_grains - 1)
-        return theta
+        return np.concatenate([u.reshape(k_dim, n_kept - 1), np.zeros((k_dim, 1))], axis=1)
 
     def evaluate(u):
         res = evaluate_objective(unpack(u), design.values, labels0, config.eps,
-                                 want_grad=True, want_assign=True,
-                                 threads=config.threads)
-        return res.phi, res.grad[:, : n_grains - 1].ravel(), res.err, res.e0
+                                 want_grad=True, want_assign=True, threads=config.threads)
+        return res.phi, res.grad[:, : n_kept - 1].ravel(), res.err, res.e0
 
-    u = theta0.values[:, : n_grains - 1].ravel().copy()
+    u = theta0.values[:, keep][:, : n_kept - 1].ravel()
     phi, g, err, e0 = evaluate(u)
     if not (np.isfinite(phi) and np.all(np.isfinite(g))):
         raise NumericalError(
@@ -221,7 +229,8 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         )
 
     report = FitReport(theta=theta0, eps=config.eps, n_grains=n_grains,
-                       n_pixels=len(grain_map), design_spans=_design_spans(design.values))
+                       n_empty_grains=n_grains - n_kept, n_pixels=len(grain_map),
+                       design_spans=_design_spans(design.values))
 
     def record(it, phi_val, err_val, e0_val):
         report.iters.append(it)
@@ -302,7 +311,9 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     if report.iters[-1] != iterations:
         record(iterations, phi, err, e0)
 
-    report.theta = ParamMatrix(values=unpack(u), basis=basis, gauge=GAUGE_LAST_ZERO)
+    values = unpack(u)[:, slot]
+    park(values, basis, ~keep)
+    report.theta = ParamMatrix(values=values, basis=basis, gauge=GAUGE_LAST_ZERO)
     report.phi_final = float(phi)
     report.err_final = float(err)
     report.acc_final = 1.0 - float(err)
@@ -310,7 +321,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     report.stop_reason = stop_reason
     report.gauge_residual = float(np.abs(report.theta.values[:, -1]).max())
 
-    checks = [bounds_hold(p, e, e0_val, config.eps, n_grains)
+    checks = [bounds_hold(p, e, e0_val, config.eps, n_kept)
               for p, e, e0_val in zip(report.phi_traj, report.err_traj, report.e0_traj)]
     report.bound_phi_err_ok, report.bound_energy_ok = map(all, zip(*checks))
     report.wall_clock_s = time.perf_counter() - start

@@ -127,6 +127,13 @@ class TestCoeffsToBasis:
         theta = random_theta(rng, 2, 3, kind=pg.MONOMIAL)
         assert pg.coeffs_to_basis(theta, pg.MONOMIAL) is theta
 
+    def test_overflow_names_both_bases(self):
+        values = np.zeros((6, 2))
+        values[:, 0] = 1.5e308
+        theta = pg.ParamMatrix(values, pg.DesignBasis(pg.MONOMIAL, 2))
+        with pytest.raises(ValueError, match="basis change monomial -> legendre overflows"):
+            pg.coeffs_to_basis(theta, pg.LEGENDRE)
+
 
 class TestPsdRepair:
     def test_applies_margin_even_when_definite(self, rng):
@@ -175,6 +182,14 @@ class TestPsdRepair:
         theta = random_theta(rng, 1, 3, kind=pg.MONOMIAL)
         with pytest.raises(ValueError, match="degree 2"):
             pg.psd_repair(theta)
+
+    @pytest.mark.parametrize("margin", [None, 0.5])
+    def test_overflowing_eigenvalues_are_named(self, margin):
+        values = np.zeros((6, 3))
+        values[:, 1] = 1.5e308
+        theta = pg.ParamMatrix(values, pg.DesignBasis(pg.MONOMIAL, 2))
+        with pytest.raises(ValueError, match=r"eigenvalues of grains \[2\] overflow"):
+            pg.psd_repair(theta, margin=margin)
 
     @pytest.mark.parametrize("margin", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_margin_that_is_not_finite_positive(self, margin, rng):

@@ -540,6 +540,41 @@ class TestCli:
         assert f"{path}: parameter matrix contains non-finite entries" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def overflowing_monomial_file(path):
+        """A degree-2 monomial file, finite, whose first grain's entries are all 1.5e308:
+        its Legendre coefficients and anisotropy eigenvalues overflow."""
+        values = np.zeros((6, 2))
+        values[:, 0] = 1.5e308
+        fileio.write_theta_csv(path, pg.ParamMatrix(values, pg.DesignBasis(pg.MONOMIAL, 2)))
+        return path
+
+    def test_overflowing_basis_change_names_the_file_and_bases(self, tmp_path, capsys):
+        path, out = self.overflowing_monomial_file(tmp_path / "big.csv"), tmp_path / "out"
+        assert main(["convert", "--input", str(path), "--direction", "to-legendre",
+                     "--out", str(out)]) == 2
+        assert f"{path}: basis change monomial -> legendre overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_init_file_names_the_file_and_bases(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+        init = self.overflowing_monomial_file(tmp_path / "big.csv")
+        assert main(["fit", "--input", str(gen / "grain_map.csv"), "--degree", "2",
+                     "--iters", "5", "--init", str(init), "--out-dir", str(tmp_path / "fit")]) == 2
+        assert f"{init}: basis change monomial -> legendre overflows" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_overflowing_eigenvalues_are_named_by_psd_repair(self, tmp_path, capsys):
+        path, out = self.overflowing_monomial_file(tmp_path / "big.csv"), tmp_path / "out"
+        assert main(["convert", "--input", str(path), "--direction", "psd-repair",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: anisotropy eigenvalues of grains [1] overflow" in err
+        assert "margin" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_gives_input_exit_code(self, threads, tmp_path, capsys):
         gen = tmp_path / "gen"

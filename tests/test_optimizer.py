@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import polygrain as pg
+from polygrain.objective import evaluate_objective
 from polygrain.optimizer import LineEval, line_search
-from conftest import random_labels_map, random_pd
-from reference import soft_assign
+from conftest import random_grain_map, random_labels_map, random_pd
+from reference import accuracy_and_error, soft_assign
 
 
 class TestLineSearch:
@@ -213,3 +214,83 @@ class TestFit:
                 pg.FitConfig(threads=threads)
         with pytest.raises(ValueError, match="degree"):
             pg.FitConfig(degree=0)
+
+
+def with_empty_grains(rng, m, n, empty):
+    """A power-diagram map whose owning grains are renumbered to leave the grains
+    ``empty`` (1-based) without a pixel, and none else; it has n grains or fewer."""
+    grid = pg.make_grid(m)
+    owning = np.unique(pg.generate_pd(random_pd(rng, n - len(empty)), grid).labels,
+                       return_inverse=True)[1]
+    n_total = owning.max() + 1 + len(empty)
+    assert max(empty) <= n_total
+    owners = np.array([g for g in range(1, n_total + 1) if g not in empty])
+    return pg.GrainMap(grid=grid, labels=owners[owning.ravel()], n_grains=n_total)
+
+
+class TestEmptyGrains:
+    """The fit drops the grains that own no pixel (except the last, the gauge
+    grain) from the kernel and parks them on output."""
+
+    @pytest.mark.parametrize("empty", [[2, 5], [1, 4, 7]])
+    def test_reduced_objective_bounds_and_is_the_parked_limit(self, empty, rng):
+        gm = with_empty_grains(rng, 8, 7, empty)
+        keep = np.isin(np.arange(1, gm.n_grains + 1), empty, invert=True)
+        labels0 = (np.cumsum(keep) - 1)[gm.labels - 1]
+        design = pg.assemble_design_matrix(pg.DesignBasis(pg.LEGENDRE, 2), gm.grid).values
+        eps = 0.5
+        for _ in range(5):
+            full = rng.normal(0.0, 1.0, (design.shape[0], gm.n_grains))
+            reduced = evaluate_objective(full[:, keep], design, labels0, eps).phi
+            assert evaluate_objective(full, design, gm.labels - 1, eps).phi <= reduced
+            gaps = []
+            for cost in (-1.0, 0.0, 1.0, 3.0, 10.0, 100.0):
+                parked = full.copy()  # the empty grains at a constant cost
+                parked[:, ~keep] = 0.0
+                parked[0, ~keep] = cost  # the (0,0) basis function is 1
+                gaps.append(reduced - evaluate_objective(parked, design, gm.labels - 1, eps).phi)
+            assert all(b < a for a, b in zip(gaps, gaps[1:4]))
+            assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+            assert abs(gaps[-1]) <= 1e-14
+
+    @pytest.mark.parametrize("init", ["zero", "heuristic"])
+    @pytest.mark.parametrize("last", [False, True], ids=["interior", "last"])
+    def test_fit_parks_dropped_grains(self, last, init):
+        # 33 owning grains of 35 give chunks of 3971 pixels: the 6400-pixel map
+        # has two, so threads=2 runs the pool
+        gm = with_empty_grains(np.random.default_rng(4), 40, 40, [3, 17])
+        if last:
+            gm = pg.GrainMap(grid=gm.grid, labels=gm.labels, n_grains=gm.n_grains + 1)
+        empty = np.flatnonzero(np.bincount(gm.labels, minlength=gm.n_grains + 1)[1:] == 0) + 1
+        dropped = [g for g in empty if g != gm.n_grains]
+        reports = [pg.fit(gm, pg.FitConfig(degree=2, max_iters=15, init=init, threads=threads))
+                   for threads in (1, 2)]
+        rep = reports[0]
+        assert rep.n_grains == gm.n_grains and rep.n_empty_grains == len(dropped)
+        vals = rep.theta.values
+        fitted = np.isin(np.arange(1, gm.n_grains + 1), dropped, invert=True)
+        want = 1.0 + np.abs(vals[:, fitted]).sum(axis=0).min()
+        assert np.all(vals[1:, np.array(dropped) - 1] == 0.0)
+        assert np.all(vals[0, np.array(dropped) - 1] == want)
+        labels = pg.hard_assign(rep.theta, gm.grid)
+        assert not np.any(np.isin(labels, empty))
+        assert accuracy_and_error(gm, labels)[1] == rep.err_final
+        assert rep.gauge_residual == 0.0
+        assert rep.bound_phi_err_ok and rep.bound_energy_ok
+        other = reports[1]
+        assert np.array_equal(rep.theta.values, other.theta.values)
+        assert (rep.phi_traj, rep.err_traj, rep.e0_traj) == (
+            other.phi_traj, other.err_traj, other.e0_traj)
+
+    def test_map_without_empty_grains_drops_none(self, rng):
+        gm = random_grain_map(rng, 6, 4)
+        rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=20))
+        assert rep.n_empty_grains == 0
+
+    def test_last_grain_owning_every_pixel(self):
+        grid = pg.make_grid(3)
+        gm = pg.GrainMap(grid=grid, labels=np.full(len(grid), 3), n_grains=3)
+        rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=5))
+        assert rep.n_empty_grains == 2 and rep.stop_reason == "stationary"
+        assert rep.err_final == 0.0 and rep.phi_final == 0.0
+        assert np.all(pg.hard_assign(rep.theta, grid) == 3)
