@@ -177,7 +177,7 @@ def _add_fit(sub):
                    help="'zero', 'heuristic', or a coefficient CSV path")
     p.add_argument("--record-every", type=int, default=FitConfig.record_every)
     p.add_argument("--threads", type=int, default=FitConfig.threads,
-                   help="threads over pixel chunks; every count gives the same bits")
+                   help="threads over pixel tiles; every count gives the same bits")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_fit)
 

@@ -15,7 +15,7 @@ common vector to every coefficient column leaves the diagram unchanged but
 moves the recovered (y, w, A).
 
 Synthetic grain maps are generated through the same maps: ``generate_apd``
-labels each pixel by the chunked arg-min (``objective.hard_assign``) of the
+labels each pixel by the tiled arg-min (``objective.hard_assign``) of the
 degree-2 coefficients of its diagram, and ``generate_pd`` is ``generate_apd``
 with identity anisotropy, so no whole-map cost matrix is ever formed.
 """

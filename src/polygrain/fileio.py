@@ -227,6 +227,12 @@ def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
             "misassignment_bound_ok": bool(report.bound_phi_err_ok),
             "energy_bound_ok": bool(report.bound_energy_ok),
         },
+        "kernel": {
+            "evaluations": int(report.evaluations),
+            "pairs": int(report.kernel_pairs),
+            "dense_pairs": int(report.evaluations) * int(report.n_pixels)
+            * (int(report.n_grains) - int(report.n_empty_grains)),
+        },
         "theta": {
             "basis": report.theta.basis.kind,
             "degree": int(report.theta.degree),

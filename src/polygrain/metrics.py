@@ -3,7 +3,7 @@
 Storing a labelled pixel set naively takes 3n scalars (two coordinates and a
 label per pixel), while a fitted degree-d diagram takes K_d coefficients per
 grain, giving the compression ratio K_d N / (3 n). ``bound_report`` reads phi,
-err and E0 from one chunked ``objective.evaluate`` pass and checks them with
+err and E0 from one tiled ``objective.evaluate`` pass and checks them with
 ``objective.bounds_hold``, the predicate ``fit`` applies to its trajectory.
 """
 
@@ -87,7 +87,7 @@ def bound_report(theta: ParamMatrix, grain_map: GrainMap, design: DesignMatrix,
       * 0 <= -eps*phi - e0 <= eps*log(N) (log-sum-exp sandwich);
       * phi > -log(2)/n forces err == 0 exactly.
     """
-    phi, _, err, e0 = evaluate(theta, design, grain_map, eps, want_assign=True)
+    phi, _, err, e0, _ = evaluate(theta, design, grain_map, eps, want_assign=True)
     n = len(grain_map)
     phi_err_ok, energy_ok = bounds_hold(phi, err, e0, eps, grain_map.n_grains)
     near_optimal = phi > -math.log(2.0) / n

@@ -12,14 +12,28 @@ and the fitting objective is the mean log-probability of the true labels,
 All evaluations subtract the per-pixel minimum cost before exponentiating, so
 the winning term contributes exp(0) and no overflow can occur for finite
 inputs. Exponents are floored at Z_FLOOR so that exp never underflows.
-Reductions over pixels run in chunks of ``chunk_width(N)`` pixels, sized so
-that one N x chunk float buffer takes about CHUNK_BYTES and its element-wise
-passes run in cache. The chunk partial sums are folded left to right in chunk
-order, also when a persistent thread pool computes them with OpenBLAS on one
-thread; chunk boundaries depend only on N and n, so every thread count gives
+
+The kernel runs over square tiles of the pixels (``tile_layout``) of at most
+``chunk_width(N)`` pixels, so that one N x tile float buffer takes at most
+about CHUNK_BYTES and its element-wise passes run in cache. On a tile's box
+x = centre + half * s, s in [-1,1]^2, the cost difference c_i - c_j of two
+grains is a polynomial sum_beta v_beta s^beta, whose minimum over the box is
+at least v_0 - sum_{beta != 0} rho(v_beta), with rho(v) = |v| where s^beta
+has an odd exponent and max(0, -v) elsewhere. The pixel minimum m is at most
+c_j, so a grain i whose bound against a reference j exceeds -Z_FLOOR * eps
+(plus rounding) has (m - c_i)/eps < Z_FLOOR at every pixel of the tile, where
+the dense kernel floors its weight to exp(Z_FLOOR). A tile runs only on the
+grains that this certificate (``tile_grains``) keeps: dropping the others
+moves phi and the gradient by no more than the floor already does. The cut
+also exceeds the tie tolerance, so the arg-min grain and every grain tied
+with it are kept, and err and E0 are exact.
+
+The tile partial sums are folded left to right in tile order, also when a
+persistent thread pool computes them with OpenBLAS on one thread; the tiles
+and their grains are fixed before the pool runs, so every thread count gives
 bit-identical results.
 
-Every pass over all grains and all pixels goes through that chunked kernel:
+Every pass over all grains and all pixels goes through that tiled kernel:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
 assignment statistics) and ``hard_assign`` (arg-min labels, which also
 generate synthetic maps). ``bounds_hold`` is the one implementation of the
@@ -39,8 +53,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import DesignMatrix, GAUGE_LAST_ZERO, ParamMatrix, assemble_design_matrix
-from .geometry import GrainMap, PixelGrid, argmin_labels, tie_threshold
+from .basis import (DesignBasis, DesignMatrix, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix,
+                    basis_change_inverse)
+from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels, tie_threshold
 
 # Bytes of the N x chunk cost buffer, so that its passes run in a core's L2
 # cache. On the many-grains map (N=200; 2 cores, 2 MiB L2 each) 1 MiB was the
@@ -52,17 +67,24 @@ CHUNK_BYTES = 1 << 20
 # within noise.
 MIN_CHUNK = 256
 
-# Floor of the softmax exponent z = (m - c)/eps. exp(-700) ~ 1e-304 is still a
-# normal double, so no weight is subnormal or underflows. The argmin term
-# contributes exactly 1, so the sum s is >= 1 and a floored weight, off by
-# less than 1e-304, is far below the rounding of s. Without the floor an
-# evaluation with gradient and assignment took 1.7-2.2x as long (2-core Xeon
-# VM, numpy 2.4, one thread, q1-q3): many-grains after 20 iterations 215-234
-# -> 371-420 ms, pd-recovery after 300 iterations 1.9-2.0 -> 3.4-3.8 ms,
-# apd-heuristic at the heuristic start 2.1-2.3 -> 4.6-4.9 ms. Only 0.04-1.6%
-# of their exponents lie in the subnormal band [-745, -708); whether exp or
-# the gradient GEMM pays for them was not measured.
+# Floor of the softmax exponent z = (m - c)/eps, and the cut of the tile
+# certificate: a grain is dropped from a tile only where all its exponents lie
+# below it. exp(-700) ~ 1e-304 is still a normal double, so no weight is
+# subnormal or underflows. The argmin term contributes exactly 1, so the sum s
+# is >= 1 and a floored weight, off by less than 1e-304, is far below the
+# rounding of s. Without the floor an evaluation with gradient and assignment
+# took 1.7-2.2x as long (2-core Xeon VM, numpy 2.4, one thread, q1-q3):
+# many-grains after 20 iterations 215-234 -> 371-420 ms, pd-recovery after 300
+# iterations 1.9-2.0 -> 3.4-3.8 ms, apd-heuristic at the heuristic start
+# 2.1-2.3 -> 4.6-4.9 ms. Only 0.04-1.6% of their exponents lie in the subnormal
+# band [-745, -708); whether exp or the gradient GEMM pays for them was not
+# measured.
 Z_FLOOR = -700.0
+
+# Relative rounding allowance of the tile certificate, against the bound on
+# |cost| over the tile. The certificate, the costs and the design each round
+# by a few K * 2^-53 of that bound; 2^-40 covers K up to about a thousand.
+CERT_RTOL = 2.0 ** -40
 
 # Additive rounding allowance of the bound checks in ``bounds_hold``.
 BOUND_SLACK = 1e-12
@@ -87,21 +109,159 @@ def chunk_width(n_grains: int) -> int:
     return max(MIN_CHUNK, CHUNK_BYTES // (8 * n_grains))
 
 
+class TileLayout(NamedTuple):
+    """Tiles of a point list: tile t holds the points ``order[bounds[t]:bounds[t + 1]]``.
+
+    ``expand[t]`` maps a coefficient column to the monomial coefficients in s of
+    its cost on the tile's box x = centre + half * s, s in [-1,1]^2, and
+    ``scale[t] @ |theta|`` bounds each grain's |cost| there and the terms that
+    the expansion rounds. ``odd[beta]`` is 1 where s^beta has an odd exponent.
+    ``labels[t, i]`` is true where grain i is a true label on tile t. A layout
+    without ``expand`` certifies nothing: every tile keeps every grain.
+    """
+
+    order: np.ndarray | None
+    bounds: np.ndarray
+    expand: np.ndarray | None = None
+    scale: np.ndarray | None = None
+    odd: np.ndarray | None = None
+    labels: np.ndarray | None = None
+
+
+def _expansion(basis: DesignBasis, centre: np.ndarray, half: np.ndarray):
+    """(expand, scale) of ``TileLayout`` for boxes centre + half * s, each of shape (T, 2).
+
+    (c + h s)^a = sum_k C(a, k) c^(a-k) h^k s^k in each coordinate, and the
+    monomial of a multi-index is the product of its two coordinates' powers.
+    The Legendre basis first maps to monomial coefficients (``basis_change_inverse``).
+    """
+    j = np.arange(basis.degree + 1)
+    binom = np.array([[math.comb(a, k) for a in j] for k in j], dtype=np.float64)
+    lower = np.maximum(j[None, :] - j[:, None], 0)  # a - k where C(a, k) != 0
+    # table[t, axis, k, a]: the coefficient of s^k in (c + h s)^a
+    table = binom * (centre[:, :, None] ** j)[:, :, lower] * (half[:, :, None] ** j)[..., None]
+    idx = np.array(basis.indices)
+    mono = (table[:, 0][:, idx[:, 0, None], idx[None, :, 0]]
+            * table[:, 1][:, idx[:, 1, None], idx[None, :, 1]])
+    if basis.kind == LEGENDRE and basis.degree > 0:
+        change = basis_change_inverse(basis.degree)
+        return mono @ change, (np.abs(mono) @ np.abs(change)).sum(axis=1)
+    return mono, np.abs(mono).sum(axis=1)
+
+
+def tile_layout(basis: DesignBasis, points: np.ndarray, n_grains: int,
+                labels0: np.ndarray | None = None, side: int | None = None) -> TileLayout:
+    """The kernel's tiles of ``points`` for costs in ``basis`` over ``n_grains`` grains.
+
+    The cells of a side x side partition of [-1,1]^2 (by default side =
+    round(sqrt(n / chunk_width(N))), at least 1), in row-major order, with the
+    points of a cell in their own order. Empty cells are skipped, and a cell of
+    more than ``chunk_width(N)`` points is cut into the fewest runs of equal
+    size that hold at most that many. Each tile's box is the bounding box of
+    its points. ``labels0`` (0-based, in the order of ``points``) marks the
+    true labels of each tile.
+    """
+    n = len(points)
+    width = chunk_width(n_grains)
+    if side is None:
+        side = max(1, round(math.sqrt(n / width)))
+    key = sum(np.minimum(((points[:, axis] + 1.0) * (0.5 * side)).astype(np.intp), side - 1)
+              * side ** (1 - axis) for axis in (0, 1))
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=side * side)
+    del key
+    counts = counts[counts > 0]
+    runs = -(-counts // width)
+    part = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)  # run within cell
+    firsts = np.repeat(np.cumsum(counts) - counts, runs) + (
+        np.repeat(counts, runs) * part) // np.repeat(runs, runs)
+    bounds = np.append(firsts, n)
+    lo, hi = (np.column_stack([f.reduceat(points[order, axis], firsts) for axis in (0, 1)])
+              for f in (np.minimum, np.maximum))
+    centre = 0.5 * (lo + hi)
+    # One ulp up, so that the box covers its points whatever the subtraction rounds.
+    half = np.nextafter(np.maximum(hi - centre, centre - lo), np.inf)
+    expand, scale = _expansion(basis, centre, half)
+    odd = np.array([a1 % 2 or a2 % 2 for a1, a2 in basis.indices], dtype=np.float64)
+    labels = None
+    if labels0 is not None:
+        labels = np.zeros((len(firsts), n_grains), dtype=bool)
+        labels[np.repeat(np.arange(len(firsts)), np.diff(bounds)), labels0[order]] = True
+    return TileLayout(order, bounds, expand, scale, odd, labels)
+
+
+def tile_grains(layout: TileLayout, theta_values: np.ndarray, floor_cut: float) -> np.ndarray:
+    """(tiles, N) mask of the grains each tile keeps.
+
+    Grain i is dropped from a tile when the lower bound of c_i - c_j over its
+    box exceeds the cut: ``floor_cut`` (-Z_FLOOR * eps for the kernel, 0 for
+    arg-min labels) or twice the tie tolerance of M_i, whichever is larger,
+    plus ``CERT_RTOL`` of M_i + M_j, where M bounds |cost| on the box. Then
+    c_i - m exceeds the tie tolerance of m, since |m| <= |c_i| + (c_i - m).
+    The reference j is the tile's true label of least cost at the box centre
+    if the layout has labels, and these are always kept. Otherwise it is the
+    grain of least upper bound on the box, which bounds m everywhere there, so
+    that a grain above it on the whole box, such as a parked one, is dropped
+    even where the grain of least centre cost is steep. Tiles are taken in
+    batches whose (batch, K, N) arrays hold about CHUNK_BYTES.
+    """
+    k_dim, n_grains = theta_values.shape
+    keep = np.empty((len(layout.bounds) - 1, n_grains), dtype=bool)
+    size = np.abs(theta_values)
+    step = max(1, CHUNK_BYTES // (8 * k_dim * n_grains))
+    for lo in range(0, len(keep), step):
+        batch = slice(lo, lo + step)
+        coef = layout.expand[batch] @ theta_values  # (batch, K, N)
+        rest, odd = coef[:, 1:], layout.odd[1:, None]
+        if layout.labels is None:
+            key = coef[:, 0] + np.maximum(rest, -rest * odd).sum(axis=1)  # max over the box
+        else:
+            key = np.where(layout.labels[batch], coef[:, 0], np.inf)
+        ref = key.argmin(axis=1)
+        tiles = np.arange(len(ref))
+        coef -= coef[tiles, :, ref][:, :, None]  # v of c_i - c_ref
+        low = coef[:, 0] - np.maximum(-rest, rest * odd).sum(axis=1)
+        bound = 1.0 + layout.scale[batch] @ size  # 1 + M_i
+        cut = ((1.0 + CERT_RTOL) * np.maximum(floor_cut, 2.0 * TIE_RTOL * bound)
+               + CERT_RTOL * (bound + bound[tiles, ref][:, None]))
+        keep[batch] = ~(low > cut)  # a NaN bound keeps the grain
+    if layout.labels is not None:
+        keep |= layout.labels
+    return keep
+
+
+def _tiles(layout: TileLayout, keep: np.ndarray | None):
+    """(slice, rows, slot) per tile: its positions, its kept grains and each grain's
+    row among them; rows and slot are None where the tile keeps every grain."""
+    slices = [slice(lo, hi) for lo, hi in zip(layout.bounds[:-1].tolist(),
+                                              layout.bounds[1:].tolist())]
+    if keep is None:
+        return [(sl, None, None) for sl in slices]
+    full = keep.all(axis=1).tolist()
+    slots = np.cumsum(keep, axis=1) - 1
+    return [(sl, None, None) if whole else (sl, np.flatnonzero(row), slot)
+            for sl, whole, row, slot in zip(slices, full, keep, slots)]
+
+
 def hard_assign(theta: ParamMatrix, grid: PixelGrid,
                 design: DesignMatrix | None = None) -> np.ndarray:
     """Arg-min labels of the diagram induced by theta, smallest index on ties.
 
-    Costs are formed ``chunk_width(N)`` pixels at a time, never as a whole
-    N x n matrix.
+    Costs are formed one tile of ``tile_layout`` at a time over the grains its
+    certificate keeps, never as a whole N x n matrix. Without ``design`` each
+    tile evaluates its own columns of the basis.
     """
-    if design is None:
-        design = assemble_design_matrix(theta.basis, grid)
-    _check_compatible(theta, design)
-    theta_t = theta.values.T
-    n = design.values.shape[1]
-    width = chunk_width(theta.n_grains)
-    return np.concatenate([argmin_labels(theta_t @ design.values[:, lo:lo + width])
-                           for lo in range(0, n, width)])
+    if design is not None:
+        _check_compatible(theta, design)
+    layout = tile_layout(theta.basis, grid.points, theta.n_grains)
+    labels = np.empty(len(grid), dtype=np.int64)
+    for sl, rows, _ in _tiles(layout, tile_grains(layout, theta.values, 0.0)):
+        cols = layout.order[sl]
+        eta = theta.basis.evaluate(grid.points[cols]) if design is None else design.values[:, cols]
+        theta_t = (theta.values if rows is None else theta.values[:, rows]).T
+        local = argmin_labels(theta_t @ eta)
+        labels[cols] = local if rows is None else rows[local - 1] + 1
+    return labels
 
 
 class EvalResult(NamedTuple):
@@ -109,31 +269,41 @@ class EvalResult(NamedTuple):
     grad: np.ndarray | None
     err: float | None
     e0: float | None
+    pairs: int  # the pixel-grain pairs the kernel computed
 
 
-def _chunk_stats(theta_values, design_values, labels0, eps, sl, want_grad, want_assign):
-    """Partial sums of one chunk: (sum of log p_g0, gradient product, correct, E0 sum).
+def _chunk_stats(theta_values, design_values, labels0, eps, tile, want_grad, want_assign):
+    """Partial sums of one tile: (sum of log p_g0, gradient product, correct, E0 sum).
 
-    The passes over the N x chunk buffer: the cost GEMM, min, the tie test on
-    the costs (``want_assign``), subtract, divide by -eps, floor, exp, the row
-    sum and the gradient GEMM (``want_grad``). The residual 1[g0] - e/s is
-    never formed. With e_g0 zeroed, rest = sum(e) and s = rest + e_g0; -rest
-    written at g0 and scaled by -1/s gives rest/s there (1 - e_g0/s without
-    its cancellation) and -e/s elsewhere. The -1/s scaling goes onto the
-    K x chunk design slice.
+    ``tile`` is (slice, rows, slot) of ``_tiles``: the kernel runs on grains
+    ``rows`` (all if None) and the gradient product has one column per row.
+    The passes over the rows x tile buffer: the cost GEMM, min, the tie test on
+    the costs (``want_assign``), subtract, scale by -1/eps, floor, exp, the row
+    sum and the gradient GEMM (``want_grad``). The residual 1[g0] - e/s is never
+    formed. With e_g0 zeroed, rest = sum(e) and s = rest + e_g0; -rest written
+    at g0 and scaled by -1/s gives rest/s there (1 - e_g0/s without its
+    cancellation) and -e/s elsewhere. The -1/s scaling goes onto the K x tile
+    design slice.
     """
+    sl, rows, slot = tile
     d = design_values[:, sl]
-    buf = theta_values.T @ d  # costs c; the only N x chunk float array
     g0 = labels0[sl]
+    row0 = g0  # the row of each pixel's true label
+    if rows is not None:
+        theta_values = theta_values[:, rows]
+        row0 = slot[g0]  # every true label is kept
+    buf = theta_values.T @ d  # costs c; the only rows x tile float array
     flat = buf.reshape(-1)  # a view: buf is a fresh C-ordered array
-    at_g0 = g0 * buf.shape[1] + np.arange(buf.shape[1])  # flat index of (g0, x)
+    at_g0 = row0 * buf.shape[1] + np.arange(buf.shape[1])  # flat index of (g0, x)
     m = buf.min(axis=0)
 
     ncorrect = 0
     e0_sum = 0.0
     if want_assign:
         # The comparisons of argmin_labels; a pixel whose label ties alone is
-        # correct, and only multi-way ties need the first tied index.
+        # correct, and only multi-way ties need the first tied index. Rows are
+        # kept in grain order with every tied grain, so the first tied row is
+        # the first tied grain.
         thr = tie_threshold(m)
         tied = buf <= thr[None, :]
         ntied = tied.sum(axis=0, dtype=np.int32)
@@ -143,14 +313,15 @@ def _chunk_stats(theta_values, design_values, labels0, eps, sl, want_grad, want_
         multi = np.flatnonzero(g0_tied & (ntied > 1))
         if multi.size:
             first = np.argmax(tied[:, multi], axis=0)
-            ncorrect += int(np.count_nonzero(first == g0[multi]))
-        # A NaN threshold (from a NaN or -inf minimum) ties nothing, and
-        # argmin_labels then returns index 0.
-        ncorrect += int(np.count_nonzero((ntied == 0) & (g0 == 0)))
+            ncorrect += int(np.count_nonzero(first == row0[multi]))
+        if not ntied.all():
+            # A NaN threshold (from a NaN or -inf minimum) ties nothing, and
+            # argmin_labels then returns grain 0.
+            ncorrect += int(np.count_nonzero((ntied == 0) & (g0 == 0)))
         e0_sum = float((c_g0 - m).sum())
 
     np.subtract(buf, m[None, :], out=buf)
-    np.divide(buf, -eps, out=buf)  # z = (m - c)/eps: negating both operands changes no bit
+    np.multiply(buf, -1.0 / eps, out=buf)  # z = (m - c)/eps
     z_g0 = flat[at_g0]  # before the floor: a misassigned pixel may lie below it
     np.maximum(buf, Z_FLOOR, out=buf)
     np.exp(buf, out=buf)  # e
@@ -170,12 +341,6 @@ def _chunk_stats(theta_values, design_values, labels0, eps, sl, want_grad, want_
         flat[at_g0] = -rest
         gacc = (d * (-1.0 / s)[None, :]) @ buf.T  # d @ (1[g0] - e/s).T
     return lse_sum, gacc, ncorrect, e0_sum
-
-
-def _combine(a, b):
-    lse = a[0] + b[0]
-    gacc = a[1] + b[1] if a[1] is not None else None
-    return lse, gacc, a[2] + b[2], a[3] + b[3]
 
 
 @functools.cache
@@ -198,12 +363,12 @@ def _blas_threads():
     return None
 
 
-def _pool_fold(fn, items, threads: int):
-    """``fn`` over ``items`` in the persistent pool, the bundled OpenBLAS held at 1
-    thread, folded by ``_combine`` in item order as the results arrive.
+def _pool_fold(fn, items, threads: int, fold) -> None:
+    """``fold(item, fn(item))`` for each of ``items`` in item order, ``fn`` running in the
+    persistent pool with the bundled OpenBLAS held at 1 thread.
 
     A task maps ``fn`` over consecutive items, as many as give each thread
-    about 4 tasks. On a map of many cache-sized chunks this saves most of the
+    about 4 tasks. On a map of many cache-sized tiles this saves most of the
     pool's per-task cost; the fold is the same.
     """
     per_task = max(1, len(items) // (4 * threads))
@@ -214,7 +379,8 @@ def _pool_fold(fn, items, threads: int):
         set_(1)
         try:
             parts = _pool(os.getpid(), threads).map(lambda task: list(map(fn, task)), tasks)
-            return functools.reduce(_combine, itertools.chain.from_iterable(parts))
+            for item, part in zip(items, itertools.chain.from_iterable(parts)):
+                fold(item, part)
         finally:
             set_(before)
 
@@ -222,49 +388,79 @@ def _pool_fold(fn, items, threads: int):
 def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                        labels0: np.ndarray, eps: float, *, want_grad: bool = True,
                        want_assign: bool = False, threads: int = 1,
-                       chunk_size: int | None = None) -> EvalResult:
-    """Chunked evaluation of the objective and, optionally, gradient and assignment stats.
+                       layout: TileLayout | None = None) -> EvalResult:
+    """Tiled evaluation of the objective and, optionally, gradient and assignment stats.
 
-    ``labels0`` are 0-based true labels. Chunk partial sums are folded left to
-    right in chunk order; threads > 1 computes them in a persistent pool with
-    the bundled OpenBLAS on one thread, bit-identical to threads == 1. Exponents
-    are floored at ``Z_FLOOR``, which moves no weight by more than exp(Z_FLOOR).
-    ``chunk_size`` defaults to ``chunk_width(N)``.
+    ``labels0`` are 0-based true labels, and the columns of ``design_values``
+    and ``labels0`` are the points in ``layout.order``; ``layout`` must carry
+    these labels. Without a layout the points are taken in their own order in
+    runs of ``chunk_width(N)``, and every run keeps every grain. Tile partial
+    sums are folded left to right in tile order; threads > 1 computes them in a
+    persistent pool with the bundled OpenBLAS on one thread, bit-identical to
+    threads == 1. Exponents are floored at ``Z_FLOOR``, and each grain a tile
+    drops has every exponent there below it, so no weight moves by more than
+    exp(Z_FLOOR).
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    k_dim, n_grains = theta_values.shape
     n = design_values.shape[1]
-    if chunk_size is None:
-        chunk_size = chunk_width(theta_values.shape[1])
-    slices = [slice(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
+    if layout is None:
+        layout = TileLayout(None, np.append(np.arange(0, n, chunk_width(n_grains)), n))
+        keep = None
+    else:
+        keep = tile_grains(layout, theta_values, -Z_FLOOR * eps)
+    tiles = _tiles(layout, keep)
+    pairs = n * n_grains if keep is None else int(keep.sum(axis=1) @ np.diff(layout.bounds))
 
-    def stats(sl):
-        return _chunk_stats(theta_values, design_values, labels0, eps, sl,
+    grad = np.zeros((k_dim, n_grains)) if want_grad else None
+    total = [0.0, 0, 0.0]  # sum of log p_g0, correct pixels, E0 sum
+
+    def fold(tile, part):
+        lse, gacc, ncorrect, e0 = part
+        total[0] += lse
+        total[1] += ncorrect
+        total[2] += e0
+        if want_grad:
+            rows = tile[1]
+            if rows is None:
+                grad[:] += gacc
+            else:
+                grad[:, rows] += gacc
+
+    def stats(tile):
+        return _chunk_stats(theta_values, design_values, labels0, eps, tile,
                             want_grad, want_assign)
 
-    if threads > 1 and len(slices) > 1:
-        total = _pool_fold(stats, slices, threads)
+    if threads > 1 and len(tiles) > 1:
+        _pool_fold(stats, tiles, threads, fold)
     else:
-        total = functools.reduce(_combine, map(stats, slices))
-    lse_sum, gacc, ncorrect, e0_sum = total
+        for tile in tiles:
+            fold(tile, stats(tile))
+    lse_sum, ncorrect, e0_sum = total
     phi = lse_sum / n
-    grad = -gacc / (eps * n) if want_grad else None
+    if want_grad:
+        grad = -grad / (eps * n)
     err = 1.0 - float(ncorrect) / n if want_assign else None
     e0 = e0_sum / n if want_assign else None
-    return EvalResult(phi=phi, grad=grad, err=err, e0=e0)
+    return EvalResult(phi=phi, grad=grad, err=err, e0=e0, pairs=pairs)
 
 
 def evaluate(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap, eps: float,
              *, want_grad: bool = False, want_assign: bool = False) -> EvalResult:
-    """Checked ``evaluate_objective`` of theta on a design; the gradient keeps its last column."""
+    """Checked ``evaluate_objective`` of theta on a design, on the tiles of the
+    map's grid; the gradient keeps its last column."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     _check_compatible(theta, design)
     if len(grain_map) != design.values.shape[1]:
         raise ValueError(f"grain map has {len(grain_map)} pixels, design has "
                          f"{design.values.shape[1]}")
-    return evaluate_objective(theta.values, design.values, grain_map.labels - 1, eps,
-                              want_grad=want_grad, want_assign=want_assign)
+    labels0 = grain_map.labels - 1
+    layout = tile_layout(theta.basis, grain_map.grid.points, theta.n_grains, labels0)
+    return evaluate_objective(theta.values, design.values[:, layout.order],
+                              labels0[layout.order], eps, want_grad=want_grad,
+                              want_assign=want_assign, layout=layout)
 
 
 def bounds_hold(phi: float, err: float, e0: float, eps: float,

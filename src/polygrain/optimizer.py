@@ -30,8 +30,8 @@ import numpy as np
 from .basis import (DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assemble_design_matrix,
                     park)
 from .errors import NumericalError
-from .geometry import GrainMap
-from .objective import _check_compatible, bounds_hold, evaluate_objective
+from .geometry import GrainMap, PixelGrid
+from .objective import _check_compatible, bounds_hold, evaluate_objective, tile_layout
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -161,6 +161,8 @@ class FitReport:
     n_grains: int = 0
     n_empty_grains: int = 0
     n_pixels: int = 0
+    evaluations: int = 0
+    kernel_pairs: int = 0  # pixel-grain pairs the kernel computed, over all evaluations
     gauge_residual: float = 0.0
     design_spans: bool = True
     bound_phi_err_ok: bool = True
@@ -202,9 +204,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     """
     start = time.perf_counter()
     basis = DesignBasis(config.basis_kind, config.degree)
-    design = assemble_design_matrix(basis, grain_map.grid)
     theta0 = _initial_theta(grain_map, config)
-    _check_compatible(theta0, design)
     k_dim, n_grains = theta0.values.shape
     labels0 = grain_map.labels - 1
     keep = np.bincount(labels0, minlength=n_grains) > 0
@@ -212,13 +212,22 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     slot = np.cumsum(keep) - 1  # each grain's column among the kept ones
     np.take(slot, labels0, out=labels0, mode="clip")  # in place: "clip" is unbuffered
     n_kept = int(slot[-1]) + 1
+    # The design and the labels in tile order, set once: each tile is a view.
+    points = grain_map.grid.points
+    layout = tile_layout(basis, points, n_kept, labels0)
+    design = assemble_design_matrix(basis, PixelGrid(points[layout.order]))
+    _check_compatible(theta0, design)
+    labels0 = labels0[layout.order]
+    pairs = []
 
     def unpack(u):
         return np.concatenate([u.reshape(k_dim, n_kept - 1), np.zeros((k_dim, 1))], axis=1)
 
     def evaluate(u):
         res = evaluate_objective(unpack(u), design.values, labels0, config.eps,
-                                 want_grad=True, want_assign=True, threads=config.threads)
+                                 want_grad=True, want_assign=True, threads=config.threads,
+                                 layout=layout)
+        pairs.append(res.pairs)
         return res.phi, res.grad[:, : n_kept - 1].ravel(), res.err, res.e0
 
     u = theta0.values[:, keep][:, : n_kept - 1].ravel()
@@ -320,6 +329,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     report.iterations_run = iterations
     report.stop_reason = stop_reason
     report.gauge_residual = float(np.abs(report.theta.values[:, -1]).max())
+    report.evaluations, report.kernel_pairs = len(pairs), sum(pairs)
 
     checks = [bounds_hold(p, e, e0_val, config.eps, n_kept)
               for p, e, e0_val in zip(report.phi_traj, report.err_traj, report.e0_traj)]

@@ -3,6 +3,7 @@ import pytest
 
 import polygrain as pg
 from polygrain.cli import _random_physical
+from polygrain.objective import tile_layout
 
 
 def random_pd(rng, n):
@@ -37,6 +38,13 @@ def random_theta(rng, degree, n, kind=pg.LEGENDRE, scale=1.0, gauge=pg.GAUGE_FRE
     if gauge == pg.GAUGE_LAST_ZERO:
         values[:, -1] = 0.0
     return pg.ParamMatrix(values=values, basis=basis, gauge=gauge)
+
+
+def tiled(basis, points, design_values, labels0, n_grains, side=None):
+    """(design values, 0-based labels, layout) of a problem in the kernel's tile order;
+    ``side`` x ``side`` cells, or the kernel's own partition when None."""
+    layout = tile_layout(basis, points, n_grains, labels0, side)
+    return design_values[:, layout.order], labels0[layout.order], layout
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import polygrain as pg
 from polygrain import fileio
 from polygrain.cli import main
 from polygrain.objective import evaluate_objective
-from conftest import random_apd, random_labels_map, random_pd, random_theta
+from conftest import random_apd, random_labels_map, random_pd, random_theta, tiled
 from reference import cost_matrix, hessian_block
 
 
@@ -330,11 +330,14 @@ def test_criterion_10_determinism(tmp_path, pd_recovery):
         rng.normal(0.0, s, rep.theta.values.shape) for s in (0.3, 1.0, 3.0, 10.0, 30.0)
     ]
     design = pg.assemble_design_matrix(rep.theta.basis, gm.grid)
+    # 4 x 4 tiles of 25 x 25 pixels
+    design, labels0, layout = tiled(rep.theta.basis, gm.grid.points, design.values,
+                                    gm.labels - 1, gm.n_grains, side=4)
     for values in thetas:
-        seq = evaluate_objective(values, design.values, gm.labels - 1, rep.eps,
-                                 want_grad=False, threads=1, chunk_size=1024)
-        par = evaluate_objective(values, design.values, gm.labels - 1, rep.eps,
-                                 want_grad=False, threads=4, chunk_size=1024)
+        seq = evaluate_objective(values, design, labels0, rep.eps,
+                                 want_grad=False, threads=1, layout=layout)
+        par = evaluate_objective(values, design, labels0, rep.eps,
+                                 want_grad=False, threads=4, layout=layout)
         worst = max(worst, abs(seq.phi - par.phi) / (1 + abs(seq.phi)))
     ok_parallel = worst == 0.0
 

@@ -378,6 +378,11 @@ class TestCli:
         report = json.loads((fitdir / "report.json").read_text())
         assert report["final"]["err"] <= 0.2
         assert report["checks"]["misassignment_bound_ok"]
+        kernel = report["kernel"]
+        assert kernel["evaluations"] > report["final"]["iterations_run"]
+        n_fitted = report["n_grains"] - report["n_empty_grains"]
+        assert kernel["dense_pairs"] == kernel["evaluations"] * 400 * n_fitted
+        assert 0 < kernel["pairs"] <= kernel["dense_pairs"]
 
         img = tmp_path / "labels.ppm"
         assert main(["render", "--input", str(gen / "grain_map.csv"),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polygrain as pg
-from conftest import random_labels_map, random_theta
+from conftest import random_grain_map, random_labels_map, random_theta, tiled
 from reference import accuracy_and_error, cost_matrix, energy_zero, hessian_block, soft_assign
 from polygrain.objective import evaluate_objective
 
@@ -25,6 +25,13 @@ def small_problem(rng, degree=2, n_grains=4, m=5, kind=pg.LEGENDRE):
     basis = pg.DesignBasis(kind, degree)
     design = pg.assemble_design_matrix(basis, gm.grid)
     return gm, basis, design
+
+
+def evaluate_tiled(theta_values, basis, points, design_values, labels0, eps, side, **kwargs):
+    """``evaluate_objective`` of a problem given in point order, on side x side tiles."""
+    design, labels, layout = tiled(basis, points, design_values, labels0,
+                                   theta_values.shape[1], side)
+    return evaluate_objective(theta_values, design, labels, eps, layout=layout, **kwargs)
 
 
 def assert_distributions(p, tol=1e-12):
@@ -386,20 +393,25 @@ class TestInvarianceProperties:
 
 class TestReduction:
     def test_parallel_tree_matches_sequential(self, rng):
-        gm = random_labels_map(rng, 16, 6)  # 1024 pixels, several chunks
+        gm = random_grain_map(rng, 16, 6)  # 1024 pixels in 3 x 3 tiles
         basis = pg.DesignBasis(pg.LEGENDRE, 2)
         design = pg.assemble_design_matrix(basis, gm.grid)
         theta = random_theta(rng, 2, 6)
+        design, labels0, layout = tiled(basis, gm.grid.points, design.values, gm.labels - 1,
+                                        6, side=3)
 
-        seq = evaluate_objective(theta.values, design.values, gm.labels - 1, 0.05,
-                                 want_assign=True, threads=1, chunk_size=128)
-        par = evaluate_objective(theta.values, design.values, gm.labels - 1, 0.05,
-                                 want_assign=True, threads=4, chunk_size=128)
-        # the parallel partials are folded in chunk order: bit-identical
-        assert seq.phi == par.phi
-        assert np.array_equal(seq.grad, par.grad)
-        assert seq.err == par.err
-        assert seq.e0 == par.e0
+        # at the larger scale the tiles drop grains, each tile its own
+        for values in (theta.values, 300.0 * theta.values):
+            seq = evaluate_objective(values, design, labels0, 0.05,
+                                     want_assign=True, threads=1, layout=layout)
+            par = evaluate_objective(values, design, labels0, 0.05,
+                                     want_assign=True, threads=4, layout=layout)
+            # the parallel partials are folded in tile order: bit-identical
+            assert seq.phi == par.phi
+            assert np.array_equal(seq.grad, par.grad)
+            assert seq.err == par.err
+            assert seq.e0 == par.e0
+        assert seq.pairs < 1024 * 6
 
     def test_rejects_thread_count_below_one(self, rng):
         gm, basis, design = small_problem(rng)
@@ -415,10 +427,8 @@ class TestReduction:
         design = pg.assemble_design_matrix(basis, gm.grid)
         theta = random_theta(rng, 1, 3, kind=pg.MONOMIAL)
 
-        whole = evaluate_objective(theta.values, design.values, gm.labels - 1, 0.1,
-                                   chunk_size=10 ** 9)
-        chunked = evaluate_objective(theta.values, design.values, gm.labels - 1, 0.1,
-                                     chunk_size=64)
+        whole, chunked = (evaluate_tiled(theta.values, basis, gm.grid.points, design.values,
+                                         gm.labels - 1, 0.1, side) for side in (1, 4))
         assert abs(whole.phi - chunked.phi) <= 1e-13
 
 
@@ -466,17 +476,17 @@ class TestAssignmentStats:
     # 0.3 and 3 have inexact reciprocals: the tie test must not see eps.
     @settings(max_examples=150, deadline=None)
     @given(problem=assignment_problems(), eps=st.sampled_from([1e-2, 0.3, 1.0, 3.0]),
-           small=st.integers(1, 63))
-    @example(problem=exact_tie_problem(), eps=3.0, small=5)
-    def test_err_and_e0_match_hard_assignment(self, problem, eps, small):
+           side=st.integers(2, 5))
+    @example(problem=exact_tie_problem(), eps=3.0, side=3)
+    def test_err_and_e0_match_hard_assignment(self, problem, eps, side):
         theta, gm, design = problem
         n = len(gm)
         labels = pg.argmin_labels(cost_matrix(theta, design))
         want_err = 1.0 - np.count_nonzero(labels == gm.labels) / n
         want_e0 = energy_zero(theta, design, gm)
-        for chunk_size in (min(small, n - 1), 2 * n):
-            res = evaluate_objective(theta.values, design.values, gm.labels - 1, eps,
-                                     want_assign=True, chunk_size=chunk_size)
+        for tiles in (side, 1):
+            res = evaluate_tiled(theta.values, theta.basis, gm.grid.points, design.values,
+                                 gm.labels - 1, eps, tiles, want_assign=True)
             assert res.err == want_err
             assert abs(res.e0 - want_e0) <= 1e-12 * (1.0 + abs(want_e0))
 
@@ -487,10 +497,14 @@ class TestAssignmentStats:
         values[0, 2] = np.nan
         want = pg.argmin_labels(values.T @ design.values)
         with np.errstate(invalid="ignore"):
-            res = evaluate_objective(values, design.values, gm.labels - 1, 0.1,
-                                     want_assign=True)
-        assert res.err == 1.0 - np.count_nonzero(want == gm.labels) / len(gm)
-        assert res.err < 1.0
+            results = [evaluate_objective(values, design.values, gm.labels - 1, 0.1,
+                                          want_assign=True)]
+            results += [evaluate_tiled(values, basis, gm.grid.points, design.values,
+                                       gm.labels - 1, 0.1, side, want_assign=True)
+                        for side in (1, 3)]
+        for res in results:
+            assert res.err == 1.0 - np.count_nonzero(want == gm.labels) / len(gm)
+            assert res.err < 1.0
 
 
 class TestExponentFloor:
@@ -514,9 +528,10 @@ class TestExponentFloor:
         r[g0, cols] += 1.0
         grad_ref = -(d @ r.T) / (eps * n)
 
-        res = evaluate_objective(theta, d, g0, eps, chunk_size=n)
-        assert abs(res.phi - phi_ref) <= 1e-14 * abs(phi_ref)
-        assert np.abs(res.grad - grad_ref).max() <= 1e-14 * np.abs(grad_ref).max()
+        for side in (1, 3):
+            res = evaluate_tiled(theta, basis, gm.grid.points, d, g0, eps, side)
+            assert abs(res.phi - phi_ref) <= 1e-14 * abs(phi_ref)
+            assert np.abs(res.grad - grad_ref).max() <= 1e-14 * np.abs(grad_ref).max()
 
 
 @st.composite
@@ -530,27 +545,33 @@ def kernel_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     theta = rng.normal(size=(basis.dimension, n_grains)) * draw(st.sampled_from([1.0, 1e3]))
     labels0 = rng.integers(0, n_grains, size=len(grid))
-    design = pg.assemble_design_matrix(basis, grid).values
-    return theta, design, labels0
+    return theta, basis, grid, labels0
 
 
 def below_floor_problem():
     """A 64-pixel map; at eps=1e-3, 54 of its true labels lie below the floor."""
     rng = np.random.default_rng(0)
     basis = pg.DesignBasis(pg.LEGENDRE, 2)
-    design = pg.assemble_design_matrix(basis, pg.make_grid(4)).values
+    grid = pg.make_grid(4)
     theta = rng.normal(size=(basis.dimension, 5)) * 1e3
-    return theta, design, rng.integers(0, 5, size=design.shape[1])
+    return theta, basis, grid, rng.integers(0, 5, size=len(grid))
 
 
-def longdouble_reference(theta, design, labels0, eps, chunk_size):
-    """From the float64 costs of the kernel's chunks, with the rest in
+def longdouble_reference(theta, design, labels0, eps, tiles):
+    """From the float64 costs of the kernel's tiles, with the rest in
     np.longdouble and unfloored: (phi, grad, the scale sum_x |eta(x)| |r(x)| /
-    (eps n) of the gradient's terms)."""
+    (eps n) of the gradient's terms). A GEMM over some rows need not round
+    those rows as the whole product does, so the costs of the grains that a
+    tile keeps come from the kernel's own GEMM, with the same rows and columns;
+    those of the grains it drops come from the whole product."""
     n = design.shape[1]
     cols = np.arange(n)
-    c = np.concatenate([theta.T @ design[:, lo:lo + chunk_size]
-                        for lo in range(0, n, chunk_size)], axis=1).astype(np.longdouble)
+    c = np.empty((theta.shape[1], n))
+    for sl, rows, _ in tiles:
+        c[:, sl] = theta.T @ design[:, sl]
+        if rows is not None:
+            c[rows, sl] = theta[:, rows].T @ design[:, sl]
+    c = c.astype(np.longdouble)
     z = (c.min(axis=0) - c) / np.longdouble(eps)
     e = np.exp(z)
     e_g0 = e[labels0, cols]
@@ -573,23 +594,26 @@ class TestKernelAccuracy:
     @needs_longdouble
     @settings(max_examples=150, deadline=None)
     @given(problem=kernel_problems(), eps=st.sampled_from([1e-3, 1e-2, 1.0]),
-           small=st.integers(1, 63))
-    @example(problem=below_floor_problem(), eps=1e-3, small=7)
-    def test_matches_longdouble_reference(self, problem, eps, small):
-        theta, design, labels0 = problem
-        n = design.shape[1]
-        # The floor moves each of the N weights of a pixel by at most exp(Z_FLOOR).
+           side=st.integers(2, 5))
+    @example(problem=below_floor_problem(), eps=1e-3, side=3)
+    def test_matches_longdouble_reference(self, problem, eps, side):
+        theta, basis, grid, labels0 = problem
+        # The floor moves each of the N weights of a pixel by at most exp(Z_FLOOR),
+        # and a grain that a tile drops has every weight there below it.
         floor = theta.shape[1] * math.exp(objective_module.Z_FLOOR)
-        for chunk_size in (min(small, n - 1), 2 * n):
-            phi_ref, grad_ref, grad_scale = longdouble_reference(theta, design, labels0,
-                                                                 eps, chunk_size)
+        for tiles in (side, 1):
+            design, g0, layout = tiled(basis, grid.points,
+                                       pg.assemble_design_matrix(basis, grid).values,
+                                       labels0, theta.shape[1], tiles)
+            keep = objective_module.tile_grains(layout, theta, -objective_module.Z_FLOOR * eps)
+            phi_ref, grad_ref, grad_scale = longdouble_reference(
+                theta, design, g0, eps, objective_module._tiles(layout, keep))
             # The gradient is compared relative to its largest term sum: a
             # weight exp(z) far below 1 carries the rounding of z, up to
             # |z|*2^-52 of itself.
             phi_tol = 1e-13 * abs(phi_ref) + floor
             grad_tol = 1e-13 * grad_scale.max() + floor * np.abs(design).max() / eps
-            res = evaluate_objective(theta, design, labels0, eps, want_grad=True,
-                                     chunk_size=chunk_size)
+            res = evaluate_objective(theta, design, g0, eps, want_grad=True, layout=layout)
             assert abs(res.phi - phi_ref) <= phi_tol
             assert np.abs(res.grad - grad_ref).max() <= grad_tol
 
@@ -607,6 +631,96 @@ class TestKernelAccuracy:
         want = -np.outer(design.values[:, 0], [r, -r]) / eps
         res = evaluate_objective(theta, design.values, np.array([0]), eps)
         assert np.all(np.abs(res.grad - want) <= 1e-13 * np.abs(want))
+
+
+@st.composite
+def tiled_problems(draw):
+    """Parameters in either basis with d = 1..4, on a regular grid whose side the
+    tile partition need not divide or on an unstructured point list, with
+    labels that are random or the arg-min of nearby parameters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_grains = draw(st.integers(2, 8))
+    basis = pg.DesignBasis(draw(st.sampled_from([pg.MONOMIAL, pg.LEGENDRE])),
+                           draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        grid = pg.make_grid(draw(st.integers(1, 9)))
+    else:
+        grid = pg.PixelGrid(points=rng.uniform(-0.999, 0.999, (draw(st.integers(1, 300)), 2)))
+    kind = draw(st.sampled_from(["normal", "integer", "duplicate"]))
+    if kind == "integer":
+        values = rng.integers(-2, 3, size=(basis.dimension, n_grains)).astype(np.float64)
+    else:
+        values = rng.normal(size=(basis.dimension, n_grains))
+        if kind == "duplicate":
+            values[:, rng.integers(n_grains, size=n_grains // 2 + 1)] = values[:, :1]
+    theta = pg.ParamMatrix(values * draw(st.sampled_from([1.0, 30.0, 1e6])), basis)
+    design = pg.assemble_design_matrix(basis, grid)
+    if draw(st.booleans()):
+        labels0 = rng.integers(0, n_grains, size=len(grid))
+    else:
+        near = theta.values + rng.normal(0.0, 0.1, theta.values.shape) * np.abs(theta.values)
+        labels0 = pg.argmin_labels(near.T @ design.values) - 1
+    return theta, grid, design, labels0
+
+
+class TestTileCertificate:
+    """The tiles partition the points, and a grain that a tile drops is one whose
+    exponents all lie below Z_FLOOR there (the kernel) or that ties nowhere there
+    (arg-min labels), by the dense costs of tests/reference.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
+           side=st.integers(1, 6))
+    def test_dropped_grains_lie_below_the_floor(self, problem, eps, side):
+        theta, grid, design, labels0 = problem
+        costs = cost_matrix(theta, design)
+        m = costs.min(axis=0)
+        for labels, cut in ((labels0, -objective_module.Z_FLOOR * eps), (None, 0.0)):
+            layout = objective_module.tile_layout(theta.basis, grid.points, theta.n_grains,
+                                                  labels, side)
+            assert np.array_equal(np.sort(layout.order), np.arange(len(grid)))
+            assert layout.bounds[0] == 0 and layout.bounds[-1] == len(grid)
+            assert np.all(np.diff(layout.bounds) > 0)
+            keep = objective_module.tile_grains(layout, theta.values, cut)
+            for t, (lo, hi) in enumerate(zip(layout.bounds[:-1], layout.bounds[1:])):
+                cols = layout.order[lo:hi]
+                dropped = ~keep[t]
+                if labels is None:
+                    tied = costs[:, cols] <= pg.geometry.tie_threshold(m[cols])
+                    assert not np.any(tied[dropped])
+                else:
+                    assert keep[t, labels[cols]].all()  # every true label
+                    z = (m[cols] - costs[:, cols]) / eps
+                    assert np.all(z[dropped] < objective_module.Z_FLOOR)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=tiled_problems(), ties=st.booleans())
+    @example(problem=(lambda theta, gm, design: (theta, gm.grid, design, None))(
+        *exact_tie_problem()), ties=False)
+    def test_hard_assign_is_the_dense_argmin(self, problem, ties):
+        theta, grid, design, _ = problem
+        if ties:  # grains 2 and 3 copy grain 1: every pixel is a three-way tie or more
+            values = theta.values.copy()
+            values[:, 1:3] = values[:, :1]
+            theta = replace(theta, values=values)
+        want = pg.argmin_labels(cost_matrix(theta, design))
+        assert np.array_equal(pg.hard_assign(theta, grid), want)
+        assert np.array_equal(pg.hard_assign(theta, grid, design), want)
+
+    def test_cells_beyond_the_chunk_width_are_cut_into_runs(self, rng):
+        points = np.concatenate([rng.uniform(0.1, 0.2, (700, 2)), rng.uniform(-1, 1, (300, 2))])
+        basis = pg.DesignBasis(pg.LEGENDRE, 2)
+        n_grains = 2000  # chunk_width(2000) = MIN_CHUNK = 256 pixels
+        layout = objective_module.tile_layout(basis, points, n_grains, side=2)
+        sizes = np.diff(layout.bounds)
+        assert sizes.max() <= objective_module.chunk_width(n_grains)
+        assert np.array_equal(np.sort(layout.order), np.arange(len(points)))
+        # the runs of one cell keep its points in their own order
+        cell = np.minimum(((points + 1.0) * 1.0).astype(int), 1) @ np.array([2, 1])
+        assert np.all(np.diff(cell[layout.order]) >= 0)
+        for c in np.unique(cell):
+            at = layout.order[cell[layout.order] == c]
+            assert np.all(np.diff(at) > 0)
 
 
 class TestKernelMemory:
@@ -635,11 +749,15 @@ class TestKernelMemory:
             tracemalloc.stop()
 
     def test_evaluation_peak_is_bounded(self, problem):
-        theta, _, design, labels0 = problem
-        peak = self.peak_bytes(lambda: evaluate_objective(
-            theta.values, design.values, labels0, 0.1, want_grad=True, want_assign=True,
-            threads=1))
-        assert peak < self.LIMIT
+        theta, grid, design, labels0 = problem
+        # the kernel's 8 x 8 tiles, and one cell cut into runs of chunk_width(N)
+        for side in (None, 1):
+            d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0,
+                                  self.N_GRAINS, side)
+            peak = self.peak_bytes(lambda: evaluate_objective(
+                theta.values, d, g0, 0.1, want_grad=True, want_assign=True, threads=1,
+                layout=layout))
+            assert peak < self.LIMIT
 
     def test_hard_assign_peak_is_bounded(self, problem):
         theta, grid, design, _ = problem
@@ -647,12 +765,15 @@ class TestKernelMemory:
         assert peak < self.LIMIT
 
 
-def thread_problem(rng, m=16):
-    """(theta, design, 0-based labels) for a 4M^2-pixel map of six grains."""
-    gm = random_labels_map(rng, m, 6)
+def thread_problem(rng, m=16, tile_pixels=128):
+    """(theta, design, 0-based labels, layout) for a 4M^2-pixel diagram map of six
+    grains, in square tiles of about ``tile_pixels`` pixels."""
+    gm = random_grain_map(rng, m, 6)
     basis = pg.DesignBasis(pg.LEGENDRE, 2)
     design = pg.assemble_design_matrix(basis, gm.grid)
-    return random_theta(rng, 2, 6, scale=3.0).values, design.values, gm.labels - 1
+    side = math.ceil(math.sqrt(len(gm) / tile_pixels))
+    return (random_theta(rng, 2, 6, scale=3.0).values,
+            *tiled(basis, gm.grid.points, design.values, gm.labels - 1, 6, side))
 
 
 class TestThreadPath:
@@ -661,24 +782,26 @@ class TestThreadPath:
         if request.param == "blas not found":
             monkeypatch.setattr(objective_module, "_blas_threads", lambda: None)
 
-    @pytest.mark.parametrize("chunk_size", [128, 1024])
-    def test_every_thread_count_is_bit_identical(self, rng, blas_lookup, chunk_size):
-        theta, design, labels0 = thread_problem(rng, m=32)  # 4096 pixels
-        seq, *par = [evaluate_objective(theta, design, labels0, 0.05, want_assign=True,
-                                        threads=threads, chunk_size=chunk_size)
-                     for threads in (1, 2, 3)]
-        for res in par:
-            assert res.phi == seq.phi
-            assert np.array_equal(res.grad, seq.grad)
-            assert res.err == seq.err
-            assert res.e0 == seq.e0
+    @pytest.mark.parametrize("tile_pixels", [128, 1024])
+    def test_every_thread_count_is_bit_identical(self, rng, blas_lookup, tile_pixels):
+        theta, design, labels0, layout = thread_problem(rng, 32, tile_pixels)  # 4096 pixels
+        # at the larger scale the tiles drop grains, each tile its own
+        for values in (theta, 100.0 * theta):
+            seq, *par = [evaluate_objective(values, design, labels0, 0.05, want_assign=True,
+                                            threads=threads, layout=layout)
+                         for threads in (1, 2, 3)]
+            for res in par:
+                assert res.phi == seq.phi
+                assert np.array_equal(res.grad, seq.grad)
+                assert res.err == seq.err
+                assert res.e0 == seq.e0
 
     def test_blas_runs_single_threaded_in_the_pool_and_is_restored(self, rng, monkeypatch):
         blas = objective_module._blas_threads()
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS that exposes its thread count")
         get, set_ = blas
-        theta, design, labels0 = thread_problem(rng)
+        theta, design, labels0, layout = thread_problem(rng)
         seen = []
         chunk_stats = objective_module._chunk_stats
 
@@ -691,16 +814,16 @@ class TestThreadPath:
         set_(2)
         try:
             before = get()
-            evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+            evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
             assert seen and set(seen) == {1}
             assert get() == before
             # labels too short for the design: the last chunk raises in a worker
             with pytest.raises(ValueError):
                 evaluate_objective(theta, design, labels0[:-10], 0.1, threads=2,
-                                   chunk_size=128)
+                                   layout=layout)
             assert get() == before
             seen.clear()
-            evaluate_objective(theta, design, labels0, 0.1, threads=1, chunk_size=128)
+            evaluate_objective(theta, design, labels0, 0.1, threads=1, layout=layout)
             assert set(seen) == {before}  # the sequential path leaves BLAS alone
         finally:
             set_(original)
@@ -709,7 +832,7 @@ class TestThreadPath:
         # A fake BLAS count and a lock that reports arrivals. Evaluation A holds
         # its first chunk until B arrives at the lock or, unguarded, reads the
         # count; without the lock B saves the 1 that A has set.
-        theta, design, labels0 = thread_problem(rng)
+        theta, design, labels0, layout = thread_problem(rng)
         count, seen = [4], []
         a_in_map, b_arrived, gate = threading.Event(), threading.Event(), threading.Lock()
 
@@ -747,7 +870,7 @@ class TestThreadPath:
         monkeypatch.setattr(objective_module, "_chunk_stats", spy)
 
         def run():
-            evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+            evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
 
         a = threading.Thread(target=run)
         a.start()
@@ -761,7 +884,7 @@ class TestThreadPath:
         assert count[0] == 4
 
     def test_pool_persists_across_evaluations(self, rng, monkeypatch):
-        theta, design, labels0 = thread_problem(rng)
+        theta, design, labels0, layout = thread_problem(rng)
         workers = set()
         chunk_stats = objective_module._chunk_stats
 
@@ -769,33 +892,33 @@ class TestThreadPath:
             workers.add(threading.current_thread())
             return chunk_stats(*args)
 
-        evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+        evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
         before = threading.active_count()
         monkeypatch.setattr(objective_module, "_chunk_stats", spy)
         for _ in range(50):
-            evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+            evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
         assert threading.active_count() == before
         assert 1 <= len(workers) <= 2  # the same two threads, not a pool per call
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_evaluates_in_its_own_pool(self, rng):
-        theta, design, labels0 = thread_problem(rng)
-        want = evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
-        code = forked_evaluation_exit_code(theta, design, labels0, want)
+        theta, design, labels0, layout = thread_problem(rng)
+        want = evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
+        code = forked_evaluation_exit_code(theta, design, labels0, layout, want)
         assert code is not None, "a forked child deadlocked on the parent's pool"
         assert code == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_a_free_blas_lock(self, rng):
-        theta, design, labels0 = thread_problem(rng)
-        want = evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+        theta, design, labels0, layout = thread_problem(rng)
+        want = evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
         with objective_module._blas_lock:  # as if another thread were evaluating
-            code = forked_evaluation_exit_code(theta, design, labels0, want)
+            code = forked_evaluation_exit_code(theta, design, labels0, layout, want)
         assert code is not None, "a forked child deadlocked on a copied BLAS lock"
         assert code == 0
 
 
-def forked_evaluation_exit_code(theta, design, labels0, want, timeout=30.0):
+def forked_evaluation_exit_code(theta, design, labels0, layout, want, timeout=30.0):
     """Exit code of a forked child that evaluates with threads=2 and compares
     phi with ``want``; None if it has not finished within ``timeout`` s."""
     with warnings.catch_warnings():
@@ -803,7 +926,7 @@ def forked_evaluation_exit_code(theta, design, labels0, want, timeout=30.0):
         pid = os.fork()
     if pid == 0:
         try:
-            got = evaluate_objective(theta, design, labels0, 0.1, threads=2, chunk_size=128)
+            got = evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
             os._exit(0 if got.phi == want.phi else 1)
         finally:
             os._exit(2)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ import pytest
 import polygrain as pg
 from polygrain.objective import evaluate_objective
 from polygrain.optimizer import LineEval, line_search
-from conftest import random_grain_map, random_labels_map, random_pd
+from conftest import random_apd, random_grain_map, random_labels_map, random_pd
 from reference import accuracy_and_error, soft_assign
+
+# ``pg.objective`` is the function of that name; the module holds the tiles.
+objective_module = sys.modules["polygrain.objective"]
 
 
 class TestLineSearch:
@@ -256,8 +260,8 @@ class TestEmptyGrains:
     @pytest.mark.parametrize("init", ["zero", "heuristic"])
     @pytest.mark.parametrize("last", [False, True], ids=["interior", "last"])
     def test_fit_parks_dropped_grains(self, last, init):
-        # 33 owning grains of 35 give chunks of 3971 pixels: the 6400-pixel map
-        # has two, so threads=2 runs the pool
+        # 33 owning grains of 35 give tiles of at most 3971 pixels: the 6400-pixel
+        # map is one cell cut into two runs, so threads=2 runs the pool
         gm = with_empty_grains(np.random.default_rng(4), 40, 40, [3, 17])
         if last:
             gm = pg.GrainMap(grid=gm.grid, labels=gm.labels, n_grains=gm.n_grains + 1)
@@ -281,6 +285,23 @@ class TestEmptyGrains:
         assert np.array_equal(rep.theta.values, other.theta.values)
         assert (rep.phi_traj, rep.err_traj, rep.e0_traj) == (
             other.phi_traj, other.err_traj, other.e0_traj)
+        assert (rep.evaluations, rep.kernel_pairs) == (other.evaluations, other.kernel_pairs)
+        assert rep.kernel_pairs <= rep.evaluations * len(gm) * (gm.n_grains - len(dropped))
+
+    def test_labelling_keeps_no_parked_grain_on_any_tile(self):
+        # 110 of these 200 grains own no pixel. After 20 iterations, on 2 of the
+        # 16 tiles the grain of least cost at the centre rises above the parked
+        # cost 1 somewhere, so it cannot certify the parked grains away; the
+        # grain of least upper bound can.
+        gm = pg.generate_apd(random_apd(np.random.default_rng(5), 200), pg.make_grid(50))
+        rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=20, init="heuristic"))
+        parked = np.bincount(gm.labels - 1, minlength=gm.n_grains) == 0
+        parked[-1] = False
+        assert rep.n_empty_grains == parked.sum() > 0
+        layout = objective_module.tile_layout(rep.theta.basis, gm.grid.points, gm.n_grains)
+        keep = objective_module.tile_grains(layout, rep.theta.values, 0.0)
+        assert not keep[:, parked].any()
+        assert keep.sum() < keep.size
 
     def test_map_without_empty_grains_drops_none(self, rng):
         gm = random_grain_map(rng, 6, 4)
