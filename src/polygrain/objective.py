@@ -28,10 +28,14 @@ moves phi and the gradient by no more than the floor already does. The cut
 also exceeds the tie tolerance, so the arg-min grain and every grain tied
 with it are kept, and err and E0 are exact.
 
-The tile partial sums are folded left to right in tile order, also when a
-persistent thread pool computes them with OpenBLAS on one thread; the tiles
-and their grains are fixed before the pool runs, so every thread count gives
-bit-identical results.
+Tiles that keep few grains share a kernel call. ``_batches`` sorts the tiles
+by their count of kept grains and packs them into batches of about
+BATCH_BYTES, and ``_chunk_stats`` runs the element-wise passes once per batch
+on a padded rows x pixels buffer. Each tile sums its own pixels, so its
+partial sums have the same bits in any batch. They are folded left to right in
+tile order, also when a persistent thread pool computes the batches with
+OpenBLAS on one thread; the tiles, their grains and the batches are fixed
+before the pool runs, so every thread count gives bit-identical results.
 
 Every pass over all grains and all pixels goes through that tiled kernel:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
@@ -66,6 +70,14 @@ CHUNK_BYTES = 1 << 20
 # pixels (K=6, one thread, 2-core Xeon VM) widths of 65, 256 and 512 evaluated
 # within noise.
 MIN_CHUNK = 256
+# Bytes of one kernel call over a batch of tiles (``_batches``): its padded
+# rows x pixels buffer and its per-pixel vectors. Each pool thread's allocator
+# keeps the largest batch it has run, which adds to the peak RSS. Many-grains
+# at the 20-iteration theta (2-vCPU VM, one interleaved run; ms per evaluation
+# at one and two threads, then the peak RSS of the fit at --threads 2, 63.4 MB
+# with one call per tile): 512 KiB 10.4 / 10.6 ms, 63.4 MB; 1 MiB 9.9 / 10.1
+# ms, 63.8 MB; 2 MiB 10.2 / 10.4 ms, 66.3 MB.
+BATCH_BYTES = CHUNK_BYTES
 
 # Floor of the softmax exponent z = (m - c)/eps, and the cut of the tile
 # certificate: a grain is dropped from a tile only where all its exponents lie
@@ -272,75 +284,132 @@ class EvalResult(NamedTuple):
     pairs: int  # the pixel-grain pairs the kernel computed
 
 
-def _chunk_stats(theta_values, design_values, labels0, eps, tile, want_grad, want_assign):
-    """Partial sums of one tile: (sum of log p_g0, gradient product, correct, E0 sum).
+def _batches(tiles, n_grains: int) -> list[list[int]]:
+    """The tiles of each kernel call, as indices into ``tiles``.
 
-    ``tile`` is (slice, rows, slot) of ``_tiles``: the kernel runs on grains
-    ``rows`` (all if None) and the gradient product has one column per row.
-    The passes over the rows x tile buffer: the cost GEMM, min, the tie test on
-    the costs (``want_assign``), subtract, scale by -1/eps, floor, exp, the row
-    sum and the gradient GEMM (``want_grad``). The residual 1[g0] - e/s is never
-    formed. With e_g0 zeroed, rest = sum(e) and s = rest + e_g0; -rest written
-    at g0 and scaled by -1/s gives rest/s there (1 - e_g0/s without its
-    cancellation) and -e/s elsewhere. The -1/s scaling goes onto the K x tile
-    design slice.
+    Tiles are sorted by their count of kept rows (stably, so in tile order
+    among equals) and cut greedily into batches whose working set, a padded
+    rows x pixels float buffer (rows the batch's largest count) and about 8
+    float vectors per pixel, takes at most BATCH_BYTES. A tile above that on
+    its own is a batch of one.
     """
-    sl, rows, slot = tile
-    d = design_values[:, sl]
-    g0 = labels0[sl]
-    row0 = g0  # the row of each pixel's true label
-    if rows is not None:
-        theta_values = theta_values[:, rows]
-        row0 = slot[g0]  # every true label is kept
-    buf = theta_values.T @ d  # costs c; the only rows x tile float array
-    flat = buf.reshape(-1)  # a view: buf is a fresh C-ordered array
-    at_g0 = row0 * buf.shape[1] + np.arange(buf.shape[1])  # flat index of (g0, x)
-    m = buf.min(axis=0)
+    counts = [n_grains if rows is None else len(rows) for _, rows, _ in tiles]
+    batches, width = [], 0
+    for t in sorted(range(len(tiles)), key=counts.__getitem__):
+        sl = tiles[t][0]
+        if batches and 8 * (counts[t] + 8) * (width + sl.stop - sl.start) <= BATCH_BYTES:
+            batches[-1].append(t)
+            width += sl.stop - sl.start
+        else:
+            batches.append([t])
+            width = sl.stop - sl.start
+    return batches
 
-    ncorrect = 0
-    e0_sum = 0.0
+
+def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, want_assign):
+    """Partial sums of each tile of a batch: one (sum of log p_g0, gradient
+    product, correct, E0 sum) per tile.
+
+    ``batch`` lists tiles (slice, rows, slot) of ``_tiles``: a tile runs on
+    grains ``rows`` (all if None) and its gradient product has one column per
+    row. The tiles of a larger batch share one rows x pixels buffer, rows their
+    largest count and pixels their sum, each tile in its own columns. A tile's
+    unused rows cost +inf, so they set no minimum and tie with nothing, and
+    their weights are zeroed after the exp. The cost GEMM, the sums and the
+    gradient GEMM run per tile; the passes over the buffer run once: min, the
+    tie test on the costs (``want_assign``), subtract, scale by -1/eps, floor,
+    exp, the row sum and log1p. A tile sums its own columns of each per-pixel
+    term, so its partials have the same bits in any batch. A batch of one tile
+    takes its GEMM's output as the buffer, with no copy and no padding.
+
+    The residual 1[g0] - e/s is never formed. With e_g0 zeroed, rest = sum(e)
+    and s = rest + e_g0; -rest written at g0 and scaled by -1/s gives rest/s
+    there (1 - e_g0/s without its cancellation) and -e/s elsewhere. The -1/s
+    scaling goes onto the K x tile design slice.
+    """
+    thetas = [theta_values if rows is None else theta_values[:, rows] for _, rows, _ in batch]
+    labels = [labels0[sl] for sl, _, _ in batch]
+    row0 = [g if rows is None else slot[g] for g, (_, rows, slot) in zip(labels, batch)]
+    if len(batch) == 1:
+        buf = thetas[0].T @ design_values[:, batch[0][0]]  # costs c
+        spans, pads, row0 = [slice(0, buf.shape[1])], [], row0[0]
+    else:
+        bounds = list(itertools.accumulate((sl.stop - sl.start for sl, _, _ in batch),
+                                           initial=0))
+        spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        buf = np.empty((max(th.shape[1] for th in thetas), bounds[-1]))
+        for (sl, _, _), th, cols in zip(batch, thetas, spans):
+            np.matmul(th.T, design_values[:, sl], out=buf[:th.shape[1], cols])
+        pads = [(th.shape[1], cols) for th, cols in zip(thetas, spans) if th.shape[1] < len(buf)]
+        for count, cols in pads:
+            buf[count:, cols] = np.inf
+        row0 = np.concatenate(row0)  # the row of each pixel's true label
+    # buf is the only rows x pixels float array
+    width = buf.shape[1]
+    flat = buf.reshape(-1)  # a view: buf is a fresh C-ordered array
+    at_g0 = row0 * width + np.arange(width)  # flat index of (g0, x)
+    # Arrays are dropped once used: a pool thread's allocator keeps the peak
+    # of its batches, and that memory adds to the process's peak RSS.
+    del row0
+    m = buf.min(axis=0)
+    terms = np.empty((3, width))  # per pixel: z_g0, log s and c_g0 - m
+
+    ncorrect = [0] * len(batch)
     if want_assign:
         # The comparisons of argmin_labels; a pixel whose label ties alone is
         # correct, and only multi-way ties need the first tied index. Rows are
-        # kept in grain order with every tied grain, so the first tied row is
-        # the first tied grain.
+        # kept in grain order with every tied grain, and padded rows tie with
+        # nothing, so the first tied row is the first tied grain.
         thr = tie_threshold(m)
         tied = buf <= thr[None, :]
         ntied = tied.sum(axis=0, dtype=np.int32)
         c_g0 = flat[at_g0]
-        g0_tied = c_g0 <= thr
-        ncorrect = int(np.count_nonzero(g0_tied & (ntied == 1)))
-        multi = np.flatnonzero(g0_tied & (ntied > 1))
+        correct = c_g0 <= thr
+        multi = np.flatnonzero(correct & (ntied > 1))
+        correct &= ntied == 1
         if multi.size:
-            first = np.argmax(tied[:, multi], axis=0)
-            ncorrect += int(np.count_nonzero(first == row0[multi]))
+            correct[multi] = np.argmax(tied[:, multi], axis=0) == at_g0[multi] // width
         if not ntied.all():
             # A NaN threshold (from a NaN or -inf minimum) ties nothing, and
             # argmin_labels then returns grain 0.
-            ncorrect += int(np.count_nonzero((ntied == 0) & (g0 == 0)))
-        e0_sum = float((c_g0 - m).sum())
+            correct |= (ntied == 0) & (np.concatenate(labels) == 0)
+        ncorrect = np.add.reduceat(correct, [cols.start for cols in spans], dtype=np.intp)
+        np.subtract(c_g0, m, out=terms[2])
+        del thr, tied, ntied, c_g0, correct
+    else:
+        terms[2] = 0.0
 
     np.subtract(buf, m[None, :], out=buf)
     np.multiply(buf, -1.0 / eps, out=buf)  # z = (m - c)/eps
-    z_g0 = flat[at_g0]  # before the floor: a misassigned pixel may lie below it
+    terms[0] = flat[at_g0]  # z_g0, before the floor: a misassigned pixel may lie below it
     np.maximum(buf, Z_FLOOR, out=buf)
     np.exp(buf, out=buf)  # e
+    for count, cols in pads:
+        buf[count:, cols] = 0.0
     e_g0 = flat[at_g0]
     flat[at_g0] = 0.0
     rest = buf.sum(axis=0)
-    s = rest + e_g0
     # log s as log1p(s - 1): s of a confidently assigned pixel is 1 + a tiny
     # rest, which log(s) keeps only to 2^-53 absolute. e_g0 - 1 is exact for
     # e_g0 >= 1/2, and 0 where the label is the arg-min. Below 2^-54 log1p(x)
     # rounds to x, and numpy's log1p is up to 6x slower on 1e-200 < x < 1e-20.
-    x = rest + (e_g0 - 1.0)
-    lse_sum = float(z_g0.sum() - np.log1p(x, out=x, where=x >= 2.0 ** -54).sum())
+    x = np.subtract(e_g0, 1.0, out=terms[1])
+    x += rest
+    np.log1p(x, out=x, where=x >= 2.0 ** -54)
+    # Each tile sums its own columns of the terms: the row sums of a (3, tile)
+    # block add like the plain sums of its rows.
+    sums = [terms[:, cols].sum(axis=1) for cols in spans]
+    del terms, x, m
 
-    gacc = None
+    gacc = [None] * len(batch)
     if want_grad:
         flat[at_g0] = -rest
-        gacc = (d * (-1.0 / s)[None, :]) @ buf.T  # d @ (1[g0] - e/s).T
-    return lse_sum, gacc, ncorrect, e0_sum
+        e_g0 += rest  # s
+        scale = np.divide(-1.0, e_g0, out=e_g0)
+        gacc = [(design_values[:, sl] * scale[None, cols]) @ buf[:th.shape[1], cols].T
+                for (sl, _, _), th, cols in zip(batch, thetas, spans)]  # d @ (1[g0] - e/s).T
+    return [(float(z - log_s), g, int(count), float(e0))
+            for (z, log_s, e0), g, count in zip(sums, gacc, ncorrect)]
 
 
 @functools.cache
@@ -368,8 +437,10 @@ def _pool_fold(fn, items, threads: int, fold) -> None:
     persistent pool with the bundled OpenBLAS held at 1 thread.
 
     A task maps ``fn`` over consecutive items, as many as give each thread
-    about 4 tasks. On a map of many cache-sized tiles this saves most of the
-    pool's per-task cost; the fold is the same.
+    about 4 tasks; the fold is the same. On many-grains at the 20-iteration
+    theta (24 kernel batches, two threads, 2-vCPU VM) one batch per task was
+    6-8% slower per evaluation, with or without pruning; 1 or 2 tasks per
+    thread were within 5% of 4 on pruned tiles and 20% slower without pruning.
     """
     per_task = max(1, len(items) // (4 * threads))
     tasks = [items[lo:lo + per_task] for lo in range(0, len(items), per_task)]
@@ -394,10 +465,10 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     ``labels0`` are 0-based true labels, and the columns of ``design_values``
     and ``labels0`` are the points in ``layout.order``; ``layout`` must carry
     these labels. Without a layout the points are taken in their own order in
-    runs of ``chunk_width(N)``, and every run keeps every grain. Tile partial
-    sums are folded left to right in tile order; threads > 1 computes them in a
-    persistent pool with the bundled OpenBLAS on one thread, bit-identical to
-    threads == 1. Exponents are floored at ``Z_FLOOR``, and each grain a tile
+    runs of ``chunk_width(N)``, and every run keeps every grain. The tiles run
+    in kernel batches (``_batches``), and their partial sums are folded left to
+    right in tile order; threads > 1 computes the batches in a persistent pool
+    with the bundled OpenBLAS on one thread, bit-identical to threads == 1. Exponents are floored at ``Z_FLOOR``, and each grain a tile
     drops has every exponent there below it, so no weight moves by more than
     exp(Z_FLOOR).
     """
@@ -415,28 +486,35 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
 
     grad = np.zeros((k_dim, n_grains)) if want_grad else None
     total = [0.0, 0, 0.0]  # sum of log p_g0, correct pixels, E0 sum
+    ahead = {}  # partials of tiles computed before an earlier tile's
+    folded = 0
 
-    def fold(tile, part):
-        lse, gacc, ncorrect, e0 = part
-        total[0] += lse
-        total[1] += ncorrect
-        total[2] += e0
-        if want_grad:
-            rows = tile[1]
-            if rows is None:
-                grad[:] += gacc
-            else:
-                grad[:, rows] += gacc
+    def fold(batch, parts):
+        nonlocal folded
+        ahead.update(zip(batch, parts))
+        while folded in ahead:
+            lse, gacc, ncorrect, e0 = ahead.pop(folded)
+            total[0] += lse
+            total[1] += ncorrect
+            total[2] += e0
+            if want_grad:
+                rows = tiles[folded][1]
+                if rows is None:
+                    grad[:] += gacc
+                else:
+                    grad[:, rows] += gacc
+            folded += 1
 
-    def stats(tile):
-        return _chunk_stats(theta_values, design_values, labels0, eps, tile,
-                            want_grad, want_assign)
+    def stats(batch):
+        return _chunk_stats(theta_values, design_values, labels0, eps,
+                            [tiles[t] for t in batch], want_grad, want_assign)
 
-    if threads > 1 and len(tiles) > 1:
-        _pool_fold(stats, tiles, threads, fold)
+    batches = _batches(tiles, n_grains)
+    if threads > 1 and len(batches) > 1:
+        _pool_fold(stats, batches, threads, fold)
     else:
-        for tile in tiles:
-            fold(tile, stats(tile))
+        for batch in batches:
+            fold(batch, stats(batch))
     lse_sum, ncorrect, e0_sum = total
     phi = lse_sum / n
     if want_grad:

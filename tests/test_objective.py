@@ -6,6 +6,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -723,6 +724,112 @@ class TestTileCertificate:
             assert np.all(np.diff(at) > 0)
 
 
+def kernel_batches(theta_values, layout, eps):
+    """(tiles, kept rows per tile, batches) of one kernel evaluation on ``layout``."""
+    keep = objective_module.tile_grains(layout, theta_values, -objective_module.Z_FLOOR * eps)
+    tiles = objective_module._tiles(layout, keep)
+    return tiles, keep.sum(axis=1), objective_module._batches(tiles, theta_values.shape[1])
+
+
+class TestBatchedKernel:
+    """Tiles share kernel calls (``_batches``), grouped by their count of kept
+    grains; a tile's partials and the kept pairs do not depend on its batch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3]),
+           side=st.integers(1, 6), cap=st.sampled_from([0, 2 ** 11, 2 ** 14, 2 ** 17]))
+    def test_batches_partition_the_tiles_under_the_cap(self, problem, eps, side, cap):
+        theta, grid, _, labels0 = problem
+        layout = objective_module.tile_layout(theta.basis, grid.points, theta.n_grains,
+                                              labels0, side)
+        with mock.patch.object(objective_module, "BATCH_BYTES", cap):
+            tiles, counts, batches = kernel_batches(theta.values, layout, eps)
+        order = [t for batch in batches for t in batch]
+        # every tile exactly once, stably sorted by its count of kept grains
+        assert order == sorted(range(len(tiles)), key=lambda t: counts[t])
+        widths = np.diff(layout.bounds)
+        for batch in batches:
+            if len(batch) > 1:  # the rows x pixels buffer and 8 pixel vectors
+                assert 8 * (counts[batch].max() + 8) * widths[batch].sum() <= cap
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
+           side=st.integers(1, 6), cap=st.sampled_from([2 ** 11, 2 ** 14, 2 ** 20]))
+    @example(problem=(lambda theta, gm, design: (theta, gm.grid, design, gm.labels - 1))(
+        *exact_tie_problem()), eps=3.0, side=3, cap=2 ** 20)
+    def test_batches_match_one_tile_batches(self, problem, eps, side, cap):
+        theta, grid, design, labels0 = problem
+        d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0,
+                              theta.n_grains, side)
+        results = []
+        for bytes_ in (0, cap):  # 0: every tile a batch of its own
+            with mock.patch.object(objective_module, "BATCH_BYTES", bytes_):
+                results.append(evaluate_objective(theta.values, d, g0, eps, want_grad=True,
+                                                  want_assign=True, layout=layout))
+        single, batched = results
+        assert batched.err == single.err
+        assert batched.e0 == single.e0
+        _, counts, _ = kernel_batches(theta.values, layout, eps)
+        assert batched.pairs == single.pairs == int(counts @ np.diff(layout.bounds))
+        assert abs(batched.phi - single.phi) <= 1e-13 * abs(single.phi)
+        assert np.abs(batched.grad - single.grad).max() <= 1e-13 * np.abs(single.grad).max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3]),
+           side=st.integers(2, 6), cap=st.sampled_from([2 ** 11, 2 ** 14, 2 ** 20]))
+    def test_tile_partials_fold_in_tile_order(self, problem, eps, side, cap):
+        # each tile's partials have the same bits alone and in its batch, and
+        # the evaluation folds them left to right in tile order
+        theta, grid, design, labels0 = problem
+        d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0,
+                              theta.n_grains, side)
+        with mock.patch.object(objective_module, "BATCH_BYTES", cap):
+            tiles, _, batches = kernel_batches(theta.values, layout, eps)
+            res = evaluate_objective(theta.values, d, g0, eps, want_grad=True,
+                                     want_assign=True, layout=layout)
+        parts = {}
+        for batch in batches:
+            parts.update(zip(batch, objective_module._chunk_stats(
+                theta.values, d, g0, eps, [tiles[t] for t in batch], True, True)))
+        lse_sum, e0_sum, ncorrect = 0.0, 0.0, 0
+        for t, tile in enumerate(tiles):
+            lse, gacc, count, e0 = parts[t]
+            alone, = objective_module._chunk_stats(theta.values, d, g0, eps, [tile], True, True)
+            assert (lse, count, e0) == (alone[0], alone[2], alone[3])
+            assert np.abs(gacc - alone[1]).max() <= 1e-13 * max(np.abs(alone[1]).max(), 1e-300)
+            lse_sum += lse
+            e0_sum += e0
+            ncorrect += count
+        n = len(g0)
+        assert res.phi == lse_sum / n
+        assert res.e0 == e0_sum / n
+        assert res.err == 1.0 - ncorrect / n
+
+    def test_padded_rows_are_not_counted(self, rng):
+        theta, design, labels0, layout = thread_problem(rng)
+        theta = 100.0 * theta  # tiles drop grains, each tile its own
+        tiles, counts, batches = kernel_batches(theta, layout, 0.05)
+        widths = np.diff(layout.bounds)
+        padded = sum(counts[batch].max() * widths[batch].sum() for batch in batches)
+        res = evaluate_objective(theta, design, labels0, 0.05, layout=layout)
+        assert res.pairs == int(counts @ widths) < padded < len(labels0) * 6
+
+    def test_thread_counts_are_bit_identical_over_batches(self, rng):
+        theta, design, labels0, layout = thread_problem(rng, tile_pixels=256)
+        theta = 100.0 * theta
+        _, counts, batches = kernel_batches(theta, layout, 0.05)
+        assert sum(len(batch) > 1 for batch in batches) >= 2
+        assert len(np.unique(counts)) > 1
+        seq, *par = [evaluate_objective(theta, design, labels0, 0.05, want_assign=True,
+                                        threads=threads, layout=layout)
+                     for threads in (1, 2, 3)]
+        for res in par:
+            assert res.phi == seq.phi
+            assert np.array_equal(res.grad, seq.grad)
+            assert res.err == seq.err
+            assert res.e0 == seq.e0
+
+
 class TestKernelMemory:
     """The N x chunk buffer is sized by bytes, so the kernel's memory is bounded
     whatever the number of grains."""
@@ -759,15 +866,29 @@ class TestKernelMemory:
                 layout=layout))
             assert peak < self.LIMIT
 
+    def test_batched_evaluation_peak_is_bounded(self, problem):
+        theta, grid, design, _ = problem
+        theta = replace(theta, values=100.0 * theta.values)  # tiles keep about 15 grains
+        labels0 = pg.hard_assign(theta, grid, design) - 1
+        d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0, self.N_GRAINS)
+        _, _, batches = kernel_batches(theta.values, layout, 0.1)
+        assert sum(len(batch) > 1 for batch in batches) >= 2
+        peak = self.peak_bytes(lambda: evaluate_objective(
+            theta.values, d, g0, 0.1, want_grad=True, want_assign=True, threads=1,
+            layout=layout))
+        assert peak < self.LIMIT
+
     def test_hard_assign_peak_is_bounded(self, problem):
         theta, grid, design, _ = problem
         peak = self.peak_bytes(lambda: pg.hard_assign(theta, grid, design))
         assert peak < self.LIMIT
 
 
-def thread_problem(rng, m=16, tile_pixels=128):
+def thread_problem(rng, m=64, tile_pixels=128):
     """(theta, design, 0-based labels, layout) for a 4M^2-pixel diagram map of six
-    grains, in square tiles of about ``tile_pixels`` pixels."""
+    grains, in square tiles of about ``tile_pixels`` pixels. At the default size
+    an evaluation makes more than one kernel batch, so that threads > 1 runs the
+    pool."""
     gm = random_grain_map(rng, m, 6)
     basis = pg.DesignBasis(pg.LEGENDRE, 2)
     design = pg.assemble_design_matrix(basis, gm.grid)
@@ -784,7 +905,7 @@ class TestThreadPath:
 
     @pytest.mark.parametrize("tile_pixels", [128, 1024])
     def test_every_thread_count_is_bit_identical(self, rng, blas_lookup, tile_pixels):
-        theta, design, labels0, layout = thread_problem(rng, 32, tile_pixels)  # 4096 pixels
+        theta, design, labels0, layout = thread_problem(rng, tile_pixels=tile_pixels)
         # at the larger scale the tiles drop grains, each tile its own
         for values in (theta, 100.0 * theta):
             seq, *par = [evaluate_objective(values, design, labels0, 0.05, want_assign=True,
