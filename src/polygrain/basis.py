@@ -37,6 +37,13 @@ BASIS_KINDS = (MONOMIAL, LEGENDRE)
 GAUGE_FREE = "free"
 GAUGE_LAST_ZERO = "last-column-zero"
 
+# Bytes of a working buffer whose element-wise passes run in a core's L2 cache:
+# the objective kernel's N x chunk cost buffer and a chunk of design assembly.
+# On the many-grains map (N=200; 2 cores, 2 MiB L2 each) 1 MiB was the fastest
+# kernel buffer of 256 KiB to 4 MiB with two threads; 2 and 4 MiB were slower
+# with one.
+CHUNK_BYTES = 1 << 20
+
 
 def feature_count(degree: int) -> int:
     """K_d = (d+1)(d+2)/2, the number of multi-indices with |alpha| <= d."""
@@ -86,16 +93,12 @@ class DesignBasis:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Feature matrix of shape (K_d, n) for points of shape (n, 2)."""
         points = np.asarray(points, dtype=np.float64)
-        x1, x2 = points[:, 0], points[:, 1]
-        d = self.degree
-        if self.kind == MONOMIAL:
-            u1 = _power_table(d, x1)
-            u2 = _power_table(d, x2)
-        else:
-            u1 = legendre_all(d, x1)
-            u2 = legendre_all(d, x2)
-        rows = [u1[a1] * u2[a2] for a1, a2 in self.indices]
-        return np.asarray(rows)
+        table = _power_table if self.kind == MONOMIAL else legendre_all
+        u1, u2 = (table(self.degree, points[:, axis]) for axis in (0, 1))
+        out = np.empty((self.dimension, len(points)))
+        for row, (a1, a2) in enumerate(self.indices):
+            np.multiply(u1[a1], u2[a2], out=out[row])
+        return out
 
 
 def _power_table(degree: int, t: np.ndarray) -> np.ndarray:
@@ -140,14 +143,27 @@ class DesignMatrix:
 
 
 def assemble_design_matrix(basis: DesignBasis, grid: PixelGrid) -> DesignMatrix:
-    """Evaluate the design function at every grid point; computed once per fit."""
-    required = basis.dimension * len(grid) * 8
+    """Evaluate the design function at every grid point.
+
+    The K x n result is the one large allocation. It is filled in chunks of
+    points, each one ``basis.evaluate`` call whose two per-axis tables and K
+    rows take about CHUNK_BYTES; a grid of one chunk is evaluated whole. So the
+    assembly's peak is one K x n matrix plus one chunk, and the K x n bytes
+    that a ``ResourceError`` quotes are its need to within that chunk.
+    """
+    k_dim, n = basis.dimension, len(grid)
+    step = max(1, CHUNK_BYTES // (8 * (k_dim + 2 * (basis.degree + 1))))
     try:
-        values = basis.evaluate(grid.points)
+        if n <= step:  # one chunk: its own array is the result, with no copy
+            values = basis.evaluate(grid.points)
+        else:
+            values = np.empty((k_dim, n))
+            for lo in range(0, n, step):
+                values[:, lo:lo + step] = basis.evaluate(grid.points[lo:lo + step])
     except MemoryError as exc:
         raise ResourceError(
-            f"design matrix allocation failed: needs about {required} bytes "
-            f"({basis.dimension} x {len(grid)} float64)"
+            f"design matrix allocation failed: needs about {k_dim * n * 8} bytes "
+            f"({k_dim} x {n} float64)"
         ) from exc
     return DesignMatrix(values=values, basis=basis)
 

@@ -45,9 +45,10 @@ class PixelGrid:
             raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
         if pts.shape[0] == 0:
             raise ValueError("a grid needs at least one point")
-        if not np.all(np.isfinite(pts)):
+        lo, hi = pts.min(), pts.max()  # NaN if any point is NaN; no n x 2 temporaries
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("grid points must be finite")
-        if np.any(np.abs(pts) >= 1.0):
+        if lo <= -1.0 or hi >= 1.0:
             raise ValueError("grid points must lie strictly inside [-1,1]^2")
         _freeze(self, points=pts)
 

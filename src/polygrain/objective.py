@@ -57,14 +57,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import (DesignBasis, DesignMatrix, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix,
-                    basis_change_inverse)
+from .basis import (CHUNK_BYTES, DesignBasis, DesignMatrix, GAUGE_LAST_ZERO, LEGENDRE,
+                    ParamMatrix, basis_change_inverse)
 from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels, tie_threshold
 
-# Bytes of the N x chunk cost buffer, so that its passes run in a core's L2
-# cache. On the many-grains map (N=200; 2 cores, 2 MiB L2 each) 1 MiB was the
-# fastest of 256 KiB to 4 MiB with two threads; 2 and 4 MiB were slower with one.
-CHUNK_BYTES = 1 << 20
 # Fewest pixels per chunk, so that the width stays positive and the Python loop
 # over chunks bounded at any N. Its value is not tuned: at N=2000 on 65536
 # pixels (K=6, one thread, 2-core Xeon VM) widths of 65, 256 and 512 evaluated
@@ -388,7 +384,9 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
         buf[count:, cols] = 0.0
     e_g0 = flat[at_g0]
     flat[at_g0] = 0.0
-    rest = buf.sum(axis=0)
+    # numpy sums the columns of a wider buffer row by row but a lone column
+    # pairwise, so a one-pixel batch sums in row order, as inside any batch.
+    rest = buf.sum(axis=0) if width > 1 else np.cumsum(buf[:, 0])[-1:]
     # log s as log1p(s - 1): s of a confidently assigned pixel is 1 + a tiny
     # rest, which log(s) keeps only to 2^-53 absolute. e_g0 - 1 is exact for
     # e_g0 >= 1/2, and 0 where the label is the arg-min. Below 2^-54 log1p(x)

@@ -122,3 +122,23 @@ def basis_change_pair(degree):
     leg_to_mono = np.array([[float(b[i][j]) for i in range(k)] for j in range(k)])
     mono_to_leg = np.array([[float(inv[i][j]) for i in range(k)] for j in range(k)])
     return mono_to_leg, leg_to_mono
+
+
+def row_product_design(basis, points):
+    """The (K, n) design of ``basis`` at ``points`` as one whole-array construction:
+    both per-axis tables (powers, or Legendre polynomials by their three-term
+    recurrence), then one product row per multi-index, stacked."""
+    d = basis.degree
+    u = []
+    for t in (points[:, 0], points[:, 1]):
+        table = np.empty((d + 1, len(t)))
+        table[0] = 1.0
+        for m in range(d):
+            if basis.kind == "monomial":
+                table[m + 1] = table[m] * t
+            elif m == 0:
+                table[1] = t
+            else:
+                table[m + 1] = ((2 * m + 1) * t * table[m] - m * table[m - 1]) / (m + 1)
+        u.append(table)
+    return np.asarray([u[0][a1] * u[1][a2] for a1, a2 in basis.indices])

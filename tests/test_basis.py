@@ -1,10 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import legendre as npleg
 
 import polygrain as pg
-from reference import basis_change_pair, gram_condition
+from reference import basis_change_pair, gram_condition, row_product_design
 
 
 class TestMultiIndexSet:
@@ -115,6 +118,32 @@ class TestDesignMatrix:
         design = pg.assemble_design_matrix(basis, grid)
         for j in (0, 5, 16):
             assert np.array_equal(design.values[:, j], basis.evaluate(grid.points[j:j + 1])[:, 0])
+
+    @pytest.mark.parametrize("kind", [pg.MONOMIAL, pg.LEGENDRE])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 6])
+    # n below one chunk (301 points at the default size), and n not a multiple
+    # of it, also with chunks of 2 to 41 points
+    @pytest.mark.parametrize("n,chunk_bytes", [(301, 1 << 20), (40000, 1 << 20), (23, 1000)])
+    def test_chunked_assembly_equals_the_row_products(self, rng, kind, degree, n, chunk_bytes):
+        basis = pg.DesignBasis(kind, degree)
+        grid = pg.PixelGrid(points=rng.uniform(-0.999, 0.999, (n, 2)))
+        assert n % (chunk_bytes // (8 * (basis.dimension + 2 * (degree + 1)))) != 0
+        with mock.patch.object(pg.basis, "CHUNK_BYTES", chunk_bytes):
+            design = pg.assemble_design_matrix(basis, grid)
+        assert np.array_equal(design.values, row_product_design(basis, grid.points))
+
+    @pytest.mark.parametrize("kind", [pg.MONOMIAL, pg.LEGENDRE])
+    @pytest.mark.parametrize("degree", [1, 2, 6])
+    def test_assembly_peak_is_one_matrix_and_one_chunk(self, kind, degree):
+        basis = pg.DesignBasis(kind, degree)
+        grid = pg.make_grid(200)  # 160,000 points
+        tracemalloc.start()
+        try:
+            pg.assemble_design_matrix(basis, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * basis.dimension * len(grid) * 8 + 2 ** 20
 
     def test_shape_is_k_rows_by_any_columns(self):
         basis = pg.DesignBasis(pg.MONOMIAL, 1)

@@ -41,6 +41,30 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             pg.PixelGrid(points=np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    def test_validation_makes_no_point_sized_temporaries(self):
+        pts = np.ascontiguousarray(pg.make_grid(200).points)  # 160,000 points, 2.56 MB
+        tracemalloc.start()
+        try:
+            pg.PixelGrid(points=pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pts.nbytes // 16
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+        (1.0, "strictly inside"), (-1.0, "strictly inside"), (-1.5, "strictly inside")])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1)])
+    def test_each_bad_coordinate_names_its_rule(self, bad, message, at):
+        pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.0, 0.0]])
+        pts[at] = bad
+        with pytest.raises(ValueError, match=message):
+            pg.PixelGrid(points=pts)
+        pts[1 - at[0], 1 - at[1]] = -1.0  # a point on the boundary too: finiteness first
+        if message == "finite":
+            with pytest.raises(ValueError, match=message):
+                pg.PixelGrid(points=pts)
+
 
 class TestGrainMap:
     def test_length_mismatch(self):

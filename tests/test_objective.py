@@ -805,6 +805,27 @@ class TestBatchedKernel:
         assert res.e0 == e0_sum / n
         assert res.err == 1.0 - ncorrect / n
 
+    def test_one_pixel_tiles_have_their_bits_in_any_batch(self, rng):
+        # one point in each cell of a 6 x 6 partition, 16 grains kept everywhere:
+        # alone, a tile's buffer is one column of 16 rows, which numpy would sum
+        # pairwise, while a batch of several tiles sums each column row by row
+        centres = -1.0 + (np.arange(6) + 0.5) / 3.0
+        grid = pg.PixelGrid(points=np.array([(a, b) for a in centres for b in centres]))
+        theta = random_theta(rng, 2, 16)
+        labels0 = rng.integers(0, 16, size=len(grid))
+        design = pg.assemble_design_matrix(theta.basis, grid)
+        d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0, 16, 6)
+        tiles, counts, batches = kernel_batches(theta.values, layout, 0.3)
+        assert np.all(np.diff(layout.bounds) == 1) and np.all(counts == 16)
+        assert max(len(batch) for batch in batches) > 1
+        for batch in batches:
+            together = objective_module._chunk_stats(theta.values, d, g0, 0.3,
+                                                     [tiles[t] for t in batch], True, True)
+            for t, (lse, _, count, e0) in zip(batch, together):
+                alone, = objective_module._chunk_stats(theta.values, d, g0, 0.3, [tiles[t]],
+                                                       True, True)
+                assert (lse, count, e0) == (alone[0], alone[2], alone[3])
+
     def test_padded_rows_are_not_counted(self, rng):
         theta, design, labels0, layout = thread_problem(rng)
         theta = 100.0 * theta  # tiles drop grains, each tile its own
