@@ -39,9 +39,9 @@ GAUGE_LAST_ZERO = "last-column-zero"
 
 # Bytes of a working buffer whose element-wise passes run in a core's L2 cache:
 # the objective kernel's N x chunk cost buffer and a chunk of design assembly.
-# On the many-grains map (N=200; 2 cores, 2 MiB L2 each) 1 MiB was the fastest
-# kernel buffer of 256 KiB to 4 MiB with two threads; 2 and 4 MiB were slower
-# with one.
+# On the many-grains map (N=200; 2 cores, 2 MiB L2 each) a 1 MiB kernel buffer
+# was faster than 2 and 4 MiB on one thread, and the fastest of 256 KiB to 4 MiB
+# on two.
 CHUNK_BYTES = 1 << 20
 
 

@@ -75,9 +75,11 @@ def cmd_fit(args) -> int:
     init: str | object = args.init
     if init not in ("zero", "heuristic"):
         init = fileio.checked(init, coeffs_to_basis, fileio.read_theta_csv(init), args.basis)
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     config = FitConfig(degree=args.degree, basis_kind=args.basis, eps=args.eps,
                        max_iters=args.iters, memory=args.memory, init=init,
-                       record_every=args.record_every, threads=args.threads)
+                       record_every=args.record_every)
     report = fit(grain_map, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,8 +178,8 @@ def _add_fit(sub):
     p.add_argument("--init", default=FitConfig.init,
                    help="'zero', 'heuristic', or a coefficient CSV path")
     p.add_argument("--record-every", type=int, default=FitConfig.record_every)
-    p.add_argument("--threads", type=int, default=FitConfig.threads,
-                   help="threads over pixel tiles; every count gives the same bits")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: the kernel is serial (must be >= 1)")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_fit)
 

@@ -33,9 +33,7 @@ by their count of kept grains and packs them into batches of about
 BATCH_BYTES, and ``_chunk_stats`` runs the element-wise passes once per batch
 on a padded rows x pixels buffer. Each tile sums its own pixels, so its
 partial sums have the same bits in any batch. They are folded left to right in
-tile order, also when a persistent thread pool computes the batches with
-OpenBLAS on one thread; the tiles, their grains and the batches are fixed
-before the pool runs, so every thread count gives bit-identical results.
+tile order.
 
 Every pass over all grains and all pixels goes through that tiled kernel:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
@@ -46,13 +44,8 @@ paper's objective/error bounds.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -67,12 +60,11 @@ from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels, tie_threshol
 # within noise.
 MIN_CHUNK = 256
 # Bytes of one kernel call over a batch of tiles (``_batches``): its padded
-# rows x pixels buffer and its per-pixel vectors. Each pool thread's allocator
-# keeps the largest batch it has run, which adds to the peak RSS. Many-grains
-# at the 20-iteration theta (2-vCPU VM, one interleaved run; ms per evaluation
-# at one and two threads, then the peak RSS of the fit at --threads 2, 63.4 MB
-# with one call per tile): 512 KiB 10.4 / 10.6 ms, 63.4 MB; 1 MiB 9.9 / 10.1
-# ms, 63.8 MB; 2 MiB 10.2 / 10.4 ms, 66.3 MB.
+# rows x pixels buffer and its per-pixel vectors. Many-grains at the
+# 20-iteration theta (2-vCPU VM, one interleaved run; ms per evaluation with
+# the batches on one and on two threads, then the peak RSS of a fit on two
+# threads, 63.4 MB with one call per tile): 512 KiB 10.4 / 10.6 ms, 63.4 MB;
+# 1 MiB 9.9 / 10.1 ms, 63.8 MB; 2 MiB 10.2 / 10.4 ms, 66.3 MB.
 BATCH_BYTES = CHUNK_BYTES
 
 # Floor of the softmax exponent z = (m - c)/eps, and the cut of the tile
@@ -97,19 +89,14 @@ CERT_RTOL = 2.0 ** -40
 # Additive rounding allowance of the bound checks in ``bounds_hold``.
 BOUND_SLACK = 1e-12
 
-# Serialises the save -> map -> restore of the BLAS thread count in ``_pool_fold``.
-# A fork can copy it held by another thread, so the child gets a fresh one.
-_blas_lock = threading.Lock()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: globals().update(_blas_lock=threading.Lock()))
-
-
-def _check_compatible(theta: ParamMatrix, design: DesignMatrix) -> None:
+def _check_compatible(theta: ParamMatrix, design: DesignMatrix, n_points: int) -> None:
     if theta.basis != design.basis:
         raise ValueError(
             f"parameter basis ({theta.basis.kind}, d={theta.degree}) does not match "
             f"design basis ({design.basis.kind}, d={design.basis.degree})"
         )
+    if design.values.shape[1] != n_points:
+        raise ValueError(f"grid has {n_points} points, design has {design.values.shape[1]}")
 
 
 def chunk_width(n_grains: int) -> int:
@@ -260,7 +247,7 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
     tile evaluates its own columns of the basis.
     """
     if design is not None:
-        _check_compatible(theta, design)
+        _check_compatible(theta, design, len(grid))
     layout = tile_layout(theta.basis, grid.points, theta.n_grains)
     labels = np.empty(len(grid), dtype=np.int64)
     for sl, rows, _ in _tiles(layout, tile_grains(layout, theta.values, 0.0)):
@@ -315,8 +302,7 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     gradient GEMM run per tile; the passes over the buffer run once: min, the
     tie test on the costs (``want_assign``), subtract, scale by -1/eps, floor,
     exp, the row sum and log1p. A tile sums its own columns of each per-pixel
-    term, so its partials have the same bits in any batch. A batch of one tile
-    takes its GEMM's output as the buffer, with no copy and no padding.
+    term, so its partials have the same bits in any batch.
 
     The residual 1[g0] - e/s is never formed. With e_g0 zeroed, rest = sum(e)
     and s = rest + e_g0; -rest written at g0 and scaled by -1/s gives rest/s
@@ -326,26 +312,20 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     thetas = [theta_values if rows is None else theta_values[:, rows] for _, rows, _ in batch]
     labels = [labels0[sl] for sl, _, _ in batch]
     row0 = [g if rows is None else slot[g] for g, (_, rows, slot) in zip(labels, batch)]
-    if len(batch) == 1:
-        buf = thetas[0].T @ design_values[:, batch[0][0]]  # costs c
-        spans, pads, row0 = [slice(0, buf.shape[1])], [], row0[0]
-    else:
-        bounds = list(itertools.accumulate((sl.stop - sl.start for sl, _, _ in batch),
-                                           initial=0))
-        spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        buf = np.empty((max(th.shape[1] for th in thetas), bounds[-1]))
-        for (sl, _, _), th, cols in zip(batch, thetas, spans):
-            np.matmul(th.T, design_values[:, sl], out=buf[:th.shape[1], cols])
-        pads = [(th.shape[1], cols) for th, cols in zip(thetas, spans) if th.shape[1] < len(buf)]
-        for count, cols in pads:
-            buf[count:, cols] = np.inf
-        row0 = np.concatenate(row0)  # the row of each pixel's true label
+    bounds = list(itertools.accumulate((sl.stop - sl.start for sl, _, _ in batch), initial=0))
+    spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    buf = np.empty((max(th.shape[1] for th in thetas), bounds[-1]))
+    for (sl, _, _), th, cols in zip(batch, thetas, spans):
+        np.matmul(th.T, design_values[:, sl], out=buf[:th.shape[1], cols])  # costs c
+    pads = [(th.shape[1], cols) for th, cols in zip(thetas, spans) if th.shape[1] < len(buf)]
+    for count, cols in pads:
+        buf[count:, cols] = np.inf
+    row0 = np.concatenate(row0)  # the row of each pixel's true label
     # buf is the only rows x pixels float array
     width = buf.shape[1]
     flat = buf.reshape(-1)  # a view: buf is a fresh C-ordered array
     at_g0 = row0 * width + np.arange(width)  # flat index of (g0, x)
-    # Arrays are dropped once used: a pool thread's allocator keeps the peak
-    # of its batches, and that memory adds to the process's peak RSS.
+    # Arrays are dropped once used, so that few of them add to the call's peak.
     del row0
     m = buf.min(axis=0)
     terms = np.empty((3, width))  # per pixel: z_g0, log s and c_g0 - m
@@ -410,50 +390,6 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
             for (z, log_s, e0), g, count in zip(sums, gacc, ncorrect)]
 
 
-@functools.cache
-def _pool(pid: int, threads: int) -> ThreadPoolExecutor:  # per pid: a fork copies no threads
-    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="polygrain")
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or None."""
-    import ctypes
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))  # numpy has loaded it: this only gets a handle
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if get and set_:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-def _pool_fold(fn, items, threads: int, fold) -> None:
-    """``fold(item, fn(item))`` for each of ``items`` in item order, ``fn`` running in the
-    persistent pool with the bundled OpenBLAS held at 1 thread.
-
-    A task maps ``fn`` over consecutive items, as many as give each thread
-    about 4 tasks; the fold is the same. On many-grains at the 20-iteration
-    theta (24 kernel batches, two threads, 2-vCPU VM) one batch per task was
-    6-8% slower per evaluation, with or without pruning; 1 or 2 tasks per
-    thread were within 5% of 4 on pruned tiles and 20% slower without pruning.
-    """
-    per_task = max(1, len(items) // (4 * threads))
-    tasks = [items[lo:lo + per_task] for lo in range(0, len(items), per_task)]
-    get, set_ = _blas_threads() or (lambda: None, lambda count: None)
-    with _blas_lock:
-        before = get()
-        set_(1)
-        try:
-            parts = _pool(os.getpid(), threads).map(lambda task: list(map(fn, task)), tasks)
-            for item, part in zip(items, itertools.chain.from_iterable(parts)):
-                fold(item, part)
-        finally:
-            set_(before)
-
-
 def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                        labels0: np.ndarray, eps: float, *, want_grad: bool = True,
                        want_assign: bool = False, threads: int = 1,
@@ -465,10 +401,10 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     these labels. Without a layout the points are taken in their own order in
     runs of ``chunk_width(N)``, and every run keeps every grain. The tiles run
     in kernel batches (``_batches``), and their partial sums are folded left to
-    right in tile order; threads > 1 computes the batches in a persistent pool
-    with the bundled OpenBLAS on one thread, bit-identical to threads == 1. Exponents are floored at ``Z_FLOOR``, and each grain a tile
-    drops has every exponent there below it, so no weight moves by more than
-    exp(Z_FLOOR).
+    right in tile order. Exponents are floored at ``Z_FLOOR``, and each grain a
+    tile drops has every exponent there below it, so no weight moves by more
+    than exp(Z_FLOOR). ``threads`` must be >= 1 and changes nothing: the kernel
+    is serial.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -483,18 +419,18 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     pairs = n * n_grains if keep is None else int(keep.sum(axis=1) @ np.diff(layout.bounds))
 
     grad = np.zeros((k_dim, n_grains)) if want_grad else None
-    total = [0.0, 0, 0.0]  # sum of log p_g0, correct pixels, E0 sum
+    lse_sum, ncorrect, e0_sum = 0.0, 0, 0.0
     ahead = {}  # partials of tiles computed before an earlier tile's
     folded = 0
-
-    def fold(batch, parts):
-        nonlocal folded
-        ahead.update(zip(batch, parts))
+    for batch in _batches(tiles, n_grains):
+        ahead.update(zip(batch, _chunk_stats(theta_values, design_values, labels0, eps,
+                                             [tiles[t] for t in batch], want_grad,
+                                             want_assign)))
         while folded in ahead:
-            lse, gacc, ncorrect, e0 = ahead.pop(folded)
-            total[0] += lse
-            total[1] += ncorrect
-            total[2] += e0
+            lse, gacc, count, e0 = ahead.pop(folded)
+            lse_sum += lse
+            ncorrect += count
+            e0_sum += e0
             if want_grad:
                 rows = tiles[folded][1]
                 if rows is None:
@@ -502,18 +438,6 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                 else:
                     grad[:, rows] += gacc
             folded += 1
-
-    def stats(batch):
-        return _chunk_stats(theta_values, design_values, labels0, eps,
-                            [tiles[t] for t in batch], want_grad, want_assign)
-
-    batches = _batches(tiles, n_grains)
-    if threads > 1 and len(batches) > 1:
-        _pool_fold(stats, batches, threads, fold)
-    else:
-        for batch in batches:
-            fold(batch, stats(batch))
-    lse_sum, ncorrect, e0_sum = total
     phi = lse_sum / n
     if want_grad:
         grad = -grad / (eps * n)
@@ -528,10 +452,7 @@ def evaluate(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap, eps:
     map's grid; the gradient keeps its last column."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    _check_compatible(theta, design)
-    if len(grain_map) != design.values.shape[1]:
-        raise ValueError(f"grain map has {len(grain_map)} pixels, design has "
-                         f"{design.values.shape[1]}")
+    _check_compatible(theta, design, len(grain_map))
     labels0 = grain_map.labels - 1
     layout = tile_layout(theta.basis, grain_map.grid.points, theta.n_grains, labels0)
     return evaluate_objective(theta.values, design.values[:, layout.order],

@@ -131,13 +131,12 @@ class FitConfig:
     memory: int = 10
     init: str | ParamMatrix = "zero"
     record_every: int = 1
-    threads: int = 1
 
     def __post_init__(self):
         if not 0 < self.eps < math.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if min(self.degree, self.max_iters, self.memory, self.record_every, self.threads) < 1:
-            raise ValueError("degree, max_iters, memory, record_every and threads must be >= 1")
+        if min(self.degree, self.max_iters, self.memory, self.record_every) < 1:
+            raise ValueError("degree, max_iters, memory and record_every must be >= 1")
         if isinstance(self.init, str) and self.init not in ("zero", "heuristic"):
             raise ValueError("init must be 'zero', 'heuristic' or an explicit ParamMatrix")
 
@@ -200,7 +199,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     Runs up to ``config.max_iters`` accepted quasi-Newton steps; stops early
     only when the line search fails or the objective certifies a perfect
     reconstruction. Deterministic: identical inputs give identical
-    trajectories, bit-identical for every thread count.
+    trajectories.
     """
     start = time.perf_counter()
     basis = DesignBasis(config.basis_kind, config.degree)
@@ -216,7 +215,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     points = grain_map.grid.points
     layout = tile_layout(basis, points, n_kept, labels0)
     design = assemble_design_matrix(basis, PixelGrid(points[layout.order]))
-    _check_compatible(theta0, design)
+    _check_compatible(theta0, design, len(points))
     labels0 = labels0[layout.order]
     pairs = []
 
@@ -225,8 +224,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
 
     def evaluate(u):
         res = evaluate_objective(unpack(u), design.values, labels0, config.eps,
-                                 want_grad=True, want_assign=True, threads=config.threads,
-                                 layout=layout)
+                                 want_grad=True, want_assign=True, layout=layout)
         pairs.append(res.pairs)
         return res.phi, res.grad[:, : n_kept - 1].ravel(), res.err, res.e0
 

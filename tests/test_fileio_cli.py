@@ -438,6 +438,21 @@ class TestCli:
             outs.append(fileio.dumps_json(data))
         assert outs[0] == outs[1]
 
+    def test_threads_flag_changes_no_byte(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "apd", "--n", "6", "--m", "16", "--seed", "3",
+                     "--out-dir", str(gen)]) == 0
+        for sub, flags in (("plain", []), ("t2", ["--threads", "2"])):
+            assert main(["fit", "--input", str(gen / "grain_map.csv"), "--degree", "2",
+                         "--iters", "10", *flags, "--out-dir", str(tmp_path / sub)]) == 0
+        for name in ("theta.csv", "labels_fit.csv", "misassignment.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+        reports = [json.loads((tmp_path / sub / "report.json").read_text())
+                   for sub in ("plain", "t2")]
+        for report in reports:
+            report.pop("timing")
+        assert reports[0] == reports[1]
+
     def test_missing_input_gives_io_exit_code(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
                      "--out-dir", str(tmp_path)]) == 4

@@ -146,6 +146,10 @@ class TestHardAssign:
         grid = pg.make_grid(2)
         with pytest.raises(ValueError):
             pg.hard_assign(theta, grid, pg.assemble_design_matrix(basis2, grid))
+        # a design of another grid: 64 and 4 columns for the 16 points
+        for other in (pg.make_grid(4), pg.make_grid(1)):
+            with pytest.raises(ValueError, match=f"16 points, design has {len(other)}"):
+                pg.hard_assign(theta, grid, pg.assemble_design_matrix(basis1, other))
 
     def test_tie_break_prefers_smaller_index(self, rng):
         # Duplicate a column: the later copy must never win.

@@ -1,10 +1,7 @@
 import math
-import os
 import sys
 import threading
-import time
 import tracemalloc
-import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -17,7 +14,7 @@ from conftest import random_grain_map, random_labels_map, random_theta, tiled
 from reference import accuracy_and_error, cost_matrix, energy_zero, hessian_block, soft_assign
 from polygrain.objective import evaluate_objective
 
-# ``pg.objective`` is the function of that name; the module holds the thread path.
+# ``pg.objective`` is the function of that name; the module holds the kernel.
 objective_module = sys.modules["polygrain.objective"]
 
 
@@ -128,6 +125,8 @@ class TestObjective:
             for th, g, e in bad:
                 with pytest.raises(ValueError):
                     call(th, g, e)
+        with pytest.raises(ValueError):  # the unchecked kernel, labels shorter than the design
+            evaluate_objective(theta.values, design.values, gm.labels[:-10] - 1, 0.1)
 
     def test_scaling_separable_theta_drives_phi_to_zero(self, rng):
         # a diagram-generated map is perfectly reconstructed by its own theta
@@ -908,8 +907,7 @@ class TestKernelMemory:
 def thread_problem(rng, m=64, tile_pixels=128):
     """(theta, design, 0-based labels, layout) for a 4M^2-pixel diagram map of six
     grains, in square tiles of about ``tile_pixels`` pixels. At the default size
-    an evaluation makes more than one kernel batch, so that threads > 1 runs the
-    pool."""
+    an evaluation makes more than one kernel batch."""
     gm = random_grain_map(rng, m, 6)
     basis = pg.DesignBasis(pg.LEGENDRE, 2)
     design = pg.assemble_design_matrix(basis, gm.grid)
@@ -919,13 +917,8 @@ def thread_problem(rng, m=64, tile_pixels=128):
 
 
 class TestThreadPath:
-    @pytest.fixture(params=["blas found", "blas not found"])
-    def blas_lookup(self, request, monkeypatch):
-        if request.param == "blas not found":
-            monkeypatch.setattr(objective_module, "_blas_threads", lambda: None)
-
     @pytest.mark.parametrize("tile_pixels", [128, 1024])
-    def test_every_thread_count_is_bit_identical(self, rng, blas_lookup, tile_pixels):
+    def test_every_thread_count_is_bit_identical(self, rng, tile_pixels):
         theta, design, labels0, layout = thread_problem(rng, tile_pixels=tile_pixels)
         # at the larger scale the tiles drop grains, each tile its own
         for values in (theta, 100.0 * theta):
@@ -938,146 +931,19 @@ class TestThreadPath:
                 assert res.err == seq.err
                 assert res.e0 == seq.e0
 
-    def test_blas_runs_single_threaded_in_the_pool_and_is_restored(self, rng, monkeypatch):
-        blas = objective_module._blas_threads()
-        if blas is None:
-            pytest.skip("numpy bundles no OpenBLAS that exposes its thread count")
-        get, set_ = blas
+    def test_evaluations_and_fits_start_no_thread(self, rng, monkeypatch):
         theta, design, labels0, layout = thread_problem(rng)
-        seen = []
+        assert len(kernel_batches(theta, layout, 0.1)[2]) > 1
+        callers = set()
         chunk_stats = objective_module._chunk_stats
 
         def spy(*args):
-            seen.append(get())
+            callers.add(threading.current_thread())
             return chunk_stats(*args)
 
         monkeypatch.setattr(objective_module, "_chunk_stats", spy)
-        original = get()
-        set_(2)
-        try:
-            before = get()
-            evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
-            assert seen and set(seen) == {1}
-            assert get() == before
-            # labels too short for the design: the last chunk raises in a worker
-            with pytest.raises(ValueError):
-                evaluate_objective(theta, design, labels0[:-10], 0.1, threads=2,
-                                   layout=layout)
-            assert get() == before
-            seen.clear()
-            evaluate_objective(theta, design, labels0, 0.1, threads=1, layout=layout)
-            assert set(seen) == {before}  # the sequential path leaves BLAS alone
-        finally:
-            set_(original)
-
-    def test_concurrent_evaluations_restore_the_starting_count(self, rng, monkeypatch):
-        # A fake BLAS count and a lock that reports arrivals. Evaluation A holds
-        # its first chunk until B arrives at the lock or, unguarded, reads the
-        # count; without the lock B saves the 1 that A has set.
-        theta, design, labels0, layout = thread_problem(rng)
-        count, seen = [4], []
-        a_in_map, b_arrived, gate = threading.Event(), threading.Event(), threading.Lock()
-
-        def get():
-            seen.append(count[0])
-            if a_in_map.is_set():
-                b_arrived.set()
-            return count[0]
-
-        def set_(value):
-            count[0] = value
-
-        class ArrivalLock:
-            def __init__(self):
-                self.lock = threading.Lock()
-
-            def __enter__(self):
-                if a_in_map.is_set():
-                    b_arrived.set()
-                self.lock.acquire()
-
-            def __exit__(self, *exc):
-                self.lock.release()
-
-        chunk_stats = objective_module._chunk_stats
-
-        def spy(*args):
-            if gate.acquire(blocking=False):  # the first chunk of A only
-                a_in_map.set()
-                b_arrived.wait(30.0)
-            return chunk_stats(*args)
-
-        monkeypatch.setattr(objective_module, "_blas_threads", lambda: (get, set_))
-        monkeypatch.setattr(objective_module, "_blas_lock", ArrivalLock(), raising=False)
-        monkeypatch.setattr(objective_module, "_chunk_stats", spy)
-
-        def run():
-            evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
-
-        a = threading.Thread(target=run)
-        a.start()
-        assert a_in_map.wait(30.0)
-        b = threading.Thread(target=run)
-        b.start()
-        a.join(60.0)
-        b.join(60.0)
-        assert b_arrived.is_set() and not a.is_alive() and not b.is_alive()
-        assert seen == [4, 4]  # each evaluation saved the starting count
-        assert count[0] == 4
-
-    def test_pool_persists_across_evaluations(self, rng, monkeypatch):
-        theta, design, labels0, layout = thread_problem(rng)
-        workers = set()
-        chunk_stats = objective_module._chunk_stats
-
-        def spy(*args):
-            workers.add(threading.current_thread())
-            return chunk_stats(*args)
-
-        evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
         before = threading.active_count()
-        monkeypatch.setattr(objective_module, "_chunk_stats", spy)
-        for _ in range(50):
-            evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
+        evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
+        pg.fit(random_grain_map(rng, 16, 6), pg.FitConfig(degree=2, max_iters=3))
         assert threading.active_count() == before
-        assert 1 <= len(workers) <= 2  # the same two threads, not a pool per call
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_evaluates_in_its_own_pool(self, rng):
-        theta, design, labels0, layout = thread_problem(rng)
-        want = evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
-        code = forked_evaluation_exit_code(theta, design, labels0, layout, want)
-        assert code is not None, "a forked child deadlocked on the parent's pool"
-        assert code == 0
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_a_free_blas_lock(self, rng):
-        theta, design, labels0, layout = thread_problem(rng)
-        want = evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
-        with objective_module._blas_lock:  # as if another thread were evaluating
-            code = forked_evaluation_exit_code(theta, design, labels0, layout, want)
-        assert code is not None, "a forked child deadlocked on a copied BLAS lock"
-        assert code == 0
-
-
-def forked_evaluation_exit_code(theta, design, labels0, layout, want, timeout=30.0):
-    """Exit code of a forked child that evaluates with threads=2 and compares
-    phi with ``want``; None if it has not finished within ``timeout`` s."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-        pid = os.fork()
-    if pid == 0:
-        try:
-            got = evaluate_objective(theta, design, labels0, 0.1, threads=2, layout=layout)
-            os._exit(0 if got.phi == want.phi else 1)
-        finally:
-            os._exit(2)
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            return os.waitstatus_to_exitcode(status)
-        time.sleep(0.05)
-    os.kill(pid, 9)
-    os.waitpid(pid, 0)
-    return None
+        assert callers == {threading.current_thread()}  # every batch on the caller's thread
