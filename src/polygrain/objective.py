@@ -28,12 +28,11 @@ moves phi and the gradient by no more than the floor already does. The cut
 also exceeds the tie tolerance, so the arg-min grain and every grain tied
 with it are kept, and err and E0 are exact.
 
-Tiles that keep few grains share a kernel call. ``_batches`` sorts the tiles
-by their count of kept grains and packs them into batches of about
-BATCH_BYTES, and ``_chunk_stats`` runs the element-wise passes once per batch
-on a padded rows x pixels buffer. Each tile sums its own pixels, so its
-partial sums have the same bits in any batch. They are folded left to right in
-tile order.
+Tiles that keep the same number of grains share a kernel call. ``_batches``
+sorts the tiles by that count and cuts each count's tiles into batches of
+about BATCH_BYTES, and ``_chunk_stats`` runs the element-wise passes once per
+batch on a rows x pixels buffer. Each tile sums its own pixels, so its partial
+sums have the same bits in any batch; they are added up as each batch returns.
 
 Every pass over all grains and all pixels goes through that tiled kernel:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
@@ -59,11 +58,11 @@ from .geometry import TIE_RTOL, GrainMap, PixelGrid, argmin_labels, tie_threshol
 # pixels (K=6, one thread, 2-core Xeon VM) widths of 65, 256 and 512 evaluated
 # within noise.
 MIN_CHUNK = 256
-# Bytes of one kernel call over a batch of tiles (``_batches``): its padded
-# rows x pixels buffer and its per-pixel vectors. Many-grains at the
-# 20-iteration theta (2-vCPU VM, one interleaved run; ms per evaluation with
-# the batches on one and on two threads, then the peak RSS of a fit on two
-# threads, 63.4 MB with one call per tile): 512 KiB 10.4 / 10.6 ms, 63.4 MB;
+# Bytes of one kernel call over a batch of tiles (``_batches``): its rows x
+# pixels buffer and its per-pixel vectors. Many-grains at the 20-iteration
+# theta, with padded batches of mixed kept counts (2-vCPU VM, one interleaved
+# run; ms per evaluation on one and two threads, then the peak RSS of a fit on
+# two threads, 63.4 MB with one call per tile): 512 KiB 10.4 / 10.6 ms, 63.4 MB;
 # 1 MiB 9.9 / 10.1 ms, 63.8 MB; 2 MiB 10.2 / 10.4 ms, 66.3 MB.
 BATCH_BYTES = CHUNK_BYTES
 
@@ -225,13 +224,11 @@ def tile_grains(layout: TileLayout, theta_values: np.ndarray, floor_cut: float) 
     return keep
 
 
-def _tiles(layout: TileLayout, keep: np.ndarray | None):
+def _tiles(layout: TileLayout, keep: np.ndarray):
     """(slice, rows, slot) per tile: its positions, its kept grains and each grain's
     row among them; rows and slot are None where the tile keeps every grain."""
     slices = [slice(lo, hi) for lo, hi in zip(layout.bounds[:-1].tolist(),
                                               layout.bounds[1:].tolist())]
-    if keep is None:
-        return [(sl, None, None) for sl in slices]
     full = keep.all(axis=1).tolist()
     slots = np.cumsum(keep, axis=1) - 1
     return [(sl, None, None) if whole else (sl, np.flatnonzero(row), slot)
@@ -271,21 +268,21 @@ def _batches(tiles, n_grains: int) -> list[list[int]]:
     """The tiles of each kernel call, as indices into ``tiles``.
 
     Tiles are sorted by their count of kept rows (stably, so in tile order
-    among equals) and cut greedily into batches whose working set, a padded
-    rows x pixels float buffer (rows the batch's largest count) and about 8
-    float vectors per pixel, takes at most BATCH_BYTES. A tile above that on
-    its own is a batch of one.
+    among equals), and the tiles of each count are cut greedily into batches
+    whose working set, a rows x pixels float buffer and about 8 float vectors
+    per pixel, takes at most BATCH_BYTES. A tile above that on its own is a
+    batch of one.
     """
     counts = [n_grains if rows is None else len(rows) for _, rows, _ in tiles]
-    batches, width = [], 0
+    batches, width, count = [], 0, None
     for t in sorted(range(len(tiles)), key=counts.__getitem__):
         sl = tiles[t][0]
-        if batches and 8 * (counts[t] + 8) * (width + sl.stop - sl.start) <= BATCH_BYTES:
+        if counts[t] == count and 8 * (count + 8) * (width + sl.stop - sl.start) <= BATCH_BYTES:
             batches[-1].append(t)
             width += sl.stop - sl.start
         else:
             batches.append([t])
-            width = sl.stop - sl.start
+            width, count = sl.stop - sl.start, counts[t]
     return batches
 
 
@@ -293,16 +290,14 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     """Partial sums of each tile of a batch: one (sum of log p_g0, gradient
     product, correct, E0 sum) per tile.
 
-    ``batch`` lists tiles (slice, rows, slot) of ``_tiles``: a tile runs on
-    grains ``rows`` (all if None) and its gradient product has one column per
-    row. The tiles of a larger batch share one rows x pixels buffer, rows their
-    largest count and pixels their sum, each tile in its own columns. A tile's
-    unused rows cost +inf, so they set no minimum and tie with nothing, and
-    their weights are zeroed after the exp. The cost GEMM, the sums and the
-    gradient GEMM run per tile; the passes over the buffer run once: min, the
-    tie test on the costs (``want_assign``), subtract, scale by -1/eps, floor,
-    exp, the row sum and log1p. A tile sums its own columns of each per-pixel
-    term, so its partials have the same bits in any batch.
+    ``batch`` lists tiles (slice, rows, slot) of ``_tiles`` with one count of
+    rows: a tile runs on grains ``rows`` (all if None) and its gradient product
+    has one column per row. The tiles share one rows x pixels buffer, each in
+    its own columns. The cost GEMM, the sums and the gradient GEMM run per
+    tile; the passes over the buffer run once: min, the tie test on the costs
+    (``want_assign``), subtract, scale by -1/eps, floor, exp, the row sum and
+    log1p. A tile sums its own columns of each per-pixel term, so its partials
+    have the same bits in any batch.
 
     The residual 1[g0] - e/s is never formed. With e_g0 zeroed, rest = sum(e)
     and s = rest + e_g0; -rest written at g0 and scaled by -1/s gives rest/s
@@ -314,12 +309,9 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     row0 = [g if rows is None else slot[g] for g, (_, rows, slot) in zip(labels, batch)]
     bounds = list(itertools.accumulate((sl.stop - sl.start for sl, _, _ in batch), initial=0))
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    buf = np.empty((max(th.shape[1] for th in thetas), bounds[-1]))
+    buf = np.empty((thetas[0].shape[1], bounds[-1]))
     for (sl, _, _), th, cols in zip(batch, thetas, spans):
-        np.matmul(th.T, design_values[:, sl], out=buf[:th.shape[1], cols])  # costs c
-    pads = [(th.shape[1], cols) for th, cols in zip(thetas, spans) if th.shape[1] < len(buf)]
-    for count, cols in pads:
-        buf[count:, cols] = np.inf
+        np.matmul(th.T, design_values[:, sl], out=buf[:, cols])  # costs c
     row0 = np.concatenate(row0)  # the row of each pixel's true label
     # buf is the only rows x pixels float array
     width = buf.shape[1]
@@ -334,8 +326,8 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     if want_assign:
         # The comparisons of argmin_labels; a pixel whose label ties alone is
         # correct, and only multi-way ties need the first tied index. Rows are
-        # kept in grain order with every tied grain, and padded rows tie with
-        # nothing, so the first tied row is the first tied grain.
+        # kept in grain order with every tied grain, so the first tied row is
+        # the first tied grain.
         thr = tie_threshold(m)
         tied = buf <= thr[None, :]
         ntied = tied.sum(axis=0, dtype=np.int32)
@@ -360,8 +352,6 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     terms[0] = flat[at_g0]  # z_g0, before the floor: a misassigned pixel may lie below it
     np.maximum(buf, Z_FLOOR, out=buf)
     np.exp(buf, out=buf)  # e
-    for count, cols in pads:
-        buf[count:, cols] = 0.0
     e_g0 = flat[at_g0]
     flat[at_g0] = 0.0
     # numpy sums the columns of a wider buffer row by row but a lone column
@@ -384,8 +374,8 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
         flat[at_g0] = -rest
         e_g0 += rest  # s
         scale = np.divide(-1.0, e_g0, out=e_g0)
-        gacc = [(design_values[:, sl] * scale[None, cols]) @ buf[:th.shape[1], cols].T
-                for (sl, _, _), th, cols in zip(batch, thetas, spans)]  # d @ (1[g0] - e/s).T
+        gacc = [(design_values[:, sl] * scale[None, cols]) @ buf[:, cols].T
+                for (sl, _, _), cols in zip(batch, spans)]  # d @ (1[g0] - e/s).T
     return [(float(z - log_s), g, int(count), float(e0))
             for (z, log_s, e0), g, count in zip(sums, gacc, ncorrect)]
 
@@ -400,44 +390,43 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     and ``labels0`` are the points in ``layout.order``; ``layout`` must carry
     these labels. Without a layout the points are taken in their own order in
     runs of ``chunk_width(N)``, and every run keeps every grain. The tiles run
-    in kernel batches (``_batches``), and their partial sums are folded left to
-    right in tile order. Exponents are floored at ``Z_FLOOR``, and each grain a
-    tile drops has every exponent there below it, so no weight moves by more
-    than exp(Z_FLOOR). ``threads`` must be >= 1 and changes nothing: the kernel
-    is serial.
+    in kernel batches (``_batches``), whose partial sums are added up as each
+    returns. Exponents are floored at ``Z_FLOOR``, and each grain a tile drops
+    has every exponent there below it, so no weight moves by more than
+    exp(Z_FLOOR). ``threads`` must be >= 1 and changes nothing: the kernel is
+    serial.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     k_dim, n_grains = theta_values.shape
     n = design_values.shape[1]
+    if len(labels0) != n:
+        raise ValueError(f"{len(labels0)} labels for a design of {n} points")
     if layout is None:
         layout = TileLayout(None, np.append(np.arange(0, n, chunk_width(n_grains)), n))
-        keep = None
+        keep = np.ones((len(layout.bounds) - 1, n_grains), dtype=bool)
+    elif layout.labels is None:
+        raise ValueError("the kernel's layout must carry the true labels of its tiles")
     else:
         keep = tile_grains(layout, theta_values, -Z_FLOOR * eps)
     tiles = _tiles(layout, keep)
-    pairs = n * n_grains if keep is None else int(keep.sum(axis=1) @ np.diff(layout.bounds))
+    pairs = int(keep.sum(axis=1) @ np.diff(layout.bounds))
 
     grad = np.zeros((k_dim, n_grains)) if want_grad else None
     lse_sum, ncorrect, e0_sum = 0.0, 0, 0.0
-    ahead = {}  # partials of tiles computed before an earlier tile's
-    folded = 0
     for batch in _batches(tiles, n_grains):
-        ahead.update(zip(batch, _chunk_stats(theta_values, design_values, labels0, eps,
-                                             [tiles[t] for t in batch], want_grad,
-                                             want_assign)))
-        while folded in ahead:
-            lse, gacc, count, e0 = ahead.pop(folded)
+        parts = _chunk_stats(theta_values, design_values, labels0, eps,
+                             [tiles[t] for t in batch], want_grad, want_assign)
+        for t, (lse, gacc, count, e0) in zip(batch, parts):
             lse_sum += lse
             ncorrect += count
             e0_sum += e0
             if want_grad:
-                rows = tiles[folded][1]
+                rows = tiles[t][1]
                 if rows is None:
-                    grad[:] += gacc
+                    grad += gacc
                 else:
                     grad[:, rows] += gacc
-            folded += 1
     phi = lse_sum / n
     if want_grad:
         grad = -grad / (eps * n)

@@ -125,8 +125,16 @@ class TestObjective:
             for th, g, e in bad:
                 with pytest.raises(ValueError):
                     call(th, g, e)
-        with pytest.raises(ValueError):  # the unchecked kernel, labels shorter than the design
-            evaluate_objective(theta.values, design.values, gm.labels[:-10] - 1, 0.1)
+        # the unchecked kernel, labels shorter or longer than the design
+        n = len(gm)
+        for labels0 in (gm.labels[:-10] - 1, np.append(gm.labels, [1, 2, 3]) - 1):
+            with pytest.raises(ValueError, match=f"{len(labels0)} labels.* {n} "):
+                evaluate_objective(theta.values, design.values, labels0, 0.1)
+        # and a layout without true labels, whose certificate may drop a tile's
+        # true label: the kernel would then look up a row it did not compute
+        d, g0, layout = tiled(basis, gm.grid.points, design.values, gm.labels - 1, 4, 2)
+        with pytest.raises(ValueError, match="labels"):
+            evaluate_objective(theta.values, d, g0, 0.1, layout=layout._replace(labels=None))
 
     def test_scaling_separable_theta_drives_phi_to_zero(self, rng):
         # a diagram-generated map is perfectly reconstructed by its own theta
@@ -747,9 +755,13 @@ class TestBatchedKernel:
         # every tile exactly once, stably sorted by its count of kept grains
         assert order == sorted(range(len(tiles)), key=lambda t: counts[t])
         widths = np.diff(layout.bounds)
-        for batch in batches:
+        for batch, after in zip(batches, batches[1:] + [None]):
+            count = counts[batch[0]]
+            assert np.all(counts[batch] == count)  # one kept count per batch
             if len(batch) > 1:  # the rows x pixels buffer and 8 pixel vectors
-                assert 8 * (counts[batch].max() + 8) * widths[batch].sum() <= cap
+                assert 8 * (count + 8) * widths[batch].sum() <= cap
+            if after is not None and counts[after[0]] == count:  # cut only when full
+                assert 8 * (count + 8) * (widths[batch].sum() + widths[after[0]]) > cap
 
     @settings(max_examples=150, deadline=None)
     @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
@@ -776,9 +788,9 @@ class TestBatchedKernel:
     @settings(max_examples=150, deadline=None)
     @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3]),
            side=st.integers(2, 6), cap=st.sampled_from([2 ** 11, 2 ** 14, 2 ** 20]))
-    def test_tile_partials_fold_in_tile_order(self, problem, eps, side, cap):
+    def test_tile_partials_fold_in_batch_order(self, problem, eps, side, cap):
         # each tile's partials have the same bits alone and in its batch, and
-        # the evaluation folds them left to right in tile order
+        # the evaluation folds them left to right in batch order
         theta, grid, design, labels0 = problem
         d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0,
                               theta.n_grains, side)
@@ -786,23 +798,27 @@ class TestBatchedKernel:
             tiles, _, batches = kernel_batches(theta.values, layout, eps)
             res = evaluate_objective(theta.values, d, g0, eps, want_grad=True,
                                      want_assign=True, layout=layout)
-        parts = {}
-        for batch in batches:
-            parts.update(zip(batch, objective_module._chunk_stats(
-                theta.values, d, g0, eps, [tiles[t] for t in batch], True, True)))
         lse_sum, e0_sum, ncorrect = 0.0, 0.0, 0
-        for t, tile in enumerate(tiles):
-            lse, gacc, count, e0 = parts[t]
-            alone, = objective_module._chunk_stats(theta.values, d, g0, eps, [tile], True, True)
-            assert (lse, count, e0) == (alone[0], alone[2], alone[3])
-            assert np.abs(gacc - alone[1]).max() <= 1e-13 * max(np.abs(alone[1]).max(), 1e-300)
-            lse_sum += lse
-            e0_sum += e0
-            ncorrect += count
+        grad = np.zeros_like(theta.values)
+        for batch in batches:
+            together = objective_module._chunk_stats(theta.values, d, g0, eps,
+                                                     [tiles[t] for t in batch], True, True)
+            for t, (lse, gacc, count, e0) in zip(batch, together):
+                alone, = objective_module._chunk_stats(theta.values, d, g0, eps, [tiles[t]],
+                                                       True, True)
+                assert (lse, count, e0) == (alone[0], alone[2], alone[3])
+                assert np.abs(gacc - alone[1]).max() <= 1e-13 * max(np.abs(alone[1]).max(),
+                                                                    1e-300)
+                lse_sum += lse
+                e0_sum += e0
+                ncorrect += count
+                rows = tiles[t][1]
+                grad[:, slice(None) if rows is None else rows] += gacc
         n = len(g0)
         assert res.phi == lse_sum / n
         assert res.e0 == e0_sum / n
         assert res.err == 1.0 - ncorrect / n
+        assert np.array_equal(res.grad, -grad / (eps * n))
 
     def test_one_pixel_tiles_have_their_bits_in_any_batch(self, rng):
         # one point in each cell of a 6 x 6 partition, 16 grains kept everywhere:
@@ -825,15 +841,6 @@ class TestBatchedKernel:
                                                        True, True)
                 assert (lse, count, e0) == (alone[0], alone[2], alone[3])
 
-    def test_padded_rows_are_not_counted(self, rng):
-        theta, design, labels0, layout = thread_problem(rng)
-        theta = 100.0 * theta  # tiles drop grains, each tile its own
-        tiles, counts, batches = kernel_batches(theta, layout, 0.05)
-        widths = np.diff(layout.bounds)
-        padded = sum(counts[batch].max() * widths[batch].sum() for batch in batches)
-        res = evaluate_objective(theta, design, labels0, 0.05, layout=layout)
-        assert res.pairs == int(counts @ widths) < padded < len(labels0) * 6
-
     def test_thread_counts_are_bit_identical_over_batches(self, rng):
         theta, design, labels0, layout = thread_problem(rng, tile_pixels=256)
         theta = 100.0 * theta
@@ -843,6 +850,8 @@ class TestBatchedKernel:
         seq, *par = [evaluate_objective(theta, design, labels0, 0.05, want_assign=True,
                                         threads=threads, layout=layout)
                      for threads in (1, 2, 3)]
+        # only the kept pairs are computed, fewer than the dense ones
+        assert seq.pairs == int(counts @ np.diff(layout.bounds)) < len(labels0) * 6
         for res in par:
             assert res.phi == seq.phi
             assert np.array_equal(res.grad, seq.grad)
