@@ -142,24 +142,32 @@ class DesignMatrix:
         _freeze(self, values=vals)
 
 
-def assemble_design_matrix(basis: DesignBasis, grid: PixelGrid) -> DesignMatrix:
-    """Evaluate the design function at every grid point.
+def assemble_design_matrix(basis: DesignBasis, grid: PixelGrid,
+                           order: np.ndarray | None = None) -> DesignMatrix:
+    """Evaluate the design function at every grid point, column j at point
+    ``order[j]`` if an order (a permutation of the points) is given.
 
     The K x n result is the one large allocation. It is filled in chunks of
     points, each one ``basis.evaluate`` call whose two per-axis tables and K
-    rows take about CHUNK_BYTES; a grid of one chunk is evaluated whole. So the
-    assembly's peak is one K x n matrix plus one chunk, and the K x n bytes
-    that a ``ResourceError`` quotes are its need to within that chunk.
+    rows take about CHUNK_BYTES; a grid of one chunk is evaluated whole. An
+    order is followed one chunk of points at a time, never as a permuted copy
+    of the grid. So the assembly's peak is one K x n matrix plus one chunk, and
+    the K x n bytes that a ``ResourceError`` quotes are its need to within that
+    chunk.
     """
     k_dim, n = basis.dimension, len(grid)
     step = max(1, CHUNK_BYTES // (8 * (k_dim + 2 * (basis.degree + 1))))
+
+    def points(lo, hi):
+        return grid.points[lo:hi] if order is None else grid.points[order[lo:hi]]
+
     try:
         if n <= step:  # one chunk: its own array is the result, with no copy
-            values = basis.evaluate(grid.points)
+            values = basis.evaluate(points(0, n))
         else:
             values = np.empty((k_dim, n))
             for lo in range(0, n, step):
-                values[:, lo:lo + step] = basis.evaluate(grid.points[lo:lo + step])
+                values[:, lo:lo + step] = basis.evaluate(points(lo, lo + step))
     except MemoryError as exc:
         raise ResourceError(
             f"design matrix allocation failed: needs about {k_dim * n * 8} bytes "

@@ -51,17 +51,17 @@ def _random_physical(kind: str, n: int, rng: np.random.Generator, anisotropy: fl
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    grid = make_grid(args.m)  # an unallocatable grid fails before any file is made
     params = _random_physical(args.kind, args.n, np.random.default_rng(args.seed),
                               args.anisotropy)
-    grid = make_grid(args.m)
     if args.kind == "pd":
         grain_map = generate_pd(params, grid)
         theta = pd_to_theta(params)
     else:
         grain_map = generate_apd(params, grid)
         theta = apd_to_theta(params)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     fileio.write_grain_map_csv(out / "grain_map.csv", grain_map)
     fileio.write_physical_json(out / "ground_truth_physical.json", params)
     fileio.write_theta_csv(out / "ground_truth_theta.csv", theta)
@@ -87,6 +87,7 @@ def cmd_fit(args) -> int:
     fileio.write_report_json(out / "report.json", report, theta_path="theta.csv")
     design = assemble_design_matrix(report.theta.basis, grain_map.grid)
     labels_fit = hard_assign(report.theta, grain_map.grid, design)
+    del design  # the CSV writers' buffers need not wait on it
     fileio.write_labels_csv(out / "labels_fit.csv", grain_map.grid, labels_fit)
     fileio.write_misassignment_csv(out / "misassignment.csv", grain_map.grid,
                                    grain_map.labels, labels_fit)

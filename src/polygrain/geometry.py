@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceError
+
 # Two per-pixel costs count as tied when they differ by no more than this,
 # relative to the magnitude of the minimum. Exact equality is meaningless in
 # floating point, and synthetic generation needs a deterministic tie rule.
@@ -60,15 +62,25 @@ def make_grid(m: int) -> PixelGrid:
     """Regular grid of (2M)^2 pixel centres in [-1,1]^2.
 
     Point (k1,k2) sits at (-1,-1) + (1/M)(k1-1/2, k2-1/2) for k_i in
-    {1,...,2M}, ordered row-major in (k1,k2).
+    {1,...,2M}, ordered row-major in (k1,k2). The point array is allocated
+    first and filled from the 2M coordinates, so the grid needs its points and
+    O(M) bytes besides; an unallocatable grid raises ``ResourceError`` with the
+    size of its points before any array of size M exists.
     """
     m = int(m)
     if m < 1:
         raise ValueError("grid resolution M must be >= 1")
-    coords = -1.0 + (np.arange(1, 2 * m + 1) - 0.5) / m
-    x1 = np.repeat(coords, 2 * m)
-    x2 = np.tile(coords, 2 * m)
-    return PixelGrid(points=np.column_stack([x1, x2]))
+    side = 2 * m
+    try:
+        points = np.empty((side * side, 2))
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the largest array
+        raise ResourceError(f"grid allocation failed: needs about {side * side * 16} bytes "
+                            f"({side * side} x 2 float64)") from exc
+    coords = -1.0 + (np.arange(1, side + 1) - 0.5) / m
+    cells = points.reshape(side, side, 2)
+    cells[:, :, 0] = coords[:, None]
+    cells[:, :, 1] = coords[None, :]
+    return PixelGrid(points=points)
 
 
 @dataclass(frozen=True)

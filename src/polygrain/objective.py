@@ -111,7 +111,9 @@ class TileLayout(NamedTuple):
     ``scale[t] @ |theta|`` bounds each grain's |cost| there and the terms that
     the expansion rounds. ``odd[beta]`` is 1 where s^beta has an odd exponent.
     ``labels[t, i]`` is true where grain i is a true label on tile t. A layout
-    without ``expand`` certifies nothing: every tile keeps every grain.
+    without ``expand`` certifies nothing: every tile keeps every grain. The
+    kernel reads no ``order``: a caller whose arrays are already in tile order
+    may drop it.
     """
 
     order: np.ndarray | None
@@ -154,13 +156,22 @@ def tile_layout(basis: DesignBasis, points: np.ndarray, n_grains: int,
     size that hold at most that many. Each tile's box is the bounding box of
     its points. ``labels0`` (0-based, in the order of ``points``) marks the
     true labels of each tile.
+
+    Besides the points, the layout needs the cell keys and ``order``, n
+    integers each, and otherwise about CHUNK_BYTES: the keys are computed a
+    run of points at a time, the boxes and labels a run of whole tiles.
     """
     n = len(points)
     width = chunk_width(n_grains)
     if side is None:
         side = max(1, round(math.sqrt(n / width)))
-    key = sum(np.minimum(((points[:, axis] + 1.0) * (0.5 * side)).astype(np.intp), side - 1)
-              * side ** (1 - axis) for axis in (0, 1))
+    step = CHUNK_BYTES // 64  # points, whose few 8-byte temporaries take a fraction of a chunk
+    key = np.empty(n, dtype=np.intp)  # each point's cell, row-major
+    for p in range(0, n, step):
+        part = points[p:p + step]
+        key[p:p + step] = sum(
+            np.minimum(((part[:, axis] + 1.0) * (0.5 * side)).astype(np.intp), side - 1)
+            * side ** (1 - axis) for axis in (0, 1))
     order = np.argsort(key, kind="stable")
     counts = np.bincount(key, minlength=side * side)
     del key
@@ -170,17 +181,23 @@ def tile_layout(basis: DesignBasis, points: np.ndarray, n_grains: int,
     firsts = np.repeat(np.cumsum(counts) - counts, runs) + (
         np.repeat(counts, runs) * part) // np.repeat(runs, runs)
     bounds = np.append(firsts, n)
-    lo, hi = (np.column_stack([f.reduceat(points[order, axis], firsts) for axis in (0, 1)])
-              for f in (np.minimum, np.maximum))
+    lo, hi = np.empty((len(firsts), 2)), np.empty((len(firsts), 2))
+    labels = None if labels0 is None else np.zeros((len(firsts), n_grains), dtype=bool)
+    per = max(1, step // width)  # tiles, each of at most ``width`` points
+    for first in range(0, len(firsts), per):
+        tiles = slice(first, min(first + per, len(firsts)))
+        start, at = bounds[first], order[bounds[first]:bounds[tiles.stop]]
+        for axis in (0, 1):
+            lo[tiles, axis] = np.minimum.reduceat(points[at, axis], firsts[tiles] - start)
+            hi[tiles, axis] = np.maximum.reduceat(points[at, axis], firsts[tiles] - start)
+        if labels is not None:
+            sizes = np.diff(bounds[first:tiles.stop + 1])
+            labels[np.repeat(np.arange(first, tiles.stop), sizes), labels0[at]] = True
     centre = 0.5 * (lo + hi)
     # One ulp up, so that the box covers its points whatever the subtraction rounds.
     half = np.nextafter(np.maximum(hi - centre, centre - lo), np.inf)
     expand, scale = _expansion(basis, centre, half)
     odd = np.array([a1 % 2 or a2 % 2 for a1, a2 in basis.indices], dtype=np.float64)
-    labels = None
-    if labels0 is not None:
-        labels = np.zeros((len(firsts), n_grains), dtype=bool)
-        labels[np.repeat(np.arange(len(firsts)), np.diff(bounds)), labels0[order]] = True
     return TileLayout(order, bounds, expand, scale, odd, labels)
 
 
@@ -197,42 +214,60 @@ def tile_grains(layout: TileLayout, theta_values: np.ndarray, floor_cut: float) 
     grain of least upper bound on the box, which bounds m everywhere there, so
     that a grain above it on the whole box, such as a parked one, is dropped
     even where the grain of least centre cost is steep. Tiles are taken in
-    batches whose (batch, K, N) arrays hold about CHUNK_BYTES.
+    batches whose (batch, K, N) coefficients and one scratch array of their
+    size hold about CHUNK_BYTES, the working memory besides the (tiles, N) mask.
     """
     k_dim, n_grains = theta_values.shape
     keep = np.empty((len(layout.bounds) - 1, n_grains), dtype=bool)
     size = np.abs(theta_values)
-    step = max(1, CHUNK_BYTES // (8 * k_dim * n_grains))
+    flip = -layout.odd[1:, None]
+    step = max(1, CHUNK_BYTES // (16 * k_dim * n_grains))
     for lo in range(0, len(keep), step):
         batch = slice(lo, lo + step)
         coef = layout.expand[batch] @ theta_values  # (batch, K, N)
-        rest, odd = coef[:, 1:], layout.odd[1:, None]
+        rest, scratch = coef[:, 1:], np.empty((len(coef), k_dim - 1, n_grains))
         if layout.labels is None:
-            key = coef[:, 0] + np.maximum(rest, -rest * odd).sum(axis=1)  # max over the box
+            np.maximum(rest, np.multiply(rest, flip, out=scratch), out=scratch)
+            key = coef[:, 0] + scratch.sum(axis=1)  # max over the box
         else:
             key = np.where(layout.labels[batch], coef[:, 0], np.inf)
         ref = key.argmin(axis=1)
         tiles = np.arange(len(ref))
         coef -= coef[tiles, :, ref][:, :, None]  # v of c_i - c_ref
-        low = coef[:, 0] - np.maximum(-rest, rest * odd).sum(axis=1)
+        # v_0 - sum rho(v) is v_0 + sum min(v, -v * odd): no negated copy of v is made
+        np.minimum(rest, np.multiply(rest, flip, out=scratch), out=scratch)
+        low = coef[:, 0] + scratch.sum(axis=1)
+        del coef, rest, scratch, key
         bound = 1.0 + layout.scale[batch] @ size  # 1 + M_i
         cut = ((1.0 + CERT_RTOL) * np.maximum(floor_cut, 2.0 * TIE_RTOL * bound)
                + CERT_RTOL * (bound + bound[tiles, ref][:, None]))
         keep[batch] = ~(low > cut)  # a NaN bound keeps the grain
+        del low, bound, cut  # before the next batch's coefficients
     if layout.labels is not None:
         keep |= layout.labels
     return keep
 
 
 def _tiles(layout: TileLayout, keep: np.ndarray):
-    """(slice, rows, slot) per tile: its positions, its kept grains and each grain's
-    row among them; rows and slot are None where the tile keeps every grain."""
+    """(slice, rows) per tile: its positions and its kept grains in ascending
+    order, None where it keeps every grain. A tile maps its labels to rows
+    only when its batch runs (``_label_rows``), so no tiles x N table is made."""
     slices = [slice(lo, hi) for lo, hi in zip(layout.bounds[:-1].tolist(),
                                               layout.bounds[1:].tolist())]
     full = keep.all(axis=1).tolist()
-    slots = np.cumsum(keep, axis=1) - 1
-    return [(sl, None, None) if whole else (sl, np.flatnonzero(row), slot)
-            for sl, whole, row, slot in zip(slices, full, keep, slots)]
+    return [(sl, None) if whole else (sl, np.flatnonzero(row))
+            for sl, whole, row in zip(slices, full, keep)]
+
+
+def _label_rows(rows: np.ndarray | None, labels: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The row of each of a tile's ``labels`` among its kept grains ``rows``, which
+    hold every label; the labels themselves where the tile keeps every grain.
+    ``slot`` is scratch of one integer per grain: the entries of ``rows`` are
+    written, and only they are read."""
+    if rows is None:
+        return labels
+    slot[rows] = np.arange(len(rows))
+    return slot[labels]
 
 
 def hard_assign(theta: ParamMatrix, grid: PixelGrid,
@@ -247,7 +282,7 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
         _check_compatible(theta, design, len(grid))
     layout = tile_layout(theta.basis, grid.points, theta.n_grains)
     labels = np.empty(len(grid), dtype=np.int64)
-    for sl, rows, _ in _tiles(layout, tile_grains(layout, theta.values, 0.0)):
+    for sl, rows in _tiles(layout, tile_grains(layout, theta.values, 0.0)):
         cols = layout.order[sl]
         eta = theta.basis.evaluate(grid.points[cols]) if design is None else design.values[:, cols]
         theta_t = (theta.values if rows is None else theta.values[:, rows]).T
@@ -273,7 +308,7 @@ def _batches(tiles, n_grains: int) -> list[list[int]]:
     per pixel, takes at most BATCH_BYTES. A tile above that on its own is a
     batch of one.
     """
-    counts = [n_grains if rows is None else len(rows) for _, rows, _ in tiles]
+    counts = [n_grains if rows is None else len(rows) for _, rows in tiles]
     batches, width, count = [], 0, None
     for t in sorted(range(len(tiles)), key=counts.__getitem__):
         sl = tiles[t][0]
@@ -290,7 +325,7 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     """Partial sums of each tile of a batch: one (sum of log p_g0, gradient
     product, correct, E0 sum) per tile.
 
-    ``batch`` lists tiles (slice, rows, slot) of ``_tiles`` with one count of
+    ``batch`` lists tiles (slice, rows) of ``_tiles`` with one count of
     rows: a tile runs on grains ``rows`` (all if None) and its gradient product
     has one column per row. The tiles share one rows x pixels buffer, each in
     its own columns. The cost GEMM, the sums and the gradient GEMM run per
@@ -304,13 +339,14 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     there (1 - e_g0/s without its cancellation) and -e/s elsewhere. The -1/s
     scaling goes onto the K x tile design slice.
     """
-    thetas = [theta_values if rows is None else theta_values[:, rows] for _, rows, _ in batch]
-    labels = [labels0[sl] for sl, _, _ in batch]
-    row0 = [g if rows is None else slot[g] for g, (_, rows, slot) in zip(labels, batch)]
-    bounds = list(itertools.accumulate((sl.stop - sl.start for sl, _, _ in batch), initial=0))
+    thetas = [theta_values if rows is None else theta_values[:, rows] for _, rows in batch]
+    labels = [labels0[sl] for sl, _ in batch]
+    slot = np.empty(theta_values.shape[1], dtype=np.intp)
+    row0 = [_label_rows(rows, g, slot) for g, (_, rows) in zip(labels, batch)]
+    bounds = list(itertools.accumulate((sl.stop - sl.start for sl, _ in batch), initial=0))
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     buf = np.empty((thetas[0].shape[1], bounds[-1]))
-    for (sl, _, _), th, cols in zip(batch, thetas, spans):
+    for (sl, _), th, cols in zip(batch, thetas, spans):
         np.matmul(th.T, design_values[:, sl], out=buf[:, cols])  # costs c
     row0 = np.concatenate(row0)  # the row of each pixel's true label
     # buf is the only rows x pixels float array
@@ -375,7 +411,7 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
         e_g0 += rest  # s
         scale = np.divide(-1.0, e_g0, out=e_g0)
         gacc = [(design_values[:, sl] * scale[None, cols]) @ buf[:, cols].T
-                for (sl, _, _), cols in zip(batch, spans)]  # d @ (1[g0] - e/s).T
+                for (sl, _), cols in zip(batch, spans)]  # d @ (1[g0] - e/s).T
     return [(float(z - log_s), g, int(count), float(e0))
             for (z, log_s, e0), g, count in zip(sums, gacc, ncorrect)]
 
@@ -387,9 +423,9 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     """Tiled evaluation of the objective and, optionally, gradient and assignment stats.
 
     ``labels0`` are 0-based true labels, and the columns of ``design_values``
-    and ``labels0`` are the points in ``layout.order``; ``layout`` must carry
-    these labels. Without a layout the points are taken in their own order in
-    runs of ``chunk_width(N)``, and every run keeps every grain. The tiles run
+    and ``labels0`` are the points in tile order (``layout.order``); ``layout``
+    must carry these labels. Without a layout the points are taken in their own
+    order in runs of ``chunk_width(N)``, and every run keeps every grain. The tiles run
     in kernel batches (``_batches``), whose partial sums are added up as each
     returns. Exponents are floored at ``Z_FLOOR``, and each grain a tile drops
     has every exponent there below it, so no weight moves by more than

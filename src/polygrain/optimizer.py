@@ -30,7 +30,7 @@ import numpy as np
 from .basis import (DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assemble_design_matrix,
                     park)
 from .errors import NumericalError
-from .geometry import GrainMap, PixelGrid
+from .geometry import GrainMap
 from .objective import _check_compatible, bounds_hold, evaluate_objective, tile_layout
 
 WOLFE_C1 = 1e-4
@@ -211,12 +211,14 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     slot = np.cumsum(keep) - 1  # each grain's column among the kept ones
     np.take(slot, labels0, out=labels0, mode="clip")  # in place: "clip" is unbuffered
     n_kept = int(slot[-1]) + 1
-    # The design and the labels in tile order, set once: each tile is a view.
-    points = grain_map.grid.points
-    layout = tile_layout(basis, points, n_kept, labels0)
-    design = assemble_design_matrix(basis, PixelGrid(points[layout.order]))
-    _check_compatible(theta0, design, len(points))
+    # The labels and the design in tile order, set once: each tile is a view.
+    # The design is assembled through the order, and the order is then dropped:
+    # the fit holds its map, its design, its labels and the kernel's chunks.
+    layout = tile_layout(basis, grain_map.grid.points, n_kept, labels0)
     labels0 = labels0[layout.order]
+    design = assemble_design_matrix(basis, grain_map.grid, layout.order)
+    _check_compatible(theta0, design, len(grain_map))
+    layout = layout._replace(order=None)
     pairs = []
 
     def unpack(u):

@@ -491,6 +491,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("resource error:") and "bytes" in err
 
+    def test_unallocatable_grid_gives_resource_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert main(["generate", "--m", str(10 ** 8), "--out-dir", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("resource error:") and "640000000000000000 bytes" in err
+        assert not out.exists()  # nothing written, not even the directory
+
     def test_render_unstructured_rejected(self, tmp_path, rng):
         grid = pg.PixelGrid(points=rng.uniform(-0.9, 0.9, (7, 2)))
         gm = pg.GrainMap(grid=grid, labels=np.ones(7, dtype=int) + np.arange(7) % 2,

@@ -41,6 +41,25 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             pg.PixelGrid(points=np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    def test_peak_is_the_points_and_o_of_m(self):
+        m = 200  # 160,000 points, 2.56 MB
+        tracemalloc.start()
+        try:
+            grid = pg.make_grid(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.points.nbytes + 64 * m + 2 ** 16
+
+    @pytest.mark.parametrize("m", [10 ** 8, 10 ** 9])
+    def test_unallocatable_grid_raises_resource_error(self, m):
+        # 4e16 points of 16 bytes exceed any address space, so the allocation
+        # fails under every overcommit setting, and 4e18 points exceed the
+        # largest array numpy can describe; the point array is requested
+        # before any array of size M, so no page is touched
+        with pytest.raises(pg.ResourceError, match=f"needs about {64 * m * m} bytes"):
+            pg.make_grid(m)
+
     def test_validation_makes_no_point_sized_temporaries(self):
         pts = np.ascontiguousarray(pg.make_grid(200).points)  # 160,000 points, 2.56 MB
         tracemalloc.start()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import polygrain as pg
-from conftest import random_grain_map, random_labels_map, random_theta, tiled
+from conftest import random_apd, random_grain_map, random_labels_map, random_theta, tiled
 from reference import accuracy_and_error, cost_matrix, energy_zero, hessian_block, soft_assign
 from polygrain.objective import evaluate_objective
 
@@ -575,7 +575,7 @@ def longdouble_reference(theta, design, labels0, eps, tiles):
     n = design.shape[1]
     cols = np.arange(n)
     c = np.empty((theta.shape[1], n))
-    for sl, rows, _ in tiles:
+    for sl, rows in tiles:
         c[:, sl] = theta.T @ design[:, sl]
         if rows is not None:
             c[rows, sl] = theta[:, rows].T @ design[:, sl]
@@ -786,6 +786,25 @@ class TestBatchedKernel:
         assert np.abs(batched.grad - single.grad).max() <= 1e-13 * np.abs(single.grad).max()
 
     @settings(max_examples=150, deadline=None)
+    @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
+           side=st.integers(1, 6))
+    @example(problem=(lambda theta, gm, design: (theta, gm.grid, design, gm.labels - 1))(
+        *exact_tie_problem()), eps=3.0, side=3)
+    def test_one_tile_per_batch_gives_the_same_bits(self, problem, eps, side):
+        theta, grid, design, labels0 = problem
+        d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0,
+                              theta.n_grains, side)
+        results = []
+        for bytes_ in (0, objective_module.BATCH_BYTES):  # 0: every tile a batch of its own
+            with mock.patch.object(objective_module, "BATCH_BYTES", bytes_):
+                results.append(evaluate_objective(theta.values, d, g0, eps, want_grad=True,
+                                                  want_assign=True, layout=layout))
+        single, batched = results
+        assert (batched.phi, batched.err, batched.e0, batched.pairs) == (
+            single.phi, single.err, single.e0, single.pairs)
+        assert np.array_equal(batched.grad, single.grad)
+
+    @settings(max_examples=150, deadline=None)
     @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3]),
            side=st.integers(2, 6), cap=st.sampled_from([2 ** 11, 2 ** 14, 2 ** 20]))
     def test_tile_partials_fold_in_batch_order(self, problem, eps, side, cap):
@@ -859,6 +878,29 @@ class TestBatchedKernel:
             assert res.e0 == seq.e0
 
 
+class TestTileRows:
+    """Each tile maps its true labels to rows among its kept grains only when its
+    batch runs; the map is the cumulative count of the tile's keep mask."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_grains=st.integers(2, 40),
+           share=st.sampled_from([0.05, 0.5, 0.95, 1.0]))
+    def test_label_rows_equal_the_cumsum_slots(self, seed, n_grains, share):
+        rng = np.random.default_rng(seed)
+        bounds = np.unique(np.concatenate([[0, 200], rng.integers(1, 200, size=10)]))
+        keep = rng.random((len(bounds) - 1, n_grains)) < share
+        keep[np.arange(len(keep)), rng.integers(n_grains, size=len(keep))] = True
+        slots = np.cumsum(keep, axis=1) - 1
+        tiles = objective_module._tiles(objective_module.TileLayout(None, bounds), keep)
+        assert len(tiles) == len(keep)
+        slot = np.full(n_grains, -1)  # scratch shared by the tiles, as in a batch
+        for t, (sl, rows) in enumerate(tiles):
+            assert (rows is None) == keep[t].all()
+            labels = rng.choice(np.flatnonzero(keep[t]), size=sl.stop - sl.start)
+            assert np.array_equal(objective_module._label_rows(rows, labels, slot),
+                                  slots[t, labels])
+
+
 class TestKernelMemory:
     """The N x chunk buffer is sized by bytes, so the kernel's memory is bounded
     whatever the number of grains."""
@@ -911,6 +953,15 @@ class TestKernelMemory:
         theta, grid, design, _ = problem
         peak = self.peak_bytes(lambda: pg.hard_assign(theta, grid, design))
         assert peak < self.LIMIT
+
+    @pytest.mark.parametrize("n_grains", [250, 1000])
+    def test_hard_assign_peak_is_its_labels_order_and_two_chunks(self, n_grains):
+        # a diagram's labels on 40,000 points, as generate makes them; the bound
+        # has no N in it: no tiles x N integer table, no point-sized temporary
+        theta = pg.apd_to_theta(random_apd(np.random.default_rng(7), n_grains))
+        grid = pg.make_grid(100)
+        peak = self.peak_bytes(lambda: pg.hard_assign(theta, grid))
+        assert peak <= 2 * 8 * len(grid) + 2 * objective_module.CHUNK_BYTES
 
 
 def thread_problem(rng, m=64, tile_pixels=128):

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,21 @@ class TestFit:
         rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=20, eps=0.5))
         assert not rep.design_spans
         assert rep.err_final == 0.0  # fitting still works
+
+    def test_peak_is_the_design_and_the_map_sized_arrays(self):
+        # The many-grains benchmark map: 160,000 points, 93 of 200 grains own
+        # pixels. Beyond its input the fit holds the K x n design, its labels,
+        # the layout's order while the design is assembled, and two chunks.
+        gm = pg.generate_apd(random_apd(np.random.default_rng(5), 200), pg.make_grid(200))
+        config = pg.FitConfig(degree=2, max_iters=2, init="heuristic")
+        tracemalloc.start()
+        try:
+            pg.fit(gm, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design = 6 * len(gm) * 8
+        assert peak <= design + 2 * 8 * len(gm) + 2 * objective_module.CHUNK_BYTES
 
     def test_invalid_config_rejected(self):
         for eps in (0.0, math.nan, math.inf):
