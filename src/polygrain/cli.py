@@ -39,14 +39,15 @@ def _random_physical(kind: str, n: int, rng: np.random.Generator, anisotropy: fl
     if anisotropy == 0.0:
         mats = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
     else:
-        e1 = np.exp(anisotropy * strengths)
-        e2 = np.exp(-anisotropy * strengths)
         c, s = np.cos(angles), np.sin(angles)
         mats = np.empty((n, 2, 2))
-        mats[:, 0, 0] = c * c * e1 + s * s * e2
-        mats[:, 0, 1] = c * s * (e1 - e2)
-        mats[:, 1, 0] = mats[:, 0, 1]
-        mats[:, 1, 1] = s * s * e1 + c * c * e2
+        with np.errstate(over="ignore", invalid="ignore"):  # PhysicalAPD rejects non-finite
+            e1 = np.exp(anisotropy * strengths)
+            e2 = np.exp(-anisotropy * strengths)
+            mats[:, 0, 0] = c * c * e1 + s * s * e2
+            mats[:, 0, 1] = c * s * (e1 - e2)
+            mats[:, 1, 0] = mats[:, 0, 1]
+            mats[:, 1, 1] = s * s * e1 + c * c * e2
     return PhysicalAPD(seeds=seeds, weights=weights, anisotropy=mats)
 
 

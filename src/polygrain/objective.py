@@ -28,11 +28,12 @@ moves phi and the gradient by no more than the floor already does. The cut
 also exceeds the tie tolerance, so the arg-min grain and every grain tied
 with it are kept, and err and E0 are exact.
 
-Tiles that keep the same number of grains share a kernel call. ``_batches``
-sorts the tiles by that count and cuts each count's tiles into batches of
-about BATCH_BYTES, and ``_chunk_stats`` runs the element-wise passes once per
-batch on a rows x pixels buffer. Each tile sums its own pixels, so its partial
-sums have the same bits in any batch; they are added up as each batch returns.
+Tiles that keep the same number of grains share a kernel call. ``_batches``,
+the one tile plan, sorts the tiles by that count and cuts each count's tiles
+into batches of about BATCH_BYTES, and ``_chunk_stats`` runs the element-wise
+passes once per batch on a rows x pixels buffer, reading each tile's columns
+through the layout's order. Each tile sums its own pixels, so its partial sums
+have the same bits in any batch; they are added up as each batch returns.
 
 Every pass over all grains and all pixels goes through that tiled kernel:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
@@ -112,8 +113,8 @@ class TileLayout(NamedTuple):
     the expansion rounds. ``odd[beta]`` is 1 where s^beta has an odd exponent.
     ``labels[t, i]`` is true where grain i is a true label on tile t. A layout
     without ``expand`` certifies nothing: every tile keeps every grain. The
-    kernel reads no ``order``: a caller whose arrays are already in tile order
-    may drop it.
+    kernel reads a tile's columns through ``order``; a caller whose arrays are
+    already in tile order drops it, and each tile is then a slice.
     """
 
     order: np.ndarray | None
@@ -248,17 +249,6 @@ def tile_grains(layout: TileLayout, theta_values: np.ndarray, floor_cut: float) 
     return keep
 
 
-def _tiles(layout: TileLayout, keep: np.ndarray):
-    """(slice, rows) per tile: its positions and its kept grains in ascending
-    order, None where it keeps every grain. A tile maps its labels to rows
-    only when its batch runs (``_label_rows``), so no tiles x N table is made."""
-    slices = [slice(lo, hi) for lo, hi in zip(layout.bounds[:-1].tolist(),
-                                              layout.bounds[1:].tolist())]
-    full = keep.all(axis=1).tolist()
-    return [(sl, None) if whole else (sl, np.flatnonzero(row))
-            for sl, whole, row in zip(slices, full, keep)]
-
-
 def _label_rows(rows: np.ndarray | None, labels: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """The row of each of a tile's ``labels`` among its kept grains ``rows``, which
     hold every label; the labels themselves where the tile keeps every grain.
@@ -274,7 +264,7 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
                 design: DesignMatrix | None = None) -> np.ndarray:
     """Arg-min labels of the diagram induced by theta, smallest index on ties.
 
-    Costs are formed one tile of ``tile_layout`` at a time over the grains its
+    Costs are formed one tile of ``_batches`` at a time over the grains its
     certificate keeps, never as a whole N x n matrix. Without ``design`` each
     tile evaluates its own columns of the basis.
     """
@@ -282,8 +272,8 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
         _check_compatible(theta, design, len(grid))
     layout = tile_layout(theta.basis, grid.points, theta.n_grains)
     labels = np.empty(len(grid), dtype=np.int64)
-    for sl, rows in _tiles(layout, tile_grains(layout, theta.values, 0.0)):
-        cols = layout.order[sl]
+    for cols, rows in itertools.chain.from_iterable(
+            _batches(layout, tile_grains(layout, theta.values, 0.0))):
         eta = theta.basis.evaluate(grid.points[cols]) if design is None else design.values[:, cols]
         theta_t = (theta.values if rows is None else theta.values[:, rows]).T
         local = argmin_labels(theta_t @ eta)
@@ -299,25 +289,29 @@ class EvalResult(NamedTuple):
     pairs: int  # the pixel-grain pairs the kernel computed
 
 
-def _batches(tiles, n_grains: int) -> list[list[int]]:
-    """The tiles of each kernel call, as indices into ``tiles``.
+def _batches(layout: TileLayout, keep: np.ndarray) -> list[list[tuple]]:
+    """The kernel's tile plan: each kernel call as a list of tiles (cols, rows).
 
-    Tiles are sorted by their count of kept rows (stably, so in tile order
+    ``cols`` is the tile's run of ``layout.order``, or the slice of its bounds
+    without an order; ``rows`` are its kept grains in ascending order, None if
+    all. Tiles are sorted by their count of kept rows (stably, so in tile order
     among equals), and the tiles of each count are cut greedily into batches
     whose working set, a rows x pixels float buffer and about 8 float vectors
-    per pixel, takes at most BATCH_BYTES. A tile above that on its own is a
-    batch of one.
+    per pixel, takes at most BATCH_BYTES. A tile above that is a batch of one.
     """
-    counts = [n_grains if rows is None else len(rows) for _, rows in tiles]
+    bounds = layout.bounds.tolist()
+    counts = keep.sum(axis=1).tolist()
     batches, width, count = [], 0, None
-    for t in sorted(range(len(tiles)), key=counts.__getitem__):
-        sl = tiles[t][0]
-        if counts[t] == count and 8 * (count + 8) * (width + sl.stop - sl.start) <= BATCH_BYTES:
-            batches[-1].append(t)
-            width += sl.stop - sl.start
+    for t in sorted(range(len(counts)), key=counts.__getitem__):
+        lo, hi = bounds[t], bounds[t + 1]
+        tile = (slice(lo, hi) if layout.order is None else layout.order[lo:hi],
+                None if counts[t] == keep.shape[1] else np.flatnonzero(keep[t]))
+        if counts[t] == count and 8 * (count + 8) * (width + hi - lo) <= BATCH_BYTES:
+            batches[-1].append(tile)
+            width += hi - lo
         else:
-            batches.append([t])
-            width, count = sl.stop - sl.start, counts[t]
+            batches.append([tile])
+            width, count = hi - lo, counts[t]
     return batches
 
 
@@ -325,14 +319,14 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     """Partial sums of each tile of a batch: one (sum of log p_g0, gradient
     product, correct, E0 sum) per tile.
 
-    ``batch`` lists tiles (slice, rows) of ``_tiles`` with one count of
-    rows: a tile runs on grains ``rows`` (all if None) and its gradient product
-    has one column per row. The tiles share one rows x pixels buffer, each in
-    its own columns. The cost GEMM, the sums and the gradient GEMM run per
-    tile; the passes over the buffer run once: min, the tie test on the costs
-    (``want_assign``), subtract, scale by -1/eps, floor, exp, the row sum and
-    log1p. A tile sums its own columns of each per-pixel term, so its partials
-    have the same bits in any batch.
+    ``batch`` lists tiles (cols, rows) of ``_batches`` with one count of rows:
+    a tile runs on columns ``cols`` and grains ``rows`` (all if None), and its
+    gradient product has one column per row. The tiles share one rows x pixels
+    buffer, each in its own columns. The cost GEMM, the sums and the gradient
+    GEMM run per tile; the passes over the buffer run once: min, the tie test
+    on the costs (``want_assign``), subtract, scale by -1/eps, floor, exp, the
+    row sum and log1p. A tile sums its own columns of each per-pixel term, so
+    its partials have the same bits in any batch.
 
     The residual 1[g0] - e/s is never formed. With e_g0 zeroed, rest = sum(e)
     and s = rest + e_g0; -rest written at g0 and scaled by -1/s gives rest/s
@@ -340,14 +334,15 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     scaling goes onto the K x tile design slice.
     """
     thetas = [theta_values if rows is None else theta_values[:, rows] for _, rows in batch]
-    labels = [labels0[sl] for sl, _ in batch]
+    etas = [design_values[:, cols] for cols, _ in batch]  # views where cols are slices
+    labels = [labels0[cols] for cols, _ in batch]
     slot = np.empty(theta_values.shape[1], dtype=np.intp)
     row0 = [_label_rows(rows, g, slot) for g, (_, rows) in zip(labels, batch)]
-    bounds = list(itertools.accumulate((sl.stop - sl.start for sl, _ in batch), initial=0))
+    bounds = list(itertools.accumulate(map(len, labels), initial=0))
     spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     buf = np.empty((thetas[0].shape[1], bounds[-1]))
-    for (sl, _), th, cols in zip(batch, thetas, spans):
-        np.matmul(th.T, design_values[:, sl], out=buf[:, cols])  # costs c
+    for eta, th, cols in zip(etas, thetas, spans):
+        np.matmul(th.T, eta, out=buf[:, cols])  # costs c
     row0 = np.concatenate(row0)  # the row of each pixel's true label
     # buf is the only rows x pixels float array
     width = buf.shape[1]
@@ -410,8 +405,8 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
         flat[at_g0] = -rest
         e_g0 += rest  # s
         scale = np.divide(-1.0, e_g0, out=e_g0)
-        gacc = [(design_values[:, sl] * scale[None, cols]) @ buf[:, cols].T
-                for (sl, _), cols in zip(batch, spans)]  # d @ (1[g0] - e/s).T
+        gacc = [(eta * scale[None, cols]) @ buf[:, cols].T
+                for eta, cols in zip(etas, spans)]  # d @ (1[g0] - e/s).T
     return [(float(z - log_s), g, int(count), float(e0))
             for (z, log_s, e0), g, count in zip(sums, gacc, ncorrect)]
 
@@ -422,10 +417,11 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                        layout: TileLayout | None = None) -> EvalResult:
     """Tiled evaluation of the objective and, optionally, gradient and assignment stats.
 
-    ``labels0`` are 0-based true labels, and the columns of ``design_values``
-    and ``labels0`` are the points in tile order (``layout.order``); ``layout``
-    must carry these labels. Without a layout the points are taken in their own
-    order in runs of ``chunk_width(N)``, and every run keeps every grain. The tiles run
+    ``labels0`` are 0-based true labels. A tile's columns of ``design_values``
+    and ``labels0`` are its run of ``layout.order``; a layout without an order
+    takes arrays already in tile order, each tile a slice. ``layout`` must
+    carry the tiles' true labels. Without a layout the columns are taken in
+    runs of ``chunk_width(N)``, and every run keeps every grain. The tiles run
     in kernel batches (``_batches``), whose partial sums are added up as each
     returns. Exponents are floored at ``Z_FLOOR``, and each grain a tile drops
     has every exponent there below it, so no weight moves by more than
@@ -445,20 +441,18 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
         raise ValueError("the kernel's layout must carry the true labels of its tiles")
     else:
         keep = tile_grains(layout, theta_values, -Z_FLOOR * eps)
-    tiles = _tiles(layout, keep)
     pairs = int(keep.sum(axis=1) @ np.diff(layout.bounds))
 
     grad = np.zeros((k_dim, n_grains)) if want_grad else None
     lse_sum, ncorrect, e0_sum = 0.0, 0, 0.0
-    for batch in _batches(tiles, n_grains):
-        parts = _chunk_stats(theta_values, design_values, labels0, eps,
-                             [tiles[t] for t in batch], want_grad, want_assign)
-        for t, (lse, gacc, count, e0) in zip(batch, parts):
+    for batch in _batches(layout, keep):
+        parts = _chunk_stats(theta_values, design_values, labels0, eps, batch,
+                             want_grad, want_assign)
+        for (_, rows), (lse, gacc, count, e0) in zip(batch, parts):
             lse_sum += lse
             ncorrect += count
             e0_sum += e0
             if want_grad:
-                rows = tiles[t][1]
                 if rows is None:
                     grad += gacc
                 else:
@@ -474,15 +468,16 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
 def evaluate(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap, eps: float,
              *, want_grad: bool = False, want_assign: bool = False) -> EvalResult:
     """Checked ``evaluate_objective`` of theta on a design, on the tiles of the
-    map's grid; the gradient keeps its last column."""
+    map's grid, read through their order; the gradient keeps its last column."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
     _check_compatible(theta, design, len(grain_map))
+    if grain_map.n_grains > theta.n_grains:
+        raise ValueError(f"grain map has {grain_map.n_grains} grains, theta {theta.n_grains}")
     labels0 = grain_map.labels - 1
     layout = tile_layout(theta.basis, grain_map.grid.points, theta.n_grains, labels0)
-    return evaluate_objective(theta.values, design.values[:, layout.order],
-                              labels0[layout.order], eps, want_grad=want_grad,
-                              want_assign=want_assign, layout=layout)
+    return evaluate_objective(theta.values, design.values, labels0, eps,
+                              want_grad=want_grad, want_assign=want_assign, layout=layout)
 
 
 def bounds_hold(phi: float, err: float, e0: float, eps: float,

@@ -42,9 +42,10 @@ def random_theta(rng, degree, n, kind=pg.LEGENDRE, scale=1.0, gauge=pg.GAUGE_FRE
 
 def tiled(basis, points, design_values, labels0, n_grains, side=None):
     """(design values, 0-based labels, layout) of a problem in the kernel's tile order;
-    ``side`` x ``side`` cells, or the kernel's own partition when None."""
+    ``side`` x ``side`` cells, or the kernel's own partition when None. The layout
+    drops its order, as the fit's does: the arrays are already in that order."""
     layout = tile_layout(basis, points, n_grains, labels0, side)
-    return design_values[:, layout.order], labels0[layout.order], layout
+    return design_values[:, layout.order], labels0[layout.order], layout._replace(order=None)
 
 
 @pytest.fixture

@@ -498,6 +498,17 @@ class TestCli:
         assert err.startswith("resource error:") and "640000000000000000 bytes" in err
         assert not out.exists()  # nothing written, not even the directory
 
+    def test_overflowing_anisotropy_is_one_input_error_line(self, tmp_path, capsys):
+        # exp(1e3 * strength) overflows; PhysicalAPD rejects it without a numpy warning
+        out = tmp_path / "gen"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["generate", "--kind", "apd", "--anisotropy", "1e3", "--n", "4",
+                         "--m", "5", "--out-dir", str(out)]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "input error: anisotropy must be finite\n"
+        assert not out.exists()
+
     def test_render_unstructured_rejected(self, tmp_path, rng):
         grid = pg.PixelGrid(points=rng.uniform(-0.9, 0.9, (7, 2)))
         gm = pg.GrainMap(grid=grid, labels=np.ones(7, dtype=int) + np.arange(7) % 2,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -120,11 +121,16 @@ class TestObjective:
                  lambda th, g, e: pg.bound_report(th, g, design, e)]
         bad = [(theta, gm, 0.0), (theta, gm, -1.0), (theta, gm, np.nan), (theta, gm, np.inf),
                (random_theta(rng, 2, 4, kind=pg.MONOMIAL), gm, 0.1),
-               (theta, random_labels_map(rng, 6, 4), 0.1)]
+               (theta, random_labels_map(rng, 6, 4), 0.1),
+               (random_theta(rng, 2, 3), gm, 0.1)]  # a map of 4 grains, theta of 3
         for call in calls:
             for th, g, e in bad:
                 with pytest.raises(ValueError):
                     call(th, g, e)
+        with pytest.raises(ValueError, match="grain map has 4 grains, theta 3"):
+            pg.objective(random_theta(rng, 2, 3), design, gm, 0.1)
+        # theta may have more columns than the map has grains: trailing empty grains
+        assert pg.objective(random_theta(rng, 2, 6), design, gm, 0.1) < 0
         # the unchecked kernel, labels shorter or longer than the design
         n = len(gm)
         for labels0 in (gm.labels[:-10] - 1, np.append(gm.labels, [1, 2, 3]) - 1):
@@ -565,8 +571,8 @@ def below_floor_problem():
     return theta, basis, grid, rng.integers(0, 5, size=len(grid))
 
 
-def longdouble_reference(theta, design, labels0, eps, tiles):
-    """From the float64 costs of the kernel's tiles, with the rest in
+def longdouble_reference(theta, design, labels0, eps, batches):
+    """From the float64 costs of the tiles of ``_batches``, with the rest in
     np.longdouble and unfloored: (phi, grad, the scale sum_x |eta(x)| |r(x)| /
     (eps n) of the gradient's terms). A GEMM over some rows need not round
     those rows as the whole product does, so the costs of the grains that a
@@ -575,7 +581,7 @@ def longdouble_reference(theta, design, labels0, eps, tiles):
     n = design.shape[1]
     cols = np.arange(n)
     c = np.empty((theta.shape[1], n))
-    for sl, rows in tiles:
+    for sl, rows in itertools.chain.from_iterable(batches):
         c[:, sl] = theta.T @ design[:, sl]
         if rows is not None:
             c[rows, sl] = theta[:, rows].T @ design[:, sl]
@@ -615,7 +621,7 @@ class TestKernelAccuracy:
                                        labels0, theta.shape[1], tiles)
             keep = objective_module.tile_grains(layout, theta, -objective_module.Z_FLOOR * eps)
             phi_ref, grad_ref, grad_scale = longdouble_reference(
-                theta, design, g0, eps, objective_module._tiles(layout, keep))
+                theta, design, g0, eps, objective_module._batches(layout, keep))
             # The gradient is compared relative to its largest term sum: a
             # weight exp(z) far below 1 carries the rounding of z, up to
             # |z|*2^-52 of itself.
@@ -732,10 +738,9 @@ class TestTileCertificate:
 
 
 def kernel_batches(theta_values, layout, eps):
-    """(tiles, kept rows per tile, batches) of one kernel evaluation on ``layout``."""
+    """(keep mask, batches of ``_batches``) of one kernel evaluation on ``layout``."""
     keep = objective_module.tile_grains(layout, theta_values, -objective_module.Z_FLOOR * eps)
-    tiles = objective_module._tiles(layout, keep)
-    return tiles, keep.sum(axis=1), objective_module._batches(tiles, theta_values.shape[1])
+    return keep, objective_module._batches(layout, keep)
 
 
 class TestBatchedKernel:
@@ -749,19 +754,33 @@ class TestBatchedKernel:
         theta, grid, _, labels0 = problem
         layout = objective_module.tile_layout(theta.basis, grid.points, theta.n_grains,
                                               labels0, side)
-        with mock.patch.object(objective_module, "BATCH_BYTES", cap):
-            tiles, counts, batches = kernel_batches(theta.values, layout, eps)
-        order = [t for batch in batches for t in batch]
-        # every tile exactly once, stably sorted by its count of kept grains
-        assert order == sorted(range(len(tiles)), key=lambda t: counts[t])
-        widths = np.diff(layout.bounds)
-        for batch, after in zip(batches, batches[1:] + [None]):
-            count = counts[batch[0]]
-            assert np.all(counts[batch] == count)  # one kept count per batch
-            if len(batch) > 1:  # the rows x pixels buffer and 8 pixel vectors
-                assert 8 * (count + 8) * widths[batch].sum() <= cap
-            if after is not None and counts[after[0]] == count:  # cut only when full
-                assert 8 * (count + 8) * (widths[batch].sum() + widths[after[0]]) > cap
+        bounds, widths = layout.bounds, np.diff(layout.bounds)
+        for plan in (layout, layout._replace(order=None)):
+            with mock.patch.object(objective_module, "BATCH_BYTES", cap):
+                keep, batches = kernel_batches(theta.values, plan, eps)
+            counts = keep.sum(axis=1)
+            # every tile exactly once, stably sorted by its count of kept grains,
+            # with its run of the order (or its slice) and its kept grains
+            order = sorted(range(len(keep)), key=lambda t: counts[t])
+            tiles = [tile for batch in batches for tile in batch]
+            for t, (cols, rows) in zip(order, tiles, strict=True):
+                if plan.order is None:
+                    assert cols == slice(bounds[t], bounds[t + 1])
+                else:
+                    assert np.array_equal(cols, layout.order[bounds[t]:bounds[t + 1]])
+                if keep[t].all():
+                    assert rows is None
+                else:
+                    assert np.array_equal(rows, np.flatnonzero(keep[t]))
+            at = np.cumsum([len(batch) for batch in batches])[:-1]
+            indices = np.split(np.array(order), at)  # the tiles of each batch
+            for batch, after in zip(indices, indices[1:] + [None]):
+                count = counts[batch[0]]
+                assert np.all(counts[batch] == count)  # one kept count per batch
+                if len(batch) > 1:  # the rows x pixels buffer and 8 pixel vectors
+                    assert 8 * (count + 8) * widths[batch].sum() <= cap
+                if after is not None and counts[after[0]] == count:  # cut only when full
+                    assert 8 * (count + 8) * (widths[batch].sum() + widths[after[0]]) > cap
 
     @settings(max_examples=150, deadline=None)
     @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
@@ -780,10 +799,34 @@ class TestBatchedKernel:
         single, batched = results
         assert batched.err == single.err
         assert batched.e0 == single.e0
-        _, counts, _ = kernel_batches(theta.values, layout, eps)
-        assert batched.pairs == single.pairs == int(counts @ np.diff(layout.bounds))
+        keep, _ = kernel_batches(theta.values, layout, eps)
+        assert batched.pairs == single.pairs == int(keep.sum(axis=1) @ np.diff(layout.bounds))
         assert abs(batched.phi - single.phi) <= 1e-13 * abs(single.phi)
         assert np.abs(batched.grad - single.grad).max() <= 1e-13 * np.abs(single.grad).max()
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
+           side=st.integers(1, 6))
+    @example(problem=(lambda theta, gm, design: (theta, gm.grid, design, gm.labels - 1))(
+        *exact_tie_problem()), eps=3.0, side=3)
+    def test_point_order_through_the_layout_matches_tile_order(self, problem, eps, side):
+        # the kernel reads arrays in point order through the layout's order, as
+        # ``evaluate`` passes them, or arrays copied into tile order without it,
+        # as the fit does. A cost GEMM on a gathered tile may round differently
+        # from one on a strided view, so phi, E0 and the gradient agree to
+        # rounding; err and the pairs are exact.
+        theta, grid, design, labels0 = problem
+        layout = objective_module.tile_layout(theta.basis, grid.points, theta.n_grains,
+                                              labels0, side)
+        through, copied = (evaluate_objective(theta.values, d, g0, eps, want_grad=True,
+                                              want_assign=True, layout=lay)
+                           for d, g0, lay in ((design.values, labels0, layout),
+                                              tiled(theta.basis, grid.points, design.values,
+                                                    labels0, theta.n_grains, side)))
+        assert (through.err, through.pairs) == (copied.err, copied.pairs)
+        assert abs(through.phi - copied.phi) <= 1e-13 * abs(copied.phi)
+        assert abs(through.e0 - copied.e0) <= 1e-13 * abs(copied.e0)
+        assert np.abs(through.grad - copied.grad).max() <= 1e-13 * np.abs(copied.grad).max()
 
     @settings(max_examples=150, deadline=None)
     @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
@@ -814,16 +857,16 @@ class TestBatchedKernel:
         d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0,
                               theta.n_grains, side)
         with mock.patch.object(objective_module, "BATCH_BYTES", cap):
-            tiles, _, batches = kernel_batches(theta.values, layout, eps)
+            _, batches = kernel_batches(theta.values, layout, eps)
             res = evaluate_objective(theta.values, d, g0, eps, want_grad=True,
                                      want_assign=True, layout=layout)
         lse_sum, e0_sum, ncorrect = 0.0, 0.0, 0
         grad = np.zeros_like(theta.values)
         for batch in batches:
-            together = objective_module._chunk_stats(theta.values, d, g0, eps,
-                                                     [tiles[t] for t in batch], True, True)
-            for t, (lse, gacc, count, e0) in zip(batch, together):
-                alone, = objective_module._chunk_stats(theta.values, d, g0, eps, [tiles[t]],
+            together = objective_module._chunk_stats(theta.values, d, g0, eps, batch,
+                                                     True, True)
+            for tile, (lse, gacc, count, e0) in zip(batch, together):
+                alone, = objective_module._chunk_stats(theta.values, d, g0, eps, [tile],
                                                        True, True)
                 assert (lse, count, e0) == (alone[0], alone[2], alone[3])
                 assert np.abs(gacc - alone[1]).max() <= 1e-13 * max(np.abs(alone[1]).max(),
@@ -831,7 +874,7 @@ class TestBatchedKernel:
                 lse_sum += lse
                 e0_sum += e0
                 ncorrect += count
-                rows = tiles[t][1]
+                rows = tile[1]
                 grad[:, slice(None) if rows is None else rows] += gacc
         n = len(g0)
         assert res.phi == lse_sum / n
@@ -849,21 +892,22 @@ class TestBatchedKernel:
         labels0 = rng.integers(0, 16, size=len(grid))
         design = pg.assemble_design_matrix(theta.basis, grid)
         d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0, 16, 6)
-        tiles, counts, batches = kernel_batches(theta.values, layout, 0.3)
-        assert np.all(np.diff(layout.bounds) == 1) and np.all(counts == 16)
+        keep, batches = kernel_batches(theta.values, layout, 0.3)
+        assert np.all(np.diff(layout.bounds) == 1) and keep.all()
         assert max(len(batch) for batch in batches) > 1
         for batch in batches:
-            together = objective_module._chunk_stats(theta.values, d, g0, 0.3,
-                                                     [tiles[t] for t in batch], True, True)
-            for t, (lse, _, count, e0) in zip(batch, together):
-                alone, = objective_module._chunk_stats(theta.values, d, g0, 0.3, [tiles[t]],
+            together = objective_module._chunk_stats(theta.values, d, g0, 0.3, batch,
+                                                     True, True)
+            for tile, (lse, _, count, e0) in zip(batch, together):
+                alone, = objective_module._chunk_stats(theta.values, d, g0, 0.3, [tile],
                                                        True, True)
                 assert (lse, count, e0) == (alone[0], alone[2], alone[3])
 
     def test_thread_counts_are_bit_identical_over_batches(self, rng):
         theta, design, labels0, layout = thread_problem(rng, tile_pixels=256)
         theta = 100.0 * theta
-        _, counts, batches = kernel_batches(theta, layout, 0.05)
+        keep, batches = kernel_batches(theta, layout, 0.05)
+        counts = keep.sum(axis=1)
         assert sum(len(batch) > 1 for batch in batches) >= 2
         assert len(np.unique(counts)) > 1
         seq, *par = [evaluate_objective(theta, design, labels0, 0.05, want_assign=True,
@@ -891,10 +935,11 @@ class TestTileRows:
         keep = rng.random((len(bounds) - 1, n_grains)) < share
         keep[np.arange(len(keep)), rng.integers(n_grains, size=len(keep))] = True
         slots = np.cumsum(keep, axis=1) - 1
-        tiles = objective_module._tiles(objective_module.TileLayout(None, bounds), keep)
-        assert len(tiles) == len(keep)
+        batches = objective_module._batches(objective_module.TileLayout(None, bounds), keep)
+        assert sum(map(len, batches)) == len(keep)
         slot = np.full(n_grains, -1)  # scratch shared by the tiles, as in a batch
-        for t, (sl, rows) in enumerate(tiles):
+        for sl, rows in itertools.chain.from_iterable(batches):
+            t = int(np.searchsorted(bounds, sl.start))
             assert (rows is None) == keep[t].all()
             labels = rng.choice(np.flatnonzero(keep[t]), size=sl.stop - sl.start)
             assert np.array_equal(objective_module._label_rows(rows, labels, slot),
@@ -942,7 +987,7 @@ class TestKernelMemory:
         theta = replace(theta, values=100.0 * theta.values)  # tiles keep about 15 grains
         labels0 = pg.hard_assign(theta, grid, design) - 1
         d, g0, layout = tiled(theta.basis, grid.points, design.values, labels0, self.N_GRAINS)
-        _, _, batches = kernel_batches(theta.values, layout, 0.1)
+        _, batches = kernel_batches(theta.values, layout, 0.1)
         assert sum(len(batch) > 1 for batch in batches) >= 2
         peak = self.peak_bytes(lambda: evaluate_objective(
             theta.values, d, g0, 0.1, want_grad=True, want_assign=True, threads=1,
@@ -953,6 +998,16 @@ class TestKernelMemory:
         theta, grid, design, _ = problem
         peak = self.peak_bytes(lambda: pg.hard_assign(theta, grid, design))
         assert peak < self.LIMIT
+
+    def test_library_evaluation_holds_no_second_design(self, rng):
+        # objective and gradient read the caller's design through the tile
+        # order: their peak, without the design, is below one design of K x n
+        gm = pg.generate_apd(random_apd(rng, 50), pg.make_grid(100))  # 40,000 points
+        theta = random_theta(rng, 4, 50)  # K = 15
+        design = pg.assemble_design_matrix(theta.basis, gm.grid)
+        for fn in (pg.objective, pg.gradient):
+            peak = self.peak_bytes(lambda: fn(theta, design, gm, 0.01))
+            assert peak < design.values.nbytes
 
     @pytest.mark.parametrize("n_grains", [250, 1000])
     def test_hard_assign_peak_is_its_labels_order_and_two_chunks(self, n_grains):
@@ -993,7 +1048,7 @@ class TestThreadPath:
 
     def test_evaluations_and_fits_start_no_thread(self, rng, monkeypatch):
         theta, design, labels0, layout = thread_problem(rng)
-        assert len(kernel_batches(theta, layout, 0.1)[2]) > 1
+        assert len(kernel_batches(theta, layout, 0.1)[1]) > 1
         callers = set()
         chunk_stats = objective_module._chunk_stats
 
