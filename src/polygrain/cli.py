@@ -21,7 +21,7 @@ from .basis import LEGENDRE, MONOMIAL, assemble_design_matrix, feature_count
 from .conversions import (coeffs_to_basis, generate_apd, generate_pd, pd_to_theta, apd_to_theta,
                           psd_repair, theta_to_apd, theta_to_pd)
 from .errors import InputFormatError, NumericalError, ResourceError
-from .geometry import PhysicalAPD, PhysicalPD, make_grid
+from .geometry import PhysicalAPD, PhysicalPD, make_grid, sym2x2
 from .metrics import compression
 from .objective import hard_assign
 from .optimizer import FitConfig, fit
@@ -40,14 +40,10 @@ def _random_physical(kind: str, n: int, rng: np.random.Generator, anisotropy: fl
         mats = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
     else:
         c, s = np.cos(angles), np.sin(angles)
-        mats = np.empty((n, 2, 2))
         with np.errstate(over="ignore", invalid="ignore"):  # PhysicalAPD rejects non-finite
             e1 = np.exp(anisotropy * strengths)
             e2 = np.exp(-anisotropy * strengths)
-            mats[:, 0, 0] = c * c * e1 + s * s * e2
-            mats[:, 0, 1] = c * s * (e1 - e2)
-            mats[:, 1, 0] = mats[:, 0, 1]
-            mats[:, 1, 1] = s * s * e1 + c * c * e2
+            mats = sym2x2(c * c * e1 + s * s * e2, c * s * (e1 - e2), s * s * e1 + c * c * e2)
     return PhysicalAPD(seeds=seeds, weights=weights, anisotropy=mats)
 
 

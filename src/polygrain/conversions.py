@@ -35,7 +35,7 @@ from .basis import (
     basis_change,
     basis_change_inverse,
 )
-from .geometry import GrainMap, PhysicalAPD, PhysicalPD, PixelGrid, sym2x2_eigvals
+from .geometry import GrainMap, PhysicalAPD, PhysicalPD, PixelGrid, sym2x2, sym2x2_eigvals
 from .objective import hard_assign
 
 
@@ -158,29 +158,19 @@ def theta_to_apd(theta: ParamMatrix) -> APDRecovery:
     p00, p10, p01 = _positions_d1(theta.basis)
     p20, p11, p02 = _positions_d2(theta.basis)
     vals = theta.values
-    n = theta.n_grains
     a11, a12, a22 = vals[p20], 0.5 * vals[p11], vals[p02]
-    mats = np.empty((n, 2, 2))
-    mats[:, 0, 0] = a11
-    mats[:, 0, 1] = a12
-    mats[:, 1, 0] = a12
-    mats[:, 1, 1] = a22
+    mats = sym2x2(a11, a12, a22)
 
     det = a11 * a22 - a12 * a12
-    seeds = np.full((n, 2), np.nan)
-    weights = np.full(n, np.nan)
-    recoverable = det != 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         b1, b2 = vals[p10], vals[p01]
         # y = -A^{-1} b / 2 with the 2x2 adjugate inverse.
         y1 = -0.5 * (a22 * b1 - a12 * b2) / det
         y2 = -0.5 * (-a12 * b1 + a11 * b2) / det
         w = 0.25 * (b1 * (a22 * b1 - a12 * b2) + b2 * (-a12 * b1 + a11 * b2)) / det - vals[p00]
-    finite = np.isfinite(y1) & np.isfinite(y2) & np.isfinite(w)
-    recoverable &= finite
-    seeds[recoverable, 0] = y1[recoverable]
-    seeds[recoverable, 1] = y2[recoverable]
-    weights[recoverable] = w[recoverable]
+    recoverable = (det != 0.0) & np.isfinite(y1) & np.isfinite(y2) & np.isfinite(w)
+    seeds = np.where(recoverable[:, None], np.column_stack([y1, y2]), np.nan)
+    weights = np.where(recoverable, w, np.nan)
     return APDRecovery(anisotropy=mats, seeds=seeds, weights=weights,
                        recoverable=recoverable)
 

@@ -180,18 +180,24 @@ class PhysicalAPD:
         return sym2x2_eigvals(self.anisotropy)[:, 0]
 
 
+def sym2x2(a11, a12, a22) -> np.ndarray:
+    """Stack [[a11, a12], [a12, a22]] from entry arrays of shape (...) to shape (..., 2, 2)."""
+    return np.stack([a11, a12, a12, a22], axis=-1).reshape(np.shape(a11) + (2, 2))
+
+
 def sym2x2_eigvals(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of symmetric 2x2 matrices in closed form, ascending.
 
     ``mats`` has shape (..., 2, 2); returns shape (..., 2). The off-diagonal
-    is symmetrised before use.
+    is symmetrised before use. The discriminant squares no entry, so finite
+    entries below 2^1022 (about 4.5e307) in magnitude give finite eigenvalues.
     """
     mats = np.asarray(mats, dtype=np.float64)
     a = mats[..., 0, 0]
     b = 0.5 * (mats[..., 0, 1] + mats[..., 1, 0])
     c = mats[..., 1, 1]
     half_tr = 0.5 * (a + c)
-    disc = np.sqrt(0.25 * (a - c) ** 2 + b * b)
+    disc = np.hypot(0.5 * (a - c), b)
     return np.stack([half_tr - disc, half_tr + disc], axis=-1)
 
 

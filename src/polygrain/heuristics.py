@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import LEGENDRE, GAUGE_LAST_ZERO, ParamMatrix, park, zero_pad
 from .conversions import apd_to_theta, coeffs_to_basis, pd_to_theta
-from .geometry import GrainMap, PhysicalAPD, PhysicalPD, sym2x2_eigvals
+from .geometry import GrainMap, PhysicalAPD, PhysicalPD, sym2x2, sym2x2_eigvals
 
 # A second-moment matrix counts as degenerate below this smallest eigenvalue
 # and is ridge-regularised before inversion; tiny grains must not crash a fit.
@@ -60,11 +60,8 @@ def moments(grain_map: GrainMap) -> MomentSummary:
     q11 = np.bincount(lab0, weights=x1 * x1, minlength=n) / safe
     q12 = np.bincount(lab0, weights=x1 * x2, minlength=n) / safe
     q22 = np.bincount(lab0, weights=x2 * x2, minlength=n) / safe
-    b = np.empty((n, 2, 2))
-    b[:, 0, 0] = q11 - centroids[:, 0] ** 2
-    b[:, 0, 1] = q12 - centroids[:, 0] * centroids[:, 1]
-    b[:, 1, 0] = b[:, 0, 1]
-    b[:, 1, 1] = q22 - centroids[:, 1] ** 2
+    c1, c2 = centroids[:, 0], centroids[:, 1]
+    b = sym2x2(q11 - c1 ** 2, q12 - c1 * c2, q22 - c2 ** 2)
 
     degenerate = sym2x2_eigvals(b)[:, 0] < DEGENERATE_EIG
     return MomentSummary(counts=counts, centroids=centroids, second_moments=b,
@@ -73,19 +70,12 @@ def moments(grain_map: GrainMap) -> MomentSummary:
 
 def _invert_spread(summary: MomentSummary) -> np.ndarray:
     """Anisotropy guesses (B_i)^{-1}, ridge-regularising degenerate spreads."""
-    b = summary.second_moments.copy()
-    for i in np.nonzero(summary.degenerate)[0]:
-        tr = b[i, 0, 0] + b[i, 1, 1]
-        ridge = RIDGE_SCALE * (tr / 2.0 if tr > 0 else 1.0)
-        b[i, 0, 0] += ridge
-        b[i, 1, 1] += ridge
-    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-    inv = np.empty_like(b)
-    inv[:, 0, 0] = b[:, 1, 1] / det
-    inv[:, 0, 1] = -b[:, 0, 1] / det
-    inv[:, 1, 0] = -b[:, 1, 0] / det
-    inv[:, 1, 1] = b[:, 0, 0] / det
-    return inv
+    b = summary.second_moments
+    tr = b[:, 0, 0] + b[:, 1, 1]
+    ridge = np.where(summary.degenerate, RIDGE_SCALE * np.where(tr > 0, tr / 2.0, 1.0), 0.0)
+    b11, b12, b22 = b[:, 0, 0] + ridge, b[:, 0, 1], b[:, 1, 1] + ridge
+    det = b11 * b22 - b12 * b12
+    return sym2x2(b22 / det, -b12 / det, b11 / det)
 
 
 def heuristic_theta(grain_map: GrainMap, degree: int, kind: str = LEGENDRE) -> ParamMatrix:

@@ -111,10 +111,12 @@ class TileLayout(NamedTuple):
     its cost on the tile's box x = centre + half * s, s in [-1,1]^2, and
     ``scale[t] @ |theta|`` bounds each grain's |cost| there and the terms that
     the expansion rounds. ``odd[beta]`` is 1 where s^beta has an odd exponent.
-    ``labels[t, i]`` is true where grain i is a true label on tile t. A layout
-    without ``expand`` certifies nothing: every tile keeps every grain. The
-    kernel reads a tile's columns through ``order``; a caller whose arrays are
-    already in tile order drops it, and each tile is then a slice.
+    ``labels[t, i]`` is true where grain i is a true label on tile t.
+    ``tile_grains`` needs ``expand``, ``scale`` and ``odd``; the runs that
+    ``evaluate_objective`` makes when given no layout have none of them, and it
+    keeps every grain on each of them with a mask of its own. The kernel reads a
+    tile's columns through ``order``; a caller whose arrays are already in tile
+    order drops it, and each tile is then a slice.
     """
 
     order: np.ndarray | None

@@ -31,7 +31,7 @@ from .basis import (DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assembl
                     park)
 from .errors import NumericalError
 from .geometry import GrainMap
-from .objective import _check_compatible, bounds_hold, evaluate_objective, tile_layout
+from .objective import bounds_hold, evaluate_objective, tile_layout
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
@@ -175,11 +175,14 @@ def init_zero(degree: int, n_grains: int, kind: str = LEGENDRE) -> ParamMatrix:
                        gauge=GAUGE_LAST_ZERO)
 
 
-def _initial_theta(grain_map: GrainMap, config: FitConfig) -> ParamMatrix:
+def _initial_theta(grain_map: GrainMap, config: FitConfig, basis: DesignBasis) -> ParamMatrix:
     if isinstance(config.init, ParamMatrix):
         theta = config.init
         if theta.n_grains != grain_map.n_grains:
             raise ValueError("explicit initial parameters do not match the grain count")
+        if theta.basis != basis:
+            raise ValueError(f"parameter basis ({theta.basis.kind}, d={theta.degree}) does not "
+                             f"match design basis ({basis.kind}, d={basis.degree})")
         return ParamMatrix(theta.values - theta.values[:, -1:], theta.basis, GAUGE_LAST_ZERO)
     if config.init == "heuristic":
         from .heuristics import heuristic_theta
@@ -203,7 +206,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     """
     start = time.perf_counter()
     basis = DesignBasis(config.basis_kind, config.degree)
-    theta0 = _initial_theta(grain_map, config)
+    theta0 = _initial_theta(grain_map, config, basis)
     k_dim, n_grains = theta0.values.shape
     labels0 = grain_map.labels - 1
     keep = np.bincount(labels0, minlength=n_grains) > 0
@@ -217,7 +220,6 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     layout = tile_layout(basis, grain_map.grid.points, n_kept, labels0)
     labels0 = labels0[layout.order]
     design = assemble_design_matrix(basis, grain_map.grid, layout.order)
-    _check_compatible(theta0, design, len(grain_map))
     layout = layout._replace(order=None)
     pairs = []
 

@@ -499,15 +499,20 @@ class TestCli:
         assert not out.exists()  # nothing written, not even the directory
 
     def test_overflowing_anisotropy_is_one_input_error_line(self, tmp_path, capsys):
-        # exp(1e3 * strength) overflows; PhysicalAPD rejects it without a numpy warning
-        out = tmp_path / "gen"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["generate", "--kind", "apd", "--anisotropy", "1e3", "--n", "4",
-                         "--m", "5", "--out-dir", str(out)]) == 2
-        assert caught == []
-        assert capsys.readouterr().err == "input error: anisotropy must be finite\n"
-        assert not out.exists()
+        # exp(1e3 * strength) overflows; PhysicalAPD rejects it without a numpy warning.
+        # At 300 to 470 the matrices are finite, but their squared entries are not;
+        # their eigenvalues square none, and generate_apd rejects them without one.
+        singular = "anisotropy matrices must be positive definite; offending grains: [1, 2, 3, 4]"
+        for level, message in [("1e3", "anisotropy must be finite"), ("300", singular),
+                               ("400", singular), ("470", singular)]:
+            out = tmp_path / f"gen{level}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["generate", "--kind", "apd", "--anisotropy", level, "--n", "4",
+                             "--m", "5", "--out-dir", str(out)]) == 2
+            assert [str(w.message) for w in caught] == []
+            assert capsys.readouterr().err == f"input error: {message}\n"
+            assert not out.exists()
 
     def test_render_unstructured_rejected(self, tmp_path, rng):
         grid = pg.PixelGrid(points=rng.uniform(-0.9, 0.9, (7, 2)))
@@ -602,6 +607,17 @@ class TestCli:
         assert main(["fit", "--input", str(gen / "grain_map.csv"), "--degree", "2",
                      "--iters", "5", "--init", str(init), "--out-dir", str(tmp_path / "fit")]) == 2
         assert f"{init}: basis change monomial -> legendre overflows" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
+    def test_init_file_of_another_degree_gives_input_exit_code(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "apd", "--n", "4", "--m", "5", "--seed", "1",
+                     "--out-dir", str(gen)]) == 0
+        assert main(["fit", "--input", str(gen / "grain_map.csv"), "--degree", "1",
+                     "--iters", "5", "--init", str(gen / "ground_truth_theta.csv"),
+                     "--out-dir", str(tmp_path / "fit")]) == 2
+        assert capsys.readouterr().err == ("input error: parameter basis (legendre, d=2) does "
+                                           "not match design basis (legendre, d=1)\n")
         assert not (tmp_path / "fit").exists()
 
     def test_overflowing_eigenvalues_are_named_by_psd_repair(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -304,3 +305,17 @@ def test_sym2x2_eigvals_match_numpy(rng):
     ours = pg.sym2x2_eigvals(mats)
     ref = np.sort(np.linalg.eigvalsh(mats), axis=1)
     assert np.allclose(ours, ref, atol=1e-12)
+
+
+def test_sym2x2_eigvals_of_huge_entries_are_finite_and_accurate(rng):
+    # The discriminant squares no entry, so entries far beyond sqrt(max float) give
+    # finite eigenvalues, without an overflow warning, to eigvalsh's accuracy.
+    mats = rng.normal(size=(200, 2, 2))
+    mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+    mats *= 10.0 ** rng.uniform(150, 200, size=(200, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = pg.sym2x2_eigvals(mats)
+    ref = np.linalg.eigvalsh(mats)
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(ours - ref) <= 1e-12 * scale)

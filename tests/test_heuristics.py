@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import polygrain as pg
+from polygrain.heuristics import RIDGE_SCALE, _invert_spread
 from conftest import random_apd
 from reference import accuracy_and_error, cost_matrix
 
@@ -51,6 +52,30 @@ class TestMoments:
 
         gm = random_grain_map(rng, 7, 5)
         assert pg.moments(gm).counts.sum() == len(gm)
+
+
+class TestInvertSpread:
+    def test_ridge_on_degenerate_grains_only(self):
+        # Grain 2 is the grid's first row (collinear), grain 3 one pixel, grain 4
+        # empty and grain 1 the rest. Each degenerate spread B gets the
+        # ridge r = RIDGE_SCALE * tr(B) / 2, or RIDGE_SCALE where tr(B) = 0, and the
+        # guess is (B + r I)^{-1} by the adjugate, to the bit.
+        labels = np.ones(16, dtype=int)
+        labels[:4] = 2
+        labels[5] = 3
+        gm = pg.GrainMap(grid=pg.make_grid(2), labels=labels, n_grains=4)
+        summary = pg.moments(gm)
+        assert summary.degenerate.tolist() == [False, True, True, True]
+        expected = np.empty((4, 2, 2))
+        for i, b in enumerate(summary.second_moments):
+            tr = b[0, 0] + b[1, 1]
+            r = RIDGE_SCALE * (tr / 2.0 if tr > 0 else 1.0) if summary.degenerate[i] else 0.0
+            a11, a22 = b[0, 0] + r, b[1, 1] + r
+            det = a11 * a22 - b[0, 1] * b[1, 0]
+            expected[i] = [[a22 / det, -b[0, 1] / det], [-b[1, 0] / det, a11 / det]]
+        assert [b[0, 0] + b[1, 1] > 0 for b in summary.second_moments] == [True, True, False,
+                                                                           False]
+        assert np.array_equal(_invert_spread(summary), expected)
 
 
 class TestHeuristicTheta:

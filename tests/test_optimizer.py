@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import polygrain as pg
+from polygrain import optimizer
 from polygrain.objective import evaluate_objective
 from polygrain.optimizer import LineEval, line_search
 from conftest import random_apd, random_grain_map, random_labels_map, random_pd
@@ -150,6 +152,34 @@ class TestFit:
         theta0 = pg.init_zero(2, 4, pg.LEGENDRE)
         with pytest.raises(ValueError):
             pg.fit(gm, pg.FitConfig(degree=2, max_iters=5, init=theta0))
+
+    def test_explicit_init_of_another_basis_is_rejected_before_the_design(self, rng,
+                                                                         monkeypatch):
+        # Nothing the size of the map is built for an input error: on a map whose
+        # design cannot be allocated it would surface as a ResourceError instead.
+        calls = []
+
+        def spy(name):
+            real = getattr(optimizer, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("tile_layout", "assemble_design_matrix"):
+            monkeypatch.setattr(optimizer, name, spy(name))
+        gm = random_labels_map(rng, 4, 3)
+        for theta0, degree, kind in [(pg.init_zero(2, 3, pg.LEGENDRE), 1, pg.LEGENDRE),
+                                     (pg.init_zero(1, 3, pg.MONOMIAL), 1, pg.LEGENDRE)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"parameter basis ({theta0.basis.kind}, d={theta0.degree}) does not "
+                    f"match design basis ({kind}, d={degree})")):
+                pg.fit(gm, pg.FitConfig(degree=degree, basis_kind=kind, max_iters=5,
+                                        init=theta0))
+        assert calls == []
+        pg.fit(gm, pg.FitConfig(degree=1, max_iters=1, init=pg.init_zero(1, 3, pg.LEGENDRE)))
+        assert calls == ["tile_layout", "assemble_design_matrix"]
 
     def test_eps_and_init_scale_equivalence(self, rng):
         # Phi(theta; eps) == Phi(theta/eps; 1): both runs follow one trajectory.
