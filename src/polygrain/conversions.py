@@ -160,14 +160,16 @@ def theta_to_apd(theta: ParamMatrix) -> APDRecovery:
     vals = theta.values
     a11, a12, a22 = vals[p20], 0.5 * vals[p11], vals[p02]
     mats = sym2x2(a11, a12, a22)
-
-    det = a11 * a22 - a12 * a12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b1, b2 = vals[p10], vals[p01]
+    # Each grain's A and b scaled by one power of two, so that |A| <= 1: the
+    # adjugate's products cannot overflow, and y keeps the unscaled formula's bits.
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(a11), np.abs(a12)), np.abs(a22)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a11, a12, a22, b1, b2 = (np.ldexp(v, -e) for v in (a11, a12, a22, vals[p10], vals[p01]))
+        det = a11 * a22 - a12 * a12
         # y = -A^{-1} b / 2 with the 2x2 adjugate inverse.
         y1 = -0.5 * (a22 * b1 - a12 * b2) / det
         y2 = -0.5 * (-a12 * b1 + a11 * b2) / det
-        w = 0.25 * (b1 * (a22 * b1 - a12 * b2) + b2 * (-a12 * b1 + a11 * b2)) / det - vals[p00]
+        w = -0.5 * (vals[p10] * y1 + vals[p01] * y2) - vals[p00]
     recoverable = (det != 0.0) & np.isfinite(y1) & np.isfinite(y2) & np.isfinite(w)
     seeds = np.where(recoverable[:, None], np.column_stack([y1, y2]), np.nan)
     weights = np.where(recoverable, w, np.nan)

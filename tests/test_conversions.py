@@ -98,6 +98,32 @@ class TestApdTheta:
         labels = pg.hard_assign(theta, pg.make_grid(5))
         assert labels.min() >= 1
 
+    def test_large_anisotropy_recovers_finite_seed(self):
+        # A = 1e160 I, b = (1e200, 1e200): the adjugate's products overflow,
+        # yet y = -A^{-1} b / 2 = (-5e39, -5e39) and w = -b'y/2 - c are finite.
+        basis = pg.DesignBasis(pg.MONOMIAL, 2)
+        values = np.zeros((basis.dimension, 2))
+        values[basis.position((2, 0)), 0] = values[basis.position((0, 2)), 0] = 1e160
+        values[basis.position((1, 0)), 0] = values[basis.position((0, 1)), 0] = 1e200
+        values[basis.position((0, 0)), 0] = 3.0
+        rec = pg.theta_to_apd(pg.ParamMatrix(values, basis, pg.GAUGE_LAST_ZERO))
+        assert rec.recoverable.tolist() == [True, False]
+        np.testing.assert_allclose(rec.seeds[0], [-5e39, -5e39], rtol=1e-15)
+        np.testing.assert_allclose(rec.weights[0], 5e239, rtol=1e-15)
+
+    def test_seeds_keep_the_adjugate_bits(self, rng):
+        basis = pg.DesignBasis(pg.MONOMIAL, 2)
+        scales = np.repeat([1e-100, 1e-3, 1.0, 1e3, 1e100], 4)
+        theta = pg.ParamMatrix(rng.normal(size=(basis.dimension, 20)) * scales, basis)
+        v = {m: theta.values[theta.basis.position(m)]
+             for m in [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]}
+        a11, a12, a22, b1, b2 = v[2, 0], 0.5 * v[1, 1], v[0, 2], v[1, 0], v[0, 1]
+        det = a11 * a22 - a12 * a12
+        rec = pg.theta_to_apd(theta)
+        assert rec.recoverable.all()
+        assert np.array_equal(rec.seeds[:, 0], -0.5 * (a22 * b1 - a12 * b2) / det)
+        assert np.array_equal(rec.seeds[:, 1], -0.5 * (-a12 * b1 + a11 * b2) / det)
+
 
 class TestCoeffsToBasis:
     @pytest.mark.parametrize("degree", [1, 2, 5])
