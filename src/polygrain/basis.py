@@ -39,9 +39,9 @@ GAUGE_LAST_ZERO = "last-column-zero"
 
 # Bytes of a working buffer whose element-wise passes run in a core's L2 cache:
 # the objective kernel's N x chunk cost buffer and a chunk of design assembly.
-# On the many-grains map (N=200; 2 cores, 2 MiB L2 each) a 1 MiB kernel buffer
-# was faster than 2 and 4 MiB on one thread, and the fastest of 256 KiB to 4 MiB
-# on two.
+# The kernel is serial, so one core's cache is the budget: on the many-grains
+# map (N=200; 2 MiB L2 per core) a 1 MiB kernel buffer was faster than 2 and
+# 4 MiB on one thread.
 CHUNK_BYTES = 1 << 20
 
 
@@ -271,6 +271,12 @@ class ParamMatrix:
     @property
     def degree(self) -> int:
         return self.basis.degree
+
+    def require_basis(self, basis: DesignBasis) -> None:
+        """Raise ValueError unless the coefficients are in ``basis``, a design's basis."""
+        if self.basis != basis:
+            raise ValueError(f"parameter basis ({self.basis.kind}, d={self.degree}) does not "
+                             f"match design basis ({basis.kind}, d={basis.degree})")
 
 
 def park(values: np.ndarray, basis: DesignBasis, parked: np.ndarray) -> None:

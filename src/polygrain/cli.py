@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .errors import InputFormatError, NumericalError, ResourceError
 from .geometry import PhysicalAPD, PhysicalPD, make_grid, sym2x2
 from .metrics import compression
 from .objective import hard_assign
-from .optimizer import FitConfig, fit
+from .optimizer import INIT_NAMES, FitConfig, fit
 from . import fileio
 
 
@@ -70,7 +71,7 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     grain_map = fileio.read_grain_map_csv(args.input)
     init: str | object = args.init
-    if init not in ("zero", "heuristic"):
+    if init not in INIT_NAMES:
         init = fileio.checked(init, coeffs_to_basis, fileio.read_theta_csv(init), args.basis)
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
@@ -135,20 +136,30 @@ def cmd_convert(args) -> int:
     return 0
 
 
+def _report_value(path, data, key: str):
+    """Report ``data``'s value at the dotted ``key``: a finite JSON number under "final",
+    else a JSON integer within 2^31 of zero, so that K_d fits an int64."""
+    value = functools.reduce(operator.getitem, key.split("."), data)
+    kind, bound = (float, sys.float_info.max) if key.startswith("final.") else (int, 2**31)
+    if type(value) in (int, kind) and abs(value) <= bound:  # a bool is neither
+        return kind(value)
+    rule = "a finite JSON number" if kind is float else "a JSON integer within 2^31 of zero"
+    raise InputFormatError(f"{path}: {key!r} must be {rule}, got {value!r}")
+
+
 def cmd_metrics(args) -> int:
-    lines = ["d,K_d,phi_final,acc_final,err_final,compr"]
+    rows = []
     for path in args.inputs:
-        data = json.loads(Path(path).read_text())
+        data = fileio.checked(path, json.loads, Path(path).read_text())
         try:
-            degree = int(data["theta"]["degree"])
-            final = [data["final"][key] for key in ("phi", "acc", "err")]
-            ratio = compression(degree, int(data["n_grains"]), int(data["n_pixels"]))
+            degree, n_grains, n_pixels, *final = [_report_value(path, data, key) for key in (
+                "theta.degree", "n_grains", "n_pixels", "final.phi", "final.acc", "final.err")]
         except (KeyError, TypeError) as exc:
             raise InputFormatError(
                 f"{path}: not a fit report ({type(exc).__name__}: {exc})") from None
-        lines.append(",".join([str(degree), str(feature_count(degree)),
-                               *map(repr, [*final, ratio])]))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        ratio = fileio.checked(path, compression, degree, n_grains, n_pixels)
+        rows.append([degree, feature_count(degree), *final, ratio])
+    fileio.write_metrics_csv(args.out, rows)
     print(f"wrote {args.out}")
     return 0
 

@@ -17,6 +17,7 @@ Grain-map CSV:      header ``x1,x2,label``; one row per pixel. Fitted labels
                     are written the same way.
 Coefficient CSV:    one ``# key=value`` metadata line (basis, degree, ordering,
                     gauge), then header ``alpha1,alpha2,theta_1..theta_N``.
+Metrics CSV:        header ``d,K_d,phi_final,acc_final,err_final,compr``, a row a report.
 Physical JSON:      seeds/weights (and row-major 2x2 anisotropy for degree 2).
 Images:             binary PPM (P6).
 """
@@ -45,6 +46,8 @@ MISASSIGN_WRONG = (40, 40, 40)
 _DTYPES = {"number": np.float64, "integer": np.int64, "label": np.int64}
 _GRAIN_MAP = {"x1": "number", "x2": "number", "label": "label"}
 _MISASSIGNMENT = {"x1": "number", "x2": "number", "label_true": "label", "label_fit": "label"}
+_METRICS = {"d": "integer", "K_d": "integer", "phi_final": "number", "acc_final": "number",
+            "err_final": "number", "compr": "number"}
 _ROWS_PER_WRITE = 1 << 14  # bounds the Python strings alive at once
 
 
@@ -146,6 +149,10 @@ def write_misassignment_csv(path, grid: PixelGrid, true_labels: np.ndarray,
                  [grid.points[:, 0], grid.points[:, 1], true_labels, fitted_labels])
 
 
+def write_metrics_csv(path, rows) -> None:
+    _write_table(path, _METRICS, list(zip(*rows)))
+
+
 def read_grain_map_csv(path) -> GrainMap:
     """Read a grain map; the grain count is the largest label present."""
     table = _read_table(path, _GRAIN_MAP)
@@ -203,7 +210,7 @@ def read_theta_csv(path) -> ParamMatrix:
 
 def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
     """JSON-ready report; wall clock lives under 'timing' so runs stay comparable."""
-    body = {
+    return {
         "epsilon": float(report.eps),
         "n_grains": int(report.n_grains),
         "n_empty_grains": int(report.n_empty_grains),
@@ -241,7 +248,6 @@ def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
         },
         "timing": {"wall_clock_s": float(report.wall_clock_s)},
     }
-    return body
 
 
 def write_report_json(path, report: FitReport, theta_path: str | None = None) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,12 +43,13 @@ from .basis import (DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assembl
                     park)
 from .errors import NumericalError
 from .geometry import GrainMap
-from .objective import bounds_hold, evaluate_objective, tile_layout
+from .objective import EvalResult, bounds_hold, evaluate_objective, tile_layout
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 MAX_LINE_EVALS = 25
 CURVATURE_SKIP = 1e-10
+INIT_NAMES = ("zero", "heuristic")  # the named starts; FitConfig.init may also be a ParamMatrix
 
 
 class LineEval(NamedTuple):
@@ -149,7 +150,7 @@ class FitConfig:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
         if min(self.degree, self.max_iters, self.memory, self.record_every) < 1:
             raise ValueError("degree, max_iters, memory and record_every must be >= 1")
-        if isinstance(self.init, str) and self.init not in ("zero", "heuristic"):
+        if isinstance(self.init, str) and self.init not in INIT_NAMES:
             raise ValueError("init must be 'zero', 'heuristic' or an explicit ParamMatrix")
 
 
@@ -158,26 +159,26 @@ class FitReport:
     """Outcome of a fit: final parameters, trajectories and consistency checks."""
 
     theta: ParamMatrix
-    iters: list[int] = field(default_factory=list)
-    phi_traj: list[float] = field(default_factory=list)
-    err_traj: list[float] = field(default_factory=list)
-    e0_traj: list[float] = field(default_factory=list)
-    phi_final: float = 0.0
-    acc_final: float = 0.0
-    err_final: float = 0.0
-    iterations_run: int = 0
-    stop_reason: str = "budget"
-    wall_clock_s: float = 0.0
-    eps: float = 1e-2
-    n_grains: int = 0
-    n_empty_grains: int = 0
-    n_pixels: int = 0
-    evaluations: int = 0
-    kernel_pairs: int = 0  # pixel-grain pairs the kernel computed, over all evaluations
-    gauge_residual: float = 0.0
-    design_spans: bool = True
-    bound_phi_err_ok: bool = True
-    bound_energy_ok: bool = True
+    iters: list[int]  # the recorded iterations, and at each its phi, err and e0
+    phi_traj: list[float]
+    err_traj: list[float]
+    e0_traj: list[float]
+    phi_final: float
+    acc_final: float
+    err_final: float
+    iterations_run: int
+    stop_reason: str
+    wall_clock_s: float
+    eps: float
+    n_grains: int
+    n_empty_grains: int
+    n_pixels: int
+    evaluations: int
+    kernel_pairs: int  # pixel-grain pairs the kernel computed, over all evaluations
+    gauge_residual: float
+    design_spans: bool
+    bound_phi_err_ok: bool
+    bound_energy_ok: bool
 
 
 def init_zero(degree: int, n_grains: int, kind: str = LEGENDRE) -> ParamMatrix:
@@ -192,20 +193,13 @@ def _initial_theta(grain_map: GrainMap, config: FitConfig, basis: DesignBasis) -
         theta = config.init
         if theta.n_grains != grain_map.n_grains:
             raise ValueError("explicit initial parameters do not match the grain count")
-        if theta.basis != basis:
-            raise ValueError(f"parameter basis ({theta.basis.kind}, d={theta.degree}) does not "
-                             f"match design basis ({basis.kind}, d={basis.degree})")
+        theta.require_basis(basis)
         return ParamMatrix(theta.values - theta.values[:, -1:], theta.basis, GAUGE_LAST_ZERO)
     if config.init == "heuristic":
         from .heuristics import heuristic_theta
 
         return heuristic_theta(grain_map, config.degree, config.basis_kind)
     return init_zero(config.degree, grain_map.n_grains, config.basis_kind)
-
-
-def _design_spans(gram: np.ndarray) -> bool:
-    eigs = np.linalg.eigvalsh(gram)
-    return bool(eigs[0] > 1e-12 * max(eigs[-1], 1.0))
 
 
 def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
@@ -242,31 +236,23 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         res = evaluate_objective(unpack(u), design.values, labels0, config.eps,
                                  want_grad=True, want_assign=True, layout=layout)
         pairs.append(res.pairs)
-        return res.phi, res.grad[:, : n_kept - 1].ravel(), res.err, res.e0
+        # Not res._replace, whose resized tuples CPython keeps on a free list (up to 156 KiB).
+        return EvalResult(res.phi, res.grad[:, : n_kept - 1].ravel(), res.err, res.e0, res.pairs)
 
     u = theta0.values[:, keep][:, : n_kept - 1].ravel()
-    phi, g, err, e0 = evaluate(u)
-    if not (np.isfinite(phi) and np.all(np.isfinite(g))):
+    at = evaluate(u)
+    if not (np.isfinite(at.phi) and np.all(np.isfinite(at.grad))):
         raise NumericalError(
-            f"non-finite objective at the initial point: phi={phi}, |u|={np.linalg.norm(u)}"
+            f"non-finite objective at the initial point: phi={at.phi}, |u|={np.linalg.norm(u)}"
         )
 
     gram = design.values @ design.values.T
-    report = FitReport(theta=theta0, eps=config.eps, n_grains=n_grains,
-                       n_empty_grains=n_grains - n_kept, n_pixels=len(grain_map),
-                       design_spans=_design_spans(gram))
+    eig_lo, eig_hi = np.linalg.eigvalsh(gram)[[0, -1]]  # the design spans unless eig_lo ~ 0
     sq = np.diag(gram)  # each row's sum of squares; 1 on a zero row, whose gradient is zero
     precond = np.repeat(np.divide(len(grain_map), sq, out=np.ones_like(sq), where=sq > 0.0),
                         n_kept - 1)
-
-    def record(it, phi_val, err_val, e0_val):
-        report.iters.append(it)
-        report.phi_traj.append(float(phi_val))
-        report.err_traj.append(float(err_val))
-        report.e0_traj.append(float(e0_val))
-
-    record(0, phi, err, e0)
-
+    # The recorded iterations, and at each phi, err and e0: lists, as tuples would cost more.
+    traj = iters, phi_traj, err_traj, e0_traj = [0], [at.phi], [at.err], [at.e0]
     hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=config.memory)  # (s, y, rho)
     # Certifies err == 0 when crossed: misassignment costs at least log2/n.
     certify_threshold = -1e-12 * math.log(2.0) / len(grain_map)
@@ -274,10 +260,12 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     iterations = 0
 
     for it in range(1, config.max_iters + 1):
+        g = at.grad
         gnorm2 = float(g @ g)
         if gnorm2 == 0.0:
             stop_reason = "stationary"
             break
+        direction = g / gnorm2  # unless the memory gives an ascent direction
         if hist:
             q = g.copy()
             alphas = []
@@ -290,67 +278,59 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
             for (s_vec, y_vec, rho), a in zip(hist, reversed(alphas)):
                 b = rho * float(y_vec @ r)
                 r += s_vec * (a - b)
-            direction = r
-        else:
-            direction = g / gnorm2
+            if 0.0 < float(g @ r) < math.inf:
+                direction = r
+            else:  # the quasi-Newton memory went bad: restart from the scaled gradient
+                hist.clear()
         slope0 = float(g @ direction)
-        if not np.isfinite(slope0) or slope0 <= 0.0:
-            # Quasi-Newton memory went bad; restart from the scaled gradient.
-            hist.clear()
-            direction = g / gnorm2
-            slope0 = float(g @ direction)
-            if not np.isfinite(slope0) or slope0 <= 0.0:
-                stop_reason = "stationary"
-                break
+        if not 0.0 < slope0 < math.inf:
+            stop_reason = "stationary"
+            break
 
-        def eval_step(t, _u=u, _d=direction):
-            u_t = _u + t * _d
-            phi_t, g_t, err_t, e0_t = evaluate(u_t)
-            return LineEval(phi=phi_t, slope=float(g_t @ _d),
-                            payload=(u_t, g_t, err_t, e0_t))
+        def eval_step(t):  # line_search calls it before u or direction change
+            u_t = u + t * direction
+            res = evaluate(u_t)
+            return LineEval(phi=res.phi, slope=float(res.grad @ direction), payload=(u_t, res))
 
-        t, accepted = line_search(eval_step, phi, slope0)
+        t, accepted = line_search(eval_step, at.phi, slope0)
         if t == 0.0 or accepted is None:
             stop_reason = "line-search"
             break
-        u_new, g_new, err_new, e0_new = accepted.payload
-        phi_new = accepted.phi
-        if not (np.isfinite(phi_new) and np.all(np.isfinite(g_new))):
+        u_new, new = accepted.payload
+        if not (np.isfinite(new.phi) and np.all(np.isfinite(new.grad))):
             raise NumericalError(
-                f"non-finite values at iteration {it}: phi={phi_new}, "
+                f"non-finite values at iteration {it}: phi={new.phi}, "
                 f"step={t}, |direction|={np.linalg.norm(direction)}, |u|={np.linalg.norm(u_new)}"
             )
 
         s_vec = u_new - u
-        y_vec = g - g_new
+        y_vec = g - new.grad
         sy = float(s_vec @ y_vec)
         if sy > CURVATURE_SKIP * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
             hist.append((s_vec, y_vec, 1.0 / sy))  # the oldest pair drops out at the memory
 
-        u, phi, g, err, e0 = u_new, phi_new, g_new, err_new, e0_new
-        iterations = it
+        u, at, iterations = u_new, new, it
         if it % config.record_every == 0 or it == config.max_iters:
-            record(it, phi, err, e0)
-        if phi > certify_threshold:
+            for column, value in zip(traj, (it, at.phi, at.err, at.e0)):
+                column.append(value)
+        if at.phi > certify_threshold:
             stop_reason = "near-optimal"
             break
 
-    if report.iters[-1] != iterations:
-        record(iterations, phi, err, e0)
-
+    if iters[-1] != iterations:
+        for column, value in zip(traj, (iterations, at.phi, at.err, at.e0)):
+            column.append(value)
     values = unpack(u)[:, slot]
     park(values, basis, ~keep)
-    report.theta = ParamMatrix(values=values, basis=basis, gauge=GAUGE_LAST_ZERO)
-    report.phi_final = float(phi)
-    report.err_final = float(err)
-    report.acc_final = 1.0 - float(err)
-    report.iterations_run = iterations
-    report.stop_reason = stop_reason
-    report.gauge_residual = float(np.abs(report.theta.values[:, -1]).max())
-    report.evaluations, report.kernel_pairs = len(pairs), sum(pairs)
-
-    checks = [bounds_hold(p, e, e0_val, config.eps, n_kept)
-              for p, e, e0_val in zip(report.phi_traj, report.err_traj, report.e0_traj)]
-    report.bound_phi_err_ok, report.bound_energy_ok = map(all, zip(*checks))
-    report.wall_clock_s = time.perf_counter() - start
-    return report
+    theta = ParamMatrix(values=values, basis=basis, gauge=GAUGE_LAST_ZERO)
+    checks = [bounds_hold(p, e, e0, config.eps, n_kept) for p, e, e0 in zip(*traj[1:])]
+    bound_phi_err_ok, bound_energy_ok = map(all, zip(*checks))
+    return FitReport(
+        theta=theta, iters=iters, phi_traj=phi_traj, err_traj=err_traj, e0_traj=e0_traj,
+        phi_final=at.phi, acc_final=1.0 - at.err, err_final=at.err, iterations_run=iterations,
+        stop_reason=stop_reason, wall_clock_s=time.perf_counter() - start, eps=config.eps,
+        n_grains=n_grains, n_empty_grains=n_grains - n_kept, n_pixels=len(grain_map),
+        evaluations=len(pairs), kernel_pairs=sum(pairs),
+        gauge_residual=float(np.abs(theta.values[:, -1]).max()),
+        design_spans=bool(eig_lo > 1e-12 * max(eig_hi, 1.0)), bound_phi_err_ok=bound_phi_err_ok,
+        bound_energy_ok=bound_energy_ok)

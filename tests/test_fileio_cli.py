@@ -476,6 +476,67 @@ class TestCli:
         err = capsys.readouterr().err
         assert "report.json" in err and key in err
 
+    @staticmethod
+    def fit_reports(tmp_path):
+        """Two reports that ``fit`` wrote: degree 1 and degree 2 on one map."""
+        gen = tmp_path / "gen"
+        assert main(["generate", "--kind", "apd", "--n", "5", "--m", "6", "--seed", "2",
+                     "--out-dir", str(gen)]) == 0
+        paths = []
+        for degree in ("1", "2"):
+            out = tmp_path / f"fit{degree}"
+            assert main(["fit", "--input", str(gen / "grain_map.csv"), "--degree", degree,
+                         "--iters", "8", "--out-dir", str(out)]) == 0
+            paths.append(out / "report.json")
+        return paths
+
+    def test_metrics_table_bytes(self, tmp_path):
+        # The per-row writer that the column writer replaced.
+        lines = ["d,K_d,phi_final,acc_final,err_final,compr"]
+        paths = self.fit_reports(tmp_path)
+        for path in paths:
+            data = json.loads(path.read_text())
+            degree = data["theta"]["degree"]
+            ratio = pg.compression(degree, data["n_grains"], data["n_pixels"])
+            lines.append(",".join([str(degree), str(pg.feature_count(degree)),
+                                   *(repr(data["final"][k]) for k in ("phi", "acc", "err")),
+                                   repr(ratio)]))
+        table = tmp_path / "metrics.csv"
+        assert main(["metrics", "--inputs", *map(str, paths), "--out", str(table)]) == 0
+        assert table.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("key,value", [
+        ("final.phi", "abc"), ("final.phi", None), ("final.acc", True), ("final.err", [0.1]),
+        ("final.err", 1e400), ("theta.degree", 2.5), ("theta.degree", True),
+        ("theta.degree", 2**40), ("n_grains", 20.7), ("n_pixels", "10000"),
+    ])
+    def test_malformed_report_value_gives_input_exit_code(self, key, value, tmp_path, capsys):
+        good, _ = self.fit_reports(tmp_path)
+        data = json.loads(good.read_text())
+        *outer, last = key.split(".")
+        target = data[outer[0]] if outer else data
+        target[last] = value
+        bad = tmp_path / "bad_report.json"
+        bad.write_text(json.dumps(data))
+        table = tmp_path / "metrics.csv"
+        assert main(["metrics", "--inputs", str(good), str(bad), "--out", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert "bad_report.json" in err and repr(key) in err
+        assert not table.exists()
+
+    @pytest.mark.parametrize("n_pixels,tail", [(0, ""), (400, "}")], ids=["zero-pixels", "bad-json"])
+    def test_report_error_names_the_report(self, n_pixels, tail, tmp_path, capsys):
+        # Zero pixels fail the compression ratio's check; a trailing "}" is not JSON.
+        good, _ = self.fit_reports(tmp_path)
+        data = json.loads(good.read_text())
+        data["n_pixels"] = n_pixels
+        bad = tmp_path / "bad_report.json"
+        bad.write_text(json.dumps(data) + tail)
+        table = tmp_path / "metrics.csv"
+        assert main(["metrics", "--inputs", str(bad), "--out", str(table)]) == 2
+        assert "bad_report.json" in capsys.readouterr().err
+        assert not table.exists()
+
     def test_design_allocation_failure_gives_resource_exit_code(self, tmp_path, capsys,
                                                                 monkeypatch):
         gen = tmp_path / "gen"

@@ -263,6 +263,38 @@ class TestFit:
             pg.FitConfig(degree=0)
 
 
+class TestMemoryRestart:
+    def test_restart_takes_the_scaled_gradient_step(self, monkeypatch):
+        # Scripted gradients at the evaluations 0, 1, 2, ... (grain 1's column):
+        # the first step lands at s = g0/|g0|^2 = (1e-100, 0, 0) with y = g0 - g1
+        # and s'y = 1. At iteration 2 the memory direction is
+        # r = (s'y / y'Py) P g1 = (0, 3.2e-300, 0), P = (1, 3.2, 3.2) on this grid,
+        # whose slope g1'r = 3.2e-400 underflows to zero: not an ascent direction,
+        # so the fit clears its memory and steps to u + g1/|g1|^2.
+        grads = [np.array([1e100, 0.0, 0.0]), np.array([0.0, 1e-100, 0.0]),
+                 np.array([0.0, 0.5e-100, 0.0])]
+        seen = []
+
+        def scripted(theta, *args, **kwargs):
+            g = grads[min(len(seen), len(grads) - 1)]
+            seen.append(theta[:, 0].copy())
+            return objective_module.EvalResult(phi=-0.5, grad=np.column_stack([g, -g]),
+                                               err=0.5, e0=0.0, pairs=0)
+
+        monkeypatch.setattr(optimizer, "evaluate_objective", scripted)
+        monkeypatch.setattr(optimizer, "line_search",
+                            lambda evaluate, phi0, slope0: (1.0, evaluate(1.0)))
+        grid = pg.make_grid(2)
+        gm = pg.GrainMap(grid=grid, labels=np.where(grid.points[:, 0] < 0.0, 1, 2),
+                         n_grains=2)
+        rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=3))
+        u1 = grads[0] / float(grads[0] @ grads[0])
+        assert np.array_equal(seen[1], u1)
+        assert np.array_equal(seen[2], u1 + grads[1] / float(grads[1] @ grads[1]))
+        assert rep.stop_reason == "budget"
+        assert rep.iterations_run == 3 and len(seen) == 4
+
+
 def with_empty_grains(rng, m, n, empty):
     """A power-diagram map whose owning grains are renumbered to leave the grains
     ``empty`` (1-based) without a pixel, and none else; it has n grains or fewer."""
