@@ -6,22 +6,25 @@ Wolfe line search. The run uses a fixed iteration budget rather than a
 gradient-norm stop: near the optimum the objective is extremely flat, and in
 the separable regime no maximiser exists at all.
 
-The quasi-Newton initial matrix is H0 = gamma*P with gamma = s'y / y'Py from
-the newest curvature pair. P is a fixed diagonal preconditioner after
-Boehning's bound on the logistic Hessian: each coefficient of design row k is
-scaled by n / sum_x eta_k(x)^2, the inverse mean square of that row, read off
-the diagonal of the Gram matrix that also decides ``design_spans``. Legendre
-row P_i P_j has mean square about 1/((2i+1)(2j+1)) on the square, so with a
-scalar initial matrix the high-order coefficients creep.
+The quasi-Newton initial matrix is gamma*H, H = P kron (I + 11'), with
+gamma = s'y / y'Hy from the newest curvature pair. H inverts Boehning's bound
+on the logistic Hessian, (1/2)(I - 11'/N') kron DD' up to 1/(eps^2 n), with
+DD' cut to its diagonal. P scales each coefficient of design row k by
+n / sum_x eta_k(x)^2, the inverse mean square of that row, read off the
+diagonal of the Gram matrix that also decides ``design_spans``: Legendre row
+P_i P_j has mean square about 1/((2i+1)(2j+1)) on the square, so with a
+scalar initial matrix the high-order coefficients creep. The last-column
+gauge keeps I - 11'/N' on the N'-1 free columns, whose inverse is exactly
+I + 11' (Sherman-Morrison), for any N' (``boehning_inverse``).
 
 When the memory is empty the search direction is g/|g|^2, which makes the
 whole trajectory equivariant under the temperature rescaling
 (eps, theta) -> (1, theta/eps): both runs see identical line-search problems,
-so recorded objective values coincide. P does not depend on eps, so the
-memory steps keep that equivariance. The first step and the restart after a
-memory reset stay g/|g|^2: a first step of Pg/(g'Pg) lands elsewhere, and on
-the many-grains benchmark map it misses the 0.05 error that g/|g|^2 meets at
-iteration 1 (err 0.050019 against 0.049394).
+so recorded objective values coincide. H depends on neither eps nor theta, so
+the memory steps keep that equivariance. The first step and the restart after
+a memory reset stay g/|g|^2: a first step of Pg/(g'Pg) lands elsewhere, and
+on the many-grains benchmark map it misses the 0.05 error that g/|g|^2 meets
+at iteration 1 (err 0.050019 against 0.049394).
 
 Only the N' grains that own a pixel, and the last, which carries the gauge, are
 fitted: an empty grain enters the objective only through the log-sum-exp
@@ -202,6 +205,13 @@ def _initial_theta(grain_map: GrainMap, config: FitConfig, basis: DesignBasis) -
     return init_zero(config.degree, grain_map.n_grains, config.basis_kind)
 
 
+def boehning_inverse(row_scale: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v for free coefficients v, a (K, N'-1) block row-major, and P = diag(row_scale):
+    row k becomes P_k (v_k + sum(v_k)), in O(K N') work."""
+    block = v.reshape(len(row_scale), -1)
+    return (row_scale[:, None] * (block + block.sum(axis=1, keepdims=True))).ravel()
+
+
 def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     """Maximise the smoothed label log-likelihood over gauge-fixed coefficients.
 
@@ -249,8 +259,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     gram = design.values @ design.values.T
     eig_lo, eig_hi = np.linalg.eigvalsh(gram)[[0, -1]]  # the design spans unless eig_lo ~ 0
     sq = np.diag(gram)  # each row's sum of squares; 1 on a zero row, whose gradient is zero
-    precond = np.repeat(np.divide(len(grain_map), sq, out=np.ones_like(sq), where=sq > 0.0),
-                        n_kept - 1)
+    row_scale = np.divide(len(grain_map), sq, out=np.ones_like(sq), where=sq > 0.0)
     # The recorded iterations, and at each phi, err and e0: lists, as tuples would cost more.
     traj = iters, phi_traj, err_traj, e0_traj = [0], [at.phi], [at.err], [at.e0]
     hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=config.memory)  # (s, y, rho)
@@ -274,7 +283,8 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
                 q -= a * y_vec
                 alphas.append(a)
             s_last, y_last, _ = hist[-1]
-            r = float(s_last @ y_last) / float(y_last @ (precond * y_last)) * (precond * q)
+            r = boehning_inverse(row_scale, q)
+            r *= float(s_last @ y_last) / float(y_last @ boehning_inverse(row_scale, y_last))
             for (s_vec, y_vec, rho), a in zip(hist, reversed(alphas)):
                 b = rho * float(y_vec @ r)
                 r += s_vec * (a - b)

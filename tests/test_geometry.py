@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import polygrain as pg
+from polygrain.objective import tile_grains, tile_layout
 from conftest import random_apd, random_pd
 from reference import accuracy_and_error, physical_costs
 
@@ -170,6 +171,18 @@ class TestHardAssign:
         for other in (pg.make_grid(4), pg.make_grid(1)):
             with pytest.raises(ValueError, match=f"16 points, design has {len(other)}"):
                 pg.hard_assign(theta, grid, pg.assemble_design_matrix(basis1, other))
+
+    def test_design_gives_the_same_labels(self):
+        # 60 grains on 14,400 pixels: 9 tiles, each keeping a strict subset of
+        # the grains, read through the tile order from the design or evaluated
+        # from the points.
+        theta = pg.apd_to_theta(random_apd(np.random.default_rng(0), 60))
+        grid = pg.make_grid(60)
+        layout = tile_layout(theta.basis, grid.points, theta.n_grains)
+        keep = tile_grains(layout, theta.values, 0.0)
+        assert len(keep) > 1 and keep.sum(axis=1).max() < theta.n_grains
+        design = pg.assemble_design_matrix(theta.basis, grid)
+        assert np.array_equal(pg.hard_assign(theta, grid, design), pg.hard_assign(theta, grid))
 
     def test_tie_break_prefers_smaller_index(self, rng):
         # Duplicate a column: the later copy must never win.
