@@ -272,8 +272,11 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
     labels = np.empty(len(grid), dtype=np.int64)
     for cols, rows in itertools.chain.from_iterable(
             _batches(layout, tile_grains(layout, theta.values, 0.0))):
+        # take's gather is C-ordered; with the F-ordered [:, cols], the call at a
+        # fitted K = 6 theta took 28-32 ms at 2 OpenBLAS threads against 1-1.6 ms
+        # (10^4 pixels, 2-vCPU VM, NumPy 2.4).
         eta = (theta.basis.evaluate(grid.points[cols]) if design is None
-               else design.values.take(cols, axis=1))  # C-ordered, as in _chunk_stats
+               else design.values.take(cols, axis=1))
         theta_t = (theta.values if rows is None else theta.values[:, rows]).T
         local = argmin_labels(theta_t @ eta)
         labels[cols] = local if rows is None else rows[local - 1] + 1
@@ -333,11 +336,7 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     scaling goes onto the K x tile design slice.
     """
     thetas = [theta_values if rows is None else theta_values[:, rows] for _, rows in batch]
-    # Views where cols are slices, else take's C-ordered gather: with the F-ordered
-    # [:, cols], hard_assign at a fitted K = 6 theta took 28-32 ms at 2 OpenBLAS
-    # threads against 1-1.6 ms (10^4 pixels, 2-vCPU VM, NumPy 2.4).
-    etas = [design_values[:, cols] if isinstance(cols, slice) else design_values.take(cols, axis=1)
-            for cols, _ in batch]
+    etas = [design_values[:, cols] for cols, _ in batch]  # views where cols are slices
     labels = [labels0[cols] for cols, _ in batch]
     slot = np.empty(theta_values.shape[1], dtype=np.intp)
     row0 = [_label_rows(rows, g, slot) for g, (_, rows) in zip(labels, batch)]
