@@ -76,8 +76,7 @@ def cmd_fit(args) -> int:
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
     config = FitConfig(degree=args.degree, basis_kind=args.basis, eps=args.eps,
-                       max_iters=args.iters, memory=args.memory, init=init,
-                       record_every=args.record_every)
+                       max_iters=args.iters, init=init)
     report = fit(grain_map, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,10 +182,8 @@ def _add_fit(sub):
     p.add_argument("--basis", choices=[MONOMIAL, LEGENDRE], default=FitConfig.basis_kind)
     p.add_argument("--eps", type=float, default=FitConfig.eps)
     p.add_argument("--iters", type=int, default=FitConfig.max_iters)
-    p.add_argument("--memory", type=int, default=FitConfig.memory)
     p.add_argument("--init", default=FitConfig.init,
                    help="'zero', 'heuristic', or a coefficient CSV path")
-    p.add_argument("--record-every", type=int, default=FitConfig.record_every)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: the kernel is serial (must be >= 1)")
     p.add_argument("--out-dir", default=".")

@@ -467,12 +467,18 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     return EvalResult(phi=phi, grad=grad, err=err, e0=e0, pairs=pairs)
 
 
+def require_eps(eps: float) -> None:
+    """Reject a temperature that is not finite and positive, or whose reciprocal, the
+    kernel's scale -1/eps, overflows."""
+    if not (0 < eps < math.inf and 1.0 / float(eps) < math.inf):  # float: no NumPy warning
+        raise ValueError(f"eps must be finite and positive with a finite reciprocal, got {eps}")
+
+
 def evaluate(theta: ParamMatrix, design: DesignMatrix, grain_map: GrainMap, eps: float,
              *, want_grad: bool = False, want_assign: bool = False) -> EvalResult:
     """Checked ``evaluate_objective`` of theta on a design, on the tiles of the
     map's grid, read through their order; the gradient keeps its last column."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    require_eps(eps)
     _check_compatible(theta, design, len(grain_map))
     if grain_map.n_grains > theta.n_grains:
         raise ValueError(f"grain map has {grain_map.n_grains} grains, theta {theta.n_grains}")

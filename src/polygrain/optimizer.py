@@ -4,7 +4,11 @@ The final grain's coefficient column is pinned to zero and the remaining
 K*(N-1) entries are optimised with a limited-memory BFGS update and a strong
 Wolfe line search. The run uses a fixed iteration budget rather than a
 gradient-norm stop: near the optimum the objective is extremely flat, and in
-the separable regime no maximiser exists at all.
+the separable regime no maximiser exists at all. The protocol is fixed: the
+memory holds MEMORY = 10 curvature pairs, and the line search tries the step 1
+first, takes the Wolfe constants WOLFE_C1 = 1e-4 and WOLFE_C2 = 0.9 and spends
+at most MAX_LINE_EVALS = 25 evaluations, the standard choices of Nocedal &
+Wright (ch. 7). Every accepted iteration is recorded.
 
 The quasi-Newton initial matrix is gamma*H, H = P kron (I + 11'), with
 gamma = s'y / y'Hy from the newest curvature pair. H inverts Boehning's bound
@@ -26,6 +30,13 @@ a memory reset stay g/|g|^2: a first step of Pg/(g'Pg) lands elsewhere, and
 on the many-grains benchmark map it misses the 0.05 error that g/|g|^2 meets
 at iteration 1 (err 0.050019 against 0.049394).
 
+The gradient scales as 1/eps, so a plain |g|^2 overflows at eps = 2^-600 and
+underflows to zero at 2^600. Each square of the step (|g|^2, y'Hy in gamma, |s|
+and |y| in the curvature test) is taken of the vector divided by 2^e, e the
+``frexp`` exponent of its largest entry (``_scaled``), and scaled back after the
+division. A product with a power of two rounds nowhere unless it leaves the
+normal range, so at moderate eps every bit is that of the unscaled arithmetic.
+
 Only the N' grains that own a pixel, and the last, which carries the gauge, are
 fitted: an empty grain enters the objective only through the log-sum-exp
 denominator, so the supremum over its coefficients is the objective without it.
@@ -46,11 +57,12 @@ from .basis import (DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assembl
                     park)
 from .errors import NumericalError
 from .geometry import GrainMap
-from .objective import EvalResult, bounds_hold, evaluate_objective, tile_layout
+from .objective import EvalResult, bounds_hold, evaluate_objective, require_eps, tile_layout
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 MAX_LINE_EVALS = 25
+MEMORY = 10
 CURVATURE_SKIP = 1e-10
 INIT_NAMES = ("zero", "heuristic")  # the named starts; FitConfig.init may also be a ParamMatrix
 
@@ -79,14 +91,14 @@ def _cubic_maximiser(t_lo, f_lo, g_lo, t_hi, f_hi, g_hi):
     return t if np.isfinite(t) else None
 
 
-def line_search(evaluate: Callable[[float], LineEval], phi0: float, slope0: float,
-                t0: float = 1.0, c1: float = WOLFE_C1, c2: float = WOLFE_C2,
-                max_evals: int = MAX_LINE_EVALS) -> tuple[float, LineEval | None]:
+def line_search(evaluate: Callable[[float], LineEval], phi0: float,
+                slope0: float) -> tuple[float, LineEval | None]:
     """Strong-Wolfe step for an ascent direction (positive initial slope).
 
     Returns (t, eval_at_t); t == 0.0 with None signals failure, which callers
-    treat as termination rather than an error. At most ``max_evals`` trial
-    evaluations are spent across bracketing and refinement.
+    treat as termination rather than an error. The first trial step is 1, and
+    at most MAX_LINE_EVALS trial evaluations are spent across bracketing and
+    refinement.
     """
     if slope0 <= 0.0:
         raise ValueError("line_search requires an ascent direction")
@@ -100,17 +112,17 @@ def line_search(evaluate: Callable[[float], LineEval], phi0: float, slope0: floa
     def zoom(lo, e_lo, hi, e_hi):
         # Invariant: lo satisfies sufficient increase and its slope points
         # towards hi; a strong-Wolfe point lies between lo and hi.
-        while evals < max_evals:
+        while evals < MAX_LINE_EVALS:
             t = _cubic_maximiser(lo, e_lo.phi, e_lo.slope, hi, e_hi.phi, e_hi.slope)
             width = abs(hi - lo)
             lo_bound, hi_bound = min(lo, hi), max(lo, hi)
             if (t is None or not (lo_bound + 0.1 * width <= t <= hi_bound - 0.1 * width)):
                 t = 0.5 * (lo + hi)
             e = advance(t)
-            if e.phi < phi0 + c1 * t * slope0 or e.phi <= e_lo.phi:
+            if e.phi < phi0 + WOLFE_C1 * t * slope0 or e.phi <= e_lo.phi:
                 hi, e_hi = t, e
             else:
-                if abs(e.slope) <= c2 * slope0:
+                if abs(e.slope) <= WOLFE_C2 * slope0:
                     return t, e
                 if e.slope * (hi - lo) <= 0.0:
                     hi, e_hi = lo, e_lo
@@ -118,15 +130,15 @@ def line_search(evaluate: Callable[[float], LineEval], phi0: float, slope0: floa
         return 0.0, None
 
     t_prev, e_prev = 0.0, LineEval(phi=phi0, slope=slope0, payload=None)
-    t = t0
+    t = 1.0
     first = True
-    while evals < max_evals:
+    while evals < MAX_LINE_EVALS:
         e = advance(t)
         if not np.isfinite(e.phi):
             return zoom(t_prev, e_prev, t, LineEval(phi=-np.inf, slope=0.0, payload=e.payload))
-        if e.phi < phi0 + c1 * t * slope0 or (not first and e.phi <= e_prev.phi):
+        if e.phi < phi0 + WOLFE_C1 * t * slope0 or (not first and e.phi <= e_prev.phi):
             return zoom(t_prev, e_prev, t, e)
-        if abs(e.slope) <= c2 * slope0:
+        if abs(e.slope) <= WOLFE_C2 * slope0:
             return t, e
         if e.slope <= 0.0:
             return zoom(t, e, t_prev, e_prev)
@@ -138,21 +150,18 @@ def line_search(evaluate: Callable[[float], LineEval], phi0: float, slope0: floa
 
 @dataclass
 class FitConfig:
-    """Protocol knobs for one optimisation run."""
+    """The settings of one fit; its memory and line search are fixed (module docstring)."""
 
     degree: int = 1
     basis_kind: str = LEGENDRE
     eps: float = 1e-2
     max_iters: int = 1000
-    memory: int = 10
     init: str | ParamMatrix = "zero"
-    record_every: int = 1
 
     def __post_init__(self):
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps}")
-        if min(self.degree, self.max_iters, self.memory, self.record_every) < 1:
-            raise ValueError("degree, max_iters, memory and record_every must be >= 1")
+        require_eps(self.eps)
+        if min(self.degree, self.max_iters) < 1:
+            raise ValueError("degree and max_iters must be >= 1")
         if isinstance(self.init, str) and self.init not in INIT_NAMES:
             raise ValueError("init must be 'zero', 'heuristic' or an explicit ParamMatrix")
 
@@ -162,7 +171,7 @@ class FitReport:
     """Outcome of a fit: final parameters, trajectories and consistency checks."""
 
     theta: ParamMatrix
-    iters: list[int]  # the recorded iterations, and at each its phi, err and e0
+    iters: list[int]  # 0 ... iterations_run, and at each its phi, err and e0
     phi_traj: list[float]
     err_traj: list[float]
     e0_traj: list[float]
@@ -203,6 +212,12 @@ def _initial_theta(grain_map: GrainMap, config: FitConfig, basis: DesignBasis) -
 
         return heuristic_theta(grain_map, config.degree, config.basis_kind)
     return init_zero(config.degree, grain_map.n_grains, config.basis_kind)
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v / 2^e, e), e the exponent that ``frexp`` gives for v's largest entry (0 if none)."""
+    e = math.frexp(np.abs(v).max(initial=0.0))[1]
+    return np.ldexp(v, -e), e
 
 
 def boehning_inverse(row_scale: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -260,21 +275,21 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     eig_lo, eig_hi = np.linalg.eigvalsh(gram)[[0, -1]]  # the design spans unless eig_lo ~ 0
     sq = np.diag(gram)  # each row's sum of squares; 1 on a zero row, whose gradient is zero
     row_scale = np.divide(len(grain_map), sq, out=np.ones_like(sq), where=sq > 0.0)
-    # The recorded iterations, and at each phi, err and e0: lists, as tuples would cost more.
+    # Each iteration, and at each phi, err and e0: lists, as tuples would cost more.
     traj = iters, phi_traj, err_traj, e0_traj = [0], [at.phi], [at.err], [at.e0]
-    hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=config.memory)  # (s, y, rho)
+    hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)  # (s, y, rho)
     # Certifies err == 0 when crossed: misassignment costs at least log2/n.
     certify_threshold = -1e-12 * math.log(2.0) / len(grain_map)
     stop_reason = "budget"
-    iterations = 0
 
     for it in range(1, config.max_iters + 1):
         g = at.grad
-        gnorm2 = float(g @ g)
-        if gnorm2 == 0.0:
+        g_scaled, e_g = _scaled(g)
+        g_norm2 = float(g_scaled @ g_scaled)
+        if g_norm2 == 0.0:
             stop_reason = "stationary"
             break
-        direction = g / gnorm2  # unless the memory gives an ascent direction
+        direction = np.ldexp(g_scaled / g_norm2, -e_g)  # g/|g|^2, unless the memory gives a step
         if hist:
             q = g.copy()
             alphas = []
@@ -282,9 +297,9 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
                 a = rho * float(s_vec @ q)
                 q -= a * y_vec
                 alphas.append(a)
-            s_last, y_last, _ = hist[-1]
             r = boehning_inverse(row_scale, q)
-            r *= float(s_last @ y_last) / float(y_last @ boehning_inverse(row_scale, y_last))
+            r *= gamma
+            np.ldexp(r, gamma_exp, out=r)  # gamma H q
             for (s_vec, y_vec, rho), a in zip(hist, reversed(alphas)):
                 b = rho * float(y_vec @ r)
                 r += s_vec * (a - b)
@@ -316,20 +331,22 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         s_vec = u_new - u
         y_vec = g - new.grad
         sy = float(s_vec @ y_vec)
-        if sy > CURVATURE_SKIP * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
+        (s_scaled, e_s), (y_scaled, e_y) = _scaled(s_vec), _scaled(y_vec)
+        # CURVATURE_SKIP |s| |y|, from the norms of the scaled vectors
+        floor = CURVATURE_SKIP * float(np.linalg.norm(s_scaled)) * float(np.linalg.norm(y_scaled))
+        if sy > math.ldexp(floor, e_s + e_y):
             hist.append((s_vec, y_vec, 1.0 / sy))  # the oldest pair drops out at the memory
+            # gamma = s'y / y'Hy of the newest pair is gamma * 2^gamma_exp
+            gamma = sy / float(y_scaled @ boehning_inverse(row_scale, y_scaled))
+            gamma_exp = -2 * e_y
 
-        u, at, iterations = u_new, new, it
-        if it % config.record_every == 0 or it == config.max_iters:
-            for column, value in zip(traj, (it, at.phi, at.err, at.e0)):
-                column.append(value)
+        u, at = u_new, new
+        for column, value in zip(traj, (it, at.phi, at.err, at.e0)):
+            column.append(value)
         if at.phi > certify_threshold:
             stop_reason = "near-optimal"
             break
 
-    if iters[-1] != iterations:
-        for column, value in zip(traj, (iterations, at.phi, at.err, at.e0)):
-            column.append(value)
     values = unpack(u)[:, slot]
     park(values, basis, ~keep)
     theta = ParamMatrix(values=values, basis=basis, gauge=GAUGE_LAST_ZERO)
@@ -337,7 +354,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     bound_phi_err_ok, bound_energy_ok = map(all, zip(*checks))
     return FitReport(
         theta=theta, iters=iters, phi_traj=phi_traj, err_traj=err_traj, e0_traj=e0_traj,
-        phi_final=at.phi, acc_final=1.0 - at.err, err_final=at.err, iterations_run=iterations,
+        phi_final=at.phi, acc_final=1.0 - at.err, err_final=at.err, iterations_run=iters[-1],
         stop_reason=stop_reason, wall_clock_s=time.perf_counter() - start, eps=config.eps,
         n_grains=n_grains, n_empty_grains=n_grains - n_kept, n_pixels=len(grain_map),
         evaluations=len(pairs), kernel_pairs=sum(pairs),

@@ -31,7 +31,7 @@ def pd_recovery():
     pd = random_pd(rng, 20)
     gm = pg.generate_pd(pd, pg.make_grid(50))
     rep = pg.fit(gm, pg.FitConfig(degree=1, basis_kind=pg.LEGENDRE, eps=1e-2,
-                                  max_iters=2000, init="zero", record_every=1))
+                                  max_iters=2000, init="zero"))
     return gm, rep
 
 
@@ -41,9 +41,9 @@ def apd_recovery():
     apd = random_apd(rng, 20, level=0.3)
     gm = pg.generate_apd(apd, pg.make_grid(50))
     rep_zero = pg.fit(gm, pg.FitConfig(degree=2, basis_kind=pg.LEGENDRE, eps=1e-2,
-                                       max_iters=2000, init="zero", record_every=1))
+                                       max_iters=2000, init="zero"))
     rep_heur = pg.fit(gm, pg.FitConfig(degree=2, basis_kind=pg.LEGENDRE, eps=1e-2,
-                                       max_iters=10, init="heuristic", record_every=1))
+                                       max_iters=10, init="heuristic"))
     return gm, rep_zero, rep_heur
 
 

@@ -600,7 +600,7 @@ class TestCli:
         assert (used / "grain_map.csv").exists()
         assert not (tmp_path / "ignored").exists()
 
-    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "5e-324"])
     def test_non_finite_eps_gives_input_exit_code(self, eps, tmp_path, capsys):
         gen = tmp_path / "gen"
         assert main(["generate", "--kind", "pd", "--n", "4", "--m", "5", "--seed", "1",
@@ -734,12 +734,11 @@ class TestCli:
                      "--out-dir", str(gen)]) == 0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"input": str(gen / "grain_map.csv"), "degree": "2",
-                                   "eps": 1, "iters": "5", "record_every": 2,
-                                   "out-dir": str(tmp_path / "fit")}))
+                                   "eps": 1, "iters": "5", "out_dir": str(tmp_path / "fit")}))
         assert main(["--config", str(cfg), "fit"]) == 0
         report = json.loads((tmp_path / "fit" / "report.json").read_text())
         assert report["theta"]["degree"] == 2 and report["epsilon"] == 1.0
-        assert report["trajectory"]["iteration"] == [0, 2, 4, 5]
+        assert report["trajectory"]["iteration"] == [0, 1, 2, 3, 4, 5]
         for inputs in ([str(tmp_path / "fit" / "report.json")],
                        str(tmp_path / "fit" / "report.json")):
             cfg.write_text(json.dumps({"inputs": inputs, "out": str(tmp_path / "m.csv")}))

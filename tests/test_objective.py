@@ -120,6 +120,7 @@ class TestObjective:
                  lambda th, g, e: -e * pg.objective(th, design, g, e),
                  lambda th, g, e: pg.bound_report(th, g, design, e)]
         bad = [(theta, gm, 0.0), (theta, gm, -1.0), (theta, gm, np.nan), (theta, gm, np.inf),
+               (theta, gm, 5e-324),  # its reciprocal, the kernel's scale, overflows
                (random_theta(rng, 2, 4, kind=pg.MONOMIAL), gm, 0.1),
                (theta, random_labels_map(rng, 6, 4), 0.1),
                (random_theta(rng, 2, 3), gm, 0.1)]  # a map of 4 grains, theta of 3
