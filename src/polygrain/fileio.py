@@ -237,6 +237,7 @@ def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
         "kernel": {
             "evaluations": int(report.evaluations),
             "pairs": int(report.kernel_pairs),
+            "curvature_passes": int(report.curvature_passes),
             "dense_pairs": int(report.evaluations) * int(report.n_pixels)
             * (int(report.n_grains) - int(report.n_empty_grains)),
         },

@@ -35,11 +35,12 @@ passes once per batch on a rows x pixels buffer, reading each tile's columns
 through the layout's order. Each tile sums its own pixels, so its partial sums
 have the same bits in any batch; they are added up as each batch returns.
 
-Every pass over all grains and all pixels goes through that tiled kernel:
+Every pass over all grains and all pixels goes through those tiles:
 ``evaluate`` (the checked entry point for the objective, its gradient and the
-assignment statistics) and ``hard_assign`` (arg-min labels, which also
-generate synthetic maps). ``bounds_hold`` is the one implementation of the
-paper's objective/error bounds.
+assignment statistics), ``hard_assign`` (arg-min labels, which also generate
+synthetic maps) and ``curvature`` (the Hessian blocks of neighbouring grains,
+the optimiser's initial matrix). ``bounds_hold`` is the one implementation of
+the paper's objective/error bounds.
 """
 
 from __future__ import annotations
@@ -465,6 +466,93 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     err = 1.0 - float(ncorrect) / n if want_assign else None
     e0 = e0_sum / n if want_assign else None
     return EvalResult(phi=phi, grad=grad, err=err, e0=e0, pairs=pairs)
+
+
+class Curvature(NamedTuple):
+    """M = sum_x (diag p - pp') kron eta eta' at one theta, in neighbour blocks.
+
+    ``pairs[b] = (i, j)``, i < j, are the grains whose weights both pass the
+    cut at some pixel, and ``blocks[b] = sum_x p_i p_j eta eta'``: block (i, j)
+    of M is -blocks[b] and block (j, i) its transpose. ``diag[i]`` is block
+    (i, i), sum_x p_i (1 - p_i) eta eta' with 1 - p_i the sum of the other
+    weights, which is the sum of grain i's pair blocks. M is thus a sum of
+    terms (e_i - e_j)(e_i - e_j)' kron blocks[b], positive semi-definite up
+    to the rounding of each block, however close to separation theta is.
+    """
+
+    diag: np.ndarray  # (N, K, K)
+    pairs: np.ndarray  # (P, 2)
+    blocks: np.ndarray  # (P, K, K)
+
+
+def curvature(theta_values: np.ndarray, design_values: np.ndarray, eps: float,
+              layout: TileLayout, cut: float) -> Curvature:
+    """The Hessian blocks M of the objective, -M / (eps^2 n), at theta.
+
+    Walks the layout's tiles in order over the grains that ``tile_grains``
+    keeps at the cut ``cut`` * eps, skipping the tiles that keep one. A weight
+    whose exponent z lies below -cut is zero, and only pixels with two or more
+    weights left enter: elsewhere p is a unit vector and diag p - pp' is zero.
+    A tile runs in runs of pixels whose costs take about CHUNK_BYTES / (K + 2),
+    and a run's pair blocks are one Gram matrix Q Q' of the rows p_i eta_k,
+    summed over parts of about a quarter of CHUNK_BYTES. Besides its blocks the
+    pass thus holds less than one kernel chunk. M depends on theta / eps alone,
+    and at a power-of-two eps the blocks at (2^k eps, 2^k theta) are those at
+    (eps, theta) bit for bit.
+    """
+    k_dim, n_grains = theta_values.shape
+    keep = tile_grains(layout, theta_values, cut * eps)
+    bounds = layout.bounds
+    diag = np.zeros((n_grains, k_dim, k_dim))
+    keys, grams, pending = [np.empty(0, dtype=np.intp)], [np.empty((0, k_dim, k_dim))], 0
+    for t in np.flatnonzero(np.count_nonzero(keep, axis=1) >= 2):
+        rows = np.flatnonzero(keep[t])
+        step = max(1, CHUNK_BYTES // (8 * (k_dim + 2) * len(rows)))
+        for x in range(bounds[t], bounds[t + 1], step):
+            run = slice(x, min(x + step, bounds[t + 1]))
+            eta = design_values[:, run if layout.order is None else layout.order[run]]
+            c = theta_values[:, rows].T @ eta
+            m = c.min(axis=0)
+            active = c <= m + cut * eps  # z = (m - c) / eps >= -cut
+            multi = np.flatnonzero(np.count_nonzero(active, axis=0) >= 2)
+            if not multi.size:
+                continue
+            live = np.flatnonzero(active[:, multi].any(axis=1))
+            at = np.ix_(live, multi)
+            p = c[at]
+            del c
+            p -= m[multi]
+            p[~active[at]] = np.inf  # before the scaling, which would overflow there
+            p *= -1.0 / eps  # z, -inf where the weight is cut
+            np.exp(p, out=p)
+            p /= p.sum(axis=0)
+            r = len(live)
+            gram = np.zeros((r * k_dim, r * k_dim))
+            sub = max(1, CHUNK_BYTES // (32 * k_dim * r))  # pixels of a quarter-chunk Q
+            for y in range(0, len(multi), sub):
+                q = (p[:, None, y:y + sub] * eta[None, :, multi[y:y + sub]]).reshape(r * k_dim, -1)
+                gram += q @ q.T  # a Gram matrix: syrk, no general GEMM
+            gram = gram.reshape(r, k_dim, r, k_dim).transpose(0, 2, 1, 3)
+            gram[np.arange(r), np.arange(r)] = 0.0
+            diag[rows[live]] += gram.sum(axis=1)
+            a, b = np.nonzero(np.triu(gram.any(axis=(2, 3))))
+            keys.append(rows[live[a]] * n_grains + rows[live[b]])
+            grams.append(gram[a, b])
+            pending += grams[-1].nbytes
+            if pending > CHUNK_BYTES:
+                keys, grams, pending = *_sum_blocks(keys, grams), 0
+    diag = 0.5 * (diag + diag.transpose(0, 2, 1))  # exactly symmetric
+    (keys,), (blocks,) = _sum_blocks(keys, grams)
+    return Curvature(diag, np.column_stack(np.divmod(keys, n_grains)), blocks)
+
+
+def _sum_blocks(keys: list, blocks: list) -> tuple[list, list]:
+    """([unique keys], [their summed blocks]) of lists of keys and blocks; equal
+    keys add in list order."""
+    keys, blocks = np.concatenate(keys), np.concatenate(blocks)
+    order = np.argsort(keys, kind="stable")
+    keys, starts = np.unique(keys[order], return_index=True)
+    return [keys], [np.add.reduceat(blocks[order], starts) if keys.size else blocks]
 
 
 def require_eps(eps: float) -> None:

@@ -13,32 +13,51 @@ y = g - g+, which is what the strong-Wolfe condition guarantees in general
 (Nocedal & Wright, Alg. 3.1 and ch. 7). A pair whose s'y rounds below
 CURVATURE_SKIP |s| |y| is skipped.
 
-The quasi-Newton initial matrix is gamma*H, H = P kron (I + 11'), with
-gamma = s'y / y'Hy from the newest curvature pair. H inverts Boehning's bound
-on the logistic Hessian, (1/2)(I - 11'/N') kron DD' up to 1/(eps^2 n), with
-DD' cut to its diagonal. P scales each coefficient of design row k by
-n / sum_x eta_k(x)^2, the inverse mean square of that row, read off the
-diagonal of the Gram matrix that also decides ``design_spans``: Legendre row
-P_i P_j has mean square about 1/((2i+1)(2j+1)) on the square, so with a
-scalar initial matrix the high-order coefficients creep. The last-column
-gauge keeps I - 11'/N' on the N'-1 free columns, whose inverse is exactly
-I + 11' (Sherman-Morrison), for any N' (``boehning_inverse``).
+The quasi-Newton initial matrix is gamma*H0, with gamma = s'y / y'H0y from the
+newest curvature pair and H0 = (M_free + lam B)^-1 (``initial_matrix``).
+M = sum_x (diag p - pp') kron eta eta' is the exact curvature, the Hessian
+times -eps^2 n, which the kernel's tiles give as neighbour blocks
+(``objective.curvature``); M_free is M on the free columns. B = diag(sum_x
+eta_k^2 / n) kron (I - 11'/N') is Boehning's bound on M up to a factor, with the
+design Gram matrix cut to its diagonal (1 on a zero row, whose gradient is
+zero). The bound treats every pixel as equally unsure between all grains; on
+a fitted map only the boundary pixels are unsure, and only between
+neighbours, which M sees. The ridge lam = RIDGE tr M_free / tr B keeps H0
+positive definite where few pixels are unsure (lam = 1 where none is). H0 is
+applied by PCG_STEPS steps of conjugate gradients from zero, preconditioned by
+the inverse of each grain's K x K diagonal block, and holds no (K N')^2
+array. It is built when the memory first holds a pair and then every
+CURVATURE_EVERY accepted iterations, at the current theta (Byrd, Chin,
+Neveitt & Nocedal, SIAM J. Optim. 21, 2011). These constants were chosen by
+time to target on the benchmark maps.
 
 When the memory is empty the search direction is g/|g|^2, which makes the
 whole trajectory equivariant under the temperature rescaling
 (eps, theta) -> (1, theta/eps): both runs see identical line-search problems,
-so recorded objective values coincide. H depends on neither eps nor theta, so
-the memory steps keep that equivariance. The first step and the restart after
-a memory reset stay g/|g|^2: a first step of Pg/(g'Pg) lands elsewhere, and
-on the many-grains benchmark map it misses the 0.05 error that g/|g|^2 meets
-at iteration 1 (err 0.050019 against 0.049394).
+so recorded objective values coincide. M depends on theta/eps alone and B on
+neither, so H0 carries no eps^2 n factor (gamma does), and the memory steps
+keep that equivariance, bit for bit at a power-of-two eps. The first step and
+the restart after a memory reset stay g/|g|^2: a first step of Pg/(g'Pg), P
+the inverse mean square of each design row, lands elsewhere, and on the
+many-grains benchmark map it misses the 0.05 error that g/|g|^2 meets at
+iteration 1 (err 0.050019 against 0.049394).
+
+Once phi > -log(2)/n, which certifies err == 0 with no ties (a misassigned or
+tied pixel costs at least log 2; ``metrics.bound_report``), the direction is u
+itself, and the line search's t = 1 doubles theta. By the scale invariance
+Phi_eps(s theta) = Phi_{eps/s}(theta) that halves the temperature, so a
+pixel whose loss is about exp(-D/eps) then loses about its square. A few such
+steps reach the near-optimal stop phi > -1e-12 log(2)/n; quasi-Newton steps
+along the flat certified ray took hundreds of iterations at 1.3-1.6
+evaluations each.
 
 The gradient scales as 1/eps, so a plain |g|^2 overflows at eps = 2^-600 and
-underflows to zero at 2^600. Each square of the step (|g|^2, y'Hy in gamma, |s|
-and |y| in the curvature test) is taken of the vector divided by 2^e, e the
-``frexp`` exponent of its largest entry (``_scaled``), and scaled back after the
-division. A product with a power of two rounds nowhere unless it leaves the
-normal range, so at moderate eps every bit is that of the unscaled arithmetic.
+underflows to zero at 2^600. Each square of the step (|g|^2, y'H0y in gamma,
+the inner products of PCG on q in H0 q, |s| and |y| in the curvature test) is
+taken of the vector divided by 2^e, e the ``frexp`` exponent of its largest
+entry (``_scaled``), and scaled back after the division. A product with a
+power of two rounds nowhere unless it leaves the normal range, so at moderate
+eps every bit is that of the unscaled arithmetic.
 
 Only the N' grains that own a pixel, and the last, which carries the gauge, are
 fitted: an empty grain enters the objective only through the log-sum-exp
@@ -60,12 +79,21 @@ from .basis import (DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assembl
                     park)
 from .errors import NumericalError
 from .geometry import GrainMap
-from .objective import EvalResult, bounds_hold, evaluate_objective, require_eps, tile_layout
+from .objective import (Curvature, EvalResult, bounds_hold, curvature, evaluate_objective,
+                        require_eps, tile_layout)
 
 SUFFICIENT_INCREASE = 1e-4
 MAX_LINE_EVALS = 25
 MEMORY = 10
 CURVATURE_SKIP = 1e-10
+CURVATURE_EVERY = 20
+RIDGE = 3e-3
+PCG_STEPS = 7
+# The curvature pass zeroes a weight below e^-30 ~ 1e-13 of its pixel's
+# leading one. The kernel's floored weights, about 1e-304, would make the Gram
+# products subnormal: one apd-heuristic tile's Q @ Q.T took 121 ms with them
+# and 0.9 ms with them zeroed (2-vCPU VM, NumPy 2.4).
+CURVATURE_CUT = 30.0
 INIT_NAMES = ("zero", "heuristic")  # the named starts; FitConfig.init may also be a ParamMatrix
 
 
@@ -135,6 +163,7 @@ class FitReport:
     n_pixels: int
     evaluations: int
     kernel_pairs: int  # pixel-grain pairs the kernel computed, over all evaluations
+    curvature_passes: int  # builds of the initial matrix H0
     gauge_residual: float
     design_spans: bool
     bound_phi_err_ok: bool
@@ -168,11 +197,53 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(v, -e), e
 
 
-def boehning_inverse(row_scale: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H v for free coefficients v, a (K, N'-1) block row-major, and P = diag(row_scale):
-    row k becomes P_k (v_k + sum(v_k)), in O(K N') work."""
-    block = v.reshape(len(row_scale), -1)
-    return (row_scale[:, None] * (block + block.sum(axis=1, keepdims=True))).ravel()
+def initial_matrix(curv: Curvature, bound: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """H0 as a function of free coefficients q, a (K, N'-1) block row-major.
+
+    H0 q is PCG_STEPS steps of block-Jacobi PCG from zero on (M_free + lam B) x = q:
+    M_free is the curvature ``curv`` on the free grains, B = diag(bound) kron
+    (I - 11'/N') Boehning's bound and lam = RIDGE tr M_free / tr B (1 where M_free
+    is zero). The preconditioner inverts each grain's K x K diagonal block.
+    """
+    n_free, k_dim = len(curv.diag) - 1, len(bound)
+    shrink = 1.0 - 1.0 / (n_free + 1)  # the diagonal of I - 11'/N'
+    diag = curv.diag[:n_free]
+    tr_m = float(np.trace(diag, axis1=1, axis2=2).sum())
+    ridge = bound * (RIDGE * tr_m / (n_free * shrink * bound.sum()) if tr_m > 0.0 else 1.0)
+    # M_free as directed blocks sorted by their row: each grain's diagonal block
+    # first, then -blocks[b] at (i, j) and its transpose at (j, i)
+    free = curv.pairs[:, 1] < n_free  # pairs i < j of free grains
+    i, j = curv.pairs[free].T
+    rows = np.concatenate([np.arange(n_free), i, j])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([np.arange(n_free), j, i])[order]
+    mats = np.concatenate([diag, -curv.blocks[free], -curv.blocks[free].transpose(0, 2, 1)])[order]
+    starts = np.searchsorted(rows[order], np.arange(n_free))
+    inverse = np.linalg.inv(diag + np.diag(shrink * ridge))
+
+    def product(v):  # (M_free + lam B) v for v of shape (N'-1, K)
+        out = np.add.reduceat(np.einsum("bkl,bl->bk", mats, v[cols]), starts)
+        out += ridge * (v - v.sum(axis=0) / (n_free + 1))
+        return out
+
+    def apply(q):
+        res = q.reshape(k_dim, n_free).T.copy()
+        x = np.zeros_like(res)
+        z = np.einsum("gkl,gl->gk", inverse, res)
+        p, rz = z, float(np.vdot(res, z))
+        for _ in range(PCG_STEPS):
+            ap = product(p)
+            pap = float(np.vdot(p, ap))
+            if not (rz > 0.0 and pap > 0.0):
+                break
+            x += (rz / pap) * p
+            res -= (rz / pap) * ap
+            z = np.einsum("gkl,gl->gk", inverse, res)
+            rz, rz_old = float(np.vdot(res, z)), rz
+            p = z + (rz / rz_old) * p
+        return x.T.ravel()
+
+    return apply
 
 
 def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
@@ -222,12 +293,15 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     gram = design.values @ design.values.T
     eig_lo, eig_hi = np.linalg.eigvalsh(gram)[[0, -1]]  # the design spans unless eig_lo ~ 0
     sq = np.diag(gram)  # each row's sum of squares; 1 on a zero row, whose gradient is zero
-    row_scale = np.divide(len(grain_map), sq, out=np.ones_like(sq), where=sq > 0.0)
+    bound = np.divide(sq, len(grain_map), out=np.ones_like(sq), where=sq > 0.0)
     # Each iteration, and at each phi, err and e0: lists, as tuples would cost more.
     traj = iters, phi_traj, err_traj, e0_traj = [0], [at.phi], [at.err], [at.e0]
     hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)  # (s, y, rho)
-    # Near-optimal stop: phi > -1e-12 log2/n, far past the err == 0 certificate
-    # phi > -log2/n (misassignment costs at least log2/n; metrics.bound_report).
+    h0, built, passes = None, 0, 0
+    # phi > -log2/n certifies err == 0 with no ties: a misassigned or tied pixel
+    # costs at least log2/n (metrics.bound_report). Past it each step is along u,
+    # up to the near-optimal stop phi > -1e-12 log2/n.
+    separated = -math.log(2.0) / len(grain_map)
     certify_threshold = -1e-12 * math.log(2.0) / len(grain_map)
     stop_reason = "budget"
 
@@ -239,16 +313,26 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
             stop_reason = "stationary"
             break
         direction = np.ldexp(g_scaled / g_norm2, -e_g)  # g/|g|^2, unless the memory gives a step
-        if hist:
+        if at.phi > separated:
+            direction = u  # t = 1 doubles theta
+        elif hist:
+            if h0 is None or it - built >= CURVATURE_EVERY:
+                curv = curvature(unpack(u), design.values, config.eps, layout, CURVATURE_CUT)
+                h0 = initial_matrix(curv, bound)
+                built, passes = it, passes + 1
+            s_vec, y_vec, rho = hist[-1]  # gamma = s'y / y'H0y of the newest pair
+            y_scaled, e_y = _scaled(y_vec)
+            gamma = 1.0 / (rho * float(y_scaled @ h0(y_scaled)))
             q = g.copy()
             alphas = []
             for s_vec, y_vec, rho in reversed(hist):
                 a = rho * float(s_vec @ q)
                 q -= a * y_vec
                 alphas.append(a)
-            r = boehning_inverse(row_scale, q)
+            q_scaled, e_q = _scaled(q)
+            r = h0(q_scaled)
             r *= gamma
-            np.ldexp(r, gamma_exp, out=r)  # gamma H q
+            np.ldexp(r, e_q - 2 * e_y, out=r)  # gamma H0 q
             for (s_vec, y_vec, rho), a in zip(hist, reversed(alphas)):
                 b = rho * float(y_vec @ r)
                 r += s_vec * (a - b)
@@ -285,9 +369,6 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         floor = CURVATURE_SKIP * float(np.linalg.norm(s_scaled)) * float(np.linalg.norm(y_scaled))
         if sy > math.ldexp(floor, e_s + e_y):
             hist.append((s_vec, y_vec, 1.0 / sy))  # the oldest pair drops out at the memory
-            # gamma = s'y / y'Hy of the newest pair is gamma * 2^gamma_exp
-            gamma = sy / float(y_scaled @ boehning_inverse(row_scale, y_scaled))
-            gamma_exp = -2 * e_y
 
         u, at = u_new, new
         for column, value in zip(traj, (it, at.phi, at.err, at.e0)):
@@ -306,7 +387,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         phi_final=at.phi, acc_final=1.0 - at.err, err_final=at.err, iterations_run=iters[-1],
         stop_reason=stop_reason, wall_clock_s=time.perf_counter() - start, eps=config.eps,
         n_grains=n_grains, n_empty_grains=n_grains - n_kept, n_pixels=len(grain_map),
-        evaluations=len(pairs), kernel_pairs=sum(pairs),
+        evaluations=len(pairs), kernel_pairs=sum(pairs), curvature_passes=passes,
         gauge_residual=float(np.abs(theta.values[:, -1]).max()),
         design_spans=bool(eig_lo > 1e-12 * max(eig_hi, 1.0)), bound_phi_err_ok=bound_phi_err_ok,
         bound_energy_ok=bound_energy_ok)

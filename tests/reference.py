@@ -52,6 +52,17 @@ def hessian_block(theta, design, grain_map, eps, i, k):
     return -(d * w[None, :]) @ d.T / (eps * eps * d.shape[1])
 
 
+def dense_curvature(curv):
+    """The (N K) x (N K) grain-major matrix of a ``Curvature``'s neighbour blocks."""
+    n_grains, k_dim, _ = curv.diag.shape
+    dense = np.zeros((n_grains, k_dim, n_grains, k_dim))
+    dense[np.arange(n_grains), :, np.arange(n_grains), :] = curv.diag
+    for (i, j), block in zip(curv.pairs, curv.blocks):
+        dense[i, :, j, :] = -block
+        dense[j, :, i, :] = -block.T
+    return dense.reshape(n_grains * k_dim, n_grains * k_dim)
+
+
 def accuracy_and_error(grain_map, assigned):
     """(acc, err): the fraction of correctly assigned pixels and its complement."""
     acc = float(np.count_nonzero(np.asarray(assigned) == grain_map.labels)) / len(grain_map)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import polygrain as pg
-from polygrain import fileio
+from polygrain import fileio, optimizer
 from polygrain.cli import main
 from conftest import random_pd, random_theta
 
@@ -383,6 +383,10 @@ class TestCli:
         n_fitted = report["n_grains"] - report["n_empty_grains"]
         assert kernel["dense_pairs"] == kernel["evaluations"] * 400 * n_fitted
         assert 0 < kernel["pairs"] <= kernel["dense_pairs"]
+        # H0 is built when the memory first holds a pair and then every
+        # CURVATURE_EVERY iterations: at iterations 2, 12, 22, ...
+        builds = -(-(report["final"]["iterations_run"] - 1) // optimizer.CURVATURE_EVERY)
+        assert 0 < kernel["curvature_passes"] <= builds
 
         img = tmp_path / "labels.ppm"
         assert main(["render", "--input", str(gen / "grain_map.csv"),

@@ -12,8 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import polygrain as pg
 from conftest import random_apd, random_grain_map, random_labels_map, random_theta, tiled
-from reference import accuracy_and_error, cost_matrix, energy_zero, hessian_block, soft_assign
+from reference import (accuracy_and_error, cost_matrix, dense_curvature, energy_zero,
+                       hessian_block, soft_assign)
 from polygrain.objective import evaluate_objective
+from polygrain.optimizer import CURVATURE_CUT as CUT
 
 # ``pg.objective`` is the function of that name; the module holds the kernel.
 objective_module = sys.modules["polygrain.objective"]
@@ -295,6 +297,81 @@ class TestHessian:
             hessian_block(theta, design, gm, 0.5, 0, 1)
         with pytest.raises(ValueError):
             hessian_block(theta, design, gm, 0.5, 1, 5)
+
+
+class TestCurvature:
+    """``curvature`` gives M = sum_x (diag p - pp') kron eta eta', the negated
+    Hessian times eps^2 n, in neighbour blocks."""
+
+    @staticmethod
+    def separable_problem(degree=1):
+        """A power-diagram map of 6 grains on 24 x 24 pixels with its exact theta."""
+        pd = random_apd(np.random.default_rng(3), 6, 0.0)
+        gm = pg.generate_pd(pg.PhysicalPD(pd.seeds, pd.weights), pg.make_grid(12))
+        theta = pg.coeffs_to_basis(pg.pd_to_theta(pg.PhysicalPD(pd.seeds, pd.weights)),
+                                   pg.LEGENDRE)
+        design = pg.assemble_design_matrix(theta.basis, gm.grid)
+        return gm, theta, design
+
+    @pytest.mark.parametrize("side", [None, 3])
+    @pytest.mark.parametrize("start", ["zero", "fitted"])
+    def test_blocks_match_the_dense_hessian(self, start, side):
+        gm, theta, design = self.separable_problem()
+        eps = 0.05
+        if start == "zero":
+            theta = pg.init_zero(1, gm.n_grains)
+        else:
+            theta = pg.fit(gm, pg.FitConfig(degree=1, eps=eps, max_iters=25)).theta
+        design_t, labels_t, layout = tiled(theta.basis, gm.grid.points, design.values,
+                                           gm.labels - 1, gm.n_grains, side)
+        curv = objective_module.curvature(theta.values, design_t, eps, layout, CUT)
+        n, k_dim = len(gm), theta.basis.dimension
+        ref = -np.block([[hessian_block(theta, design, gm, eps, i, j)
+                          for j in range(1, gm.n_grains + 1)]
+                         for i in range(1, gm.n_grains + 1)]) * (eps * eps * n)
+        # A weight cut below e^-30 of a pixel's leading one moves each product of
+        # a pixel's weights by at most N e^-30, times |eta eta'| <= 1 (Legendre).
+        tol = gm.n_grains * math.exp(-CUT) * n
+        assert np.abs(dense_curvature(curv) - ref).max() <= tol + 1e-12 * np.abs(ref).max()
+        assert len(curv.pairs) < gm.n_grains * (gm.n_grains - 1) // 2 or start == "zero"
+        assert np.all(curv.pairs[:, 0] < curv.pairs[:, 1])
+        assert curv.blocks.shape == (len(curv.pairs), k_dim, k_dim)
+
+    def test_positive_semidefinite_near_separation(self):
+        # The exact theta at eps = (least gap between a pixel's two lowest costs) / 25:
+        # the most uncertain pixel's losing weight is e^-25, and tr M about 5e-11.
+        # The naive form sum_x diag(p) kron eta eta' - sum_x pp' kron eta eta'
+        # subtracts sums of order n from each other, which round to 2^-53 n.
+        gm, theta, design = self.separable_problem()
+        costs = np.sort(theta.values.T @ design.values, axis=0)
+        eps = (costs[1] - costs[0]).min() / 25.0
+        layout = objective_module.tile_layout(theta.basis, gm.grid.points, gm.n_grains,
+                                              gm.labels - 1)
+        dense = dense_curvature(objective_module.curvature(theta.values, design.values, eps,
+                                                           layout, CUT))
+        free = (gm.n_grains - 1) * theta.basis.dimension
+        trace = np.trace(dense)
+        assert trace > 0.0
+        assert np.linalg.eigvalsh(dense[:free, :free]).min() >= -1e-14 * trace
+        p, d = soft_assign(theta, design, eps), design.values
+        naive = np.block([[(i == j) * ((d * p[i]) @ d.T) - (d * (p[i] * p[j])) @ d.T
+                           for j in range(gm.n_grains)] for i in range(gm.n_grains)])
+        assert np.linalg.eigvalsh(naive[:free, :free]).min() < -1e-14 * trace
+
+    @pytest.mark.parametrize("exponent", [-600, -3, 7, 600])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        gm, _, _ = self.separable_problem()
+        basis = pg.DesignBasis(pg.LEGENDRE, 2)
+        design = pg.assemble_design_matrix(basis, gm.grid)
+        theta = pg.fit(gm, pg.FitConfig(degree=2, eps=0.05, max_iters=15)).theta.values
+        design_t, _, layout = tiled(basis, gm.grid.points, design.values, gm.labels - 1,
+                                    gm.n_grains, 3)
+        unit = objective_module.curvature(theta, design_t, 0.05, layout, CUT)
+        scaled = objective_module.curvature(np.ldexp(theta, exponent), design_t,
+                                            math.ldexp(0.05, exponent), layout, CUT)
+        assert len(unit.pairs) > 0
+        for a, b in zip(unit, scaled):
+            assert np.array_equal(a, b)
 
 
 class TestEnergies:

@@ -12,7 +12,7 @@ from polygrain import cli, optimizer
 from polygrain.objective import evaluate_objective
 from polygrain.optimizer import LineEval, line_search
 from conftest import random_apd, random_grain_map, random_labels_map, random_pd
-from reference import accuracy_and_error, soft_assign
+from reference import accuracy_and_error, dense_curvature, soft_assign
 
 # ``pg.objective`` is the function of that name; the module holds the tiles.
 objective_module = sys.modules["polygrain.objective"]
@@ -170,6 +170,40 @@ class TestFit:
         assert np.all(np.isfinite(rep.theta.values))
         assert rep.err_final == 0.0
 
+    def test_certified_fit_finishes_along_theta(self, monkeypatch):
+        # Once phi > -log2/n certifies err == 0, each step is along u itself, so
+        # that t = 1 doubles theta and every pixel's loss about squares: the fit
+        # reaches the near-optimal stop, phi > -1e-12 log2/n, within a few steps.
+        gm = benchmark_map("pd", 6, 12, 2, 0.0)
+        rays = []
+
+        def spy(evaluate, phi0, slope0):
+            t, accepted = line_search(evaluate, phi0, slope0)
+            u = evaluate(0.0).payload[0]  # the start of the ray, after the search
+            rays.append((u, t, accepted.payload[0]))
+            return t, accepted
+
+        monkeypatch.setattr(optimizer, "line_search", spy)
+        rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=2000))
+        certified = next(it for it, phi in zip(rep.iters, rep.phi_traj)
+                         if phi > -math.log(2.0) / len(gm))
+        assert rep.stop_reason == "near-optimal"
+        assert rep.iterations_run - certified <= 15
+        assert rep.iters == list(range(rep.iterations_run + 1))
+        assert all(e == 0.0 for e in rep.err_traj[certified:])
+        assert all(b >= a for a, b in zip(rep.phi_traj, rep.phi_traj[1:]))
+        for u, t, u_new in rays[certified:]:
+            assert np.array_equal(u_new, u + t * u)
+
+    def test_curvature_builds_follow_the_memory(self, rng):
+        # H0 is first built when the memory holds a pair, at iteration 2, and then
+        # every CURVATURE_EVERY accepted iterations; a one-iteration fit builds none.
+        gm = random_labels_map(rng, 6, 5)
+        for iters, builds in [(1, 0), (2, 1), (optimizer.CURVATURE_EVERY + 1, 1),
+                              (optimizer.CURVATURE_EVERY + 2, 2)]:
+            rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=iters))
+            assert rep.iterations_run == iters and rep.curvature_passes == builds
+
     def test_explicit_init_shape_mismatch(self, rng):
         gm = random_labels_map(rng, 4, 3)
         theta0 = pg.init_zero(2, 4, pg.LEGENDRE)
@@ -229,13 +263,15 @@ class TestFit:
     @pytest.mark.parametrize("exponent", [-600, 600])
     def test_power_of_two_eps_follows_the_unit_fit(self, exponent):
         # From the zero start the fit at eps = 2^e is the eps = 1 fit with theta
-        # scaled by 2^e, bit for bit. Its gradients are 2^-e times the unit fit's,
+        # scaled by 2^e, bit for bit, through its curvature builds and its
+        # finish along theta. Its gradients are 2^-e times the unit fit's,
         # so |g|^2 would overflow at e = -600 and underflow to zero at e = 600.
         # err is not compared: the assignment's tie threshold has an absolute floor.
         gm = benchmark_map("pd", 8, 8, 3, 0.0)
         unit = pg.fit(gm, pg.FitConfig(degree=1, eps=1.0, max_iters=30))
         rep = pg.fit(gm, pg.FitConfig(degree=1, eps=math.ldexp(1.0, exponent), max_iters=30))
-        assert unit.n_empty_grains == 0 and unit.iterations_run == 30
+        assert unit.n_empty_grains == 0 and unit.stop_reason == rep.stop_reason == "near-optimal"
+        assert unit.curvature_passes == rep.curvature_passes > 0
         assert rep.iters == unit.iters and rep.phi_traj == unit.phi_traj
         assert np.array_equal(rep.theta.values, np.ldexp(unit.theta.values, exponent))
 
@@ -249,7 +285,7 @@ class TestFit:
             g = pg.gradient(rep.theta, design, gm, 0.5)
             return float(np.linalg.norm(g[:, :-1]))
 
-        assert grad_norm(120) < grad_norm(15)
+        assert grad_norm(12) < grad_norm(3)
 
     def test_bound_checks_recorded_true(self, rng):
         gm = random_labels_map(rng, 5, 4)
@@ -294,38 +330,66 @@ class TestFit:
 
 
 class TestInitialMatrix:
-    """The L-BFGS initial matrix inverts Boehning's bound on the free columns."""
+    """H0 = (M_free + lam B)^-1 on the free columns, applied by block-Jacobi PCG, where B
+    is Boehning's bound diag(sum_x eta_k^2 / n) kron (I - 11'/N'), cut to the
+    diagonal of the design Gram matrix."""
+
+    @staticmethod
+    def dense_bound(bound, kept):
+        """B, the (K, N' - 1) row-major order of the free coefficients."""
+        k_dim, free = len(bound), kept - 1
+        dense = np.kron(np.eye(free) - 1.0 / kept, np.diag(bound))  # grain-major
+        to_row_major = np.arange(k_dim * free).reshape(free, k_dim).T.ravel()
+        return dense[np.ix_(to_row_major, to_row_major)]
 
     @pytest.mark.parametrize("kept", [2, 3, 6])
     def test_inverts_the_gauge_fixed_bound(self, rng, kept):
+        # M_free = 0: lam = 1 and H0 = B^-1. Block-Jacobi preconditioned, B has
+        # two distinct eigenvalues, so PCG is exact after two steps.
         basis = pg.DesignBasis(pg.LEGENDRE, 2)
         grid = pg.make_grid(3)
-        sq = (pg.assemble_design_matrix(basis, grid).values ** 2).sum(axis=1)
-        n, k_dim, free = len(grid), basis.dimension, kept - 1
-        row_scale = n / sq
-        # (I - 11'/N') kron diag(sum_x eta_k^2), grain-major, and its entries
-        # moved to the (K, N' - 1) row-major order of the free coefficients
-        bound = np.kron(np.eye(free) - 1.0 / kept, np.diag(sq))
+        bound = (pg.assemble_design_matrix(basis, grid).values ** 2).sum(axis=1) / len(grid)
+        k_dim = basis.dimension
+        curv = objective_module.Curvature(np.zeros((kept, k_dim, k_dim)),
+                                          np.zeros((0, 2), dtype=np.intp),
+                                          np.zeros((0, k_dim, k_dim)))
+        h0 = optimizer.initial_matrix(curv, bound)
+        v = rng.normal(size=k_dim * (kept - 1))
+        np.testing.assert_allclose(h0(self.dense_bound(bound, kept) @ v), v, rtol=1e-12,
+                                   atol=1e-12 * np.abs(v).max())
+
+    @pytest.mark.parametrize("kept", [2, 3])
+    def test_inverts_curvature_plus_ridge(self, rng, kept):
+        # K (N' - 1) <= PCG_STEPS unknowns: PCG is exact up to rounding.
+        gm = random_grain_map(rng, 6, kept)
+        basis = pg.DesignBasis(pg.LEGENDRE, 1)
+        design = pg.assemble_design_matrix(basis, gm.grid).values
+        theta = rng.normal(0.0, 0.05, (basis.dimension, kept))
+        layout = objective_module.tile_layout(basis, gm.grid.points, kept, gm.labels - 1)
+        curv = objective_module.curvature(theta, design, 0.1, layout, optimizer.CURVATURE_CUT)
+        bound = (design ** 2).sum(axis=1) / len(gm)
+        k_dim, free = basis.dimension, kept - 1
+        assert k_dim * free <= optimizer.PCG_STEPS
+        m_free = dense_curvature(curv)[: k_dim * free, : k_dim * free]
         to_row_major = np.arange(k_dim * free).reshape(free, k_dim).T.ravel()
-        bound = bound[np.ix_(to_row_major, to_row_major)]
-        h0 = np.column_stack([optimizer.boehning_inverse(row_scale, e)
-                              for e in np.eye(k_dim * free)])
+        m_free = m_free[np.ix_(to_row_major, to_row_major)]
+        b = self.dense_bound(bound, kept)
+        lam = optimizer.RIDGE * np.trace(m_free) / np.trace(b)
         v = rng.normal(size=k_dim * free)
-        np.testing.assert_allclose(optimizer.boehning_inverse(row_scale, bound @ v), n * v,
-                                   rtol=1e-12, atol=1e-12 * n * np.abs(v).max())
-        assert np.array_equal(h0, h0.T)
-        assert np.linalg.eigvalsh(h0).min() > 0.0
+        np.testing.assert_allclose(optimizer.initial_matrix(curv, bound)((m_free + lam * b) @ v),
+                                   v, rtol=1e-8, atol=1e-8 * np.abs(v).max())
 
 
 class TestMemoryRestart:
     def test_restart_takes_the_scaled_gradient_step(self, monkeypatch):
         # Scripted gradients at the evaluations 0, 1, 2, ... (grain 1's column):
         # the first step lands at s = g0/|g0|^2 = (1e-100, 0, 0) with y = g0 - g1
-        # and s'y = 1. At iteration 2 the memory direction is
-        # r = (s'y / y'Hy) H g1 = (0, 3.2e-300, 0), where H = P (I + 11') is 2P for
-        # the one free column and P = (1, 3.2, 3.2) on this grid,
-        # whose slope g1'r = 3.2e-400 underflows to zero: not an ascent direction,
-        # so the fit clears its memory and steps to u + g1/|g1|^2.
+        # and s'y = 1. At iteration 2 the fit builds H0 at u = s, where both
+        # grains have p = 1/2 at each of the 16 pixels: M_free = diag(4, 5/4, 5/4)
+        # and H0 is about diag(1/4, 4/5, 4/5). The memory direction
+        # r = (s'y / y'H0y) H0 g1 is about (0, 3.2e-300, 0), whose slope
+        # g1'r = 3.2e-400 underflows to zero: not an ascent direction, so the fit
+        # clears its memory and steps to u + g1/|g1|^2.
         grads = [np.array([1e100, 0.0, 0.0]), np.array([0.0, 1e-100, 0.0]),
                  np.array([0.0, 0.5e-100, 0.0])]
         seen = []
@@ -346,7 +410,7 @@ class TestMemoryRestart:
         u1 = grads[0] / float(grads[0] @ grads[0])
         assert np.array_equal(seen[1], u1)
         assert np.array_equal(seen[2], u1 + grads[1] / float(grads[1] @ grads[1]))
-        assert rep.stop_reason == "budget"
+        assert rep.stop_reason == "budget" and rep.curvature_passes == 1
         assert rep.iterations_run == 3 and len(seen) == 4
         assert rep.iters == list(range(rep.iterations_run + 1))
 
@@ -456,20 +520,29 @@ class TestIterationsToTarget:
 
     err is not monotone along a trajectory, so each test reads the first
     iteration that meets the target, not the final error. With the initial
-    matrix gamma*P kron (I + 11') pd-recovery first meets its target at
-    iteration 168 and apd-heuristic at 361. With gamma*P, the row scale alone,
-    they took 392 and 386, and with a scalar initial matrix 651 and 463.
+    matrix gamma H0, H0 the inverse of the curvature from the kernel plus a
+    ridge, pd-recovery first meets its target at iteration 43 and
+    apd-heuristic at 69; each budget is about 1.5 times that. With the fixed
+    Boehning bound gamma*P kron (I + 11') they took 172 and 334, with gamma*P
+    392 and 386, and with a scalar initial matrix 651 and 463.
     """
 
     def test_pd_recovery(self):
         gm = benchmark_map("pd", 20, 50, 11, 0.0)
-        rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=250, init="zero"))
+        rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=65, init="zero"))
         assert first_at_target(rep, 0.005) is not None
 
     def test_apd_heuristic(self):
         gm = benchmark_map("apd", 20, 50, 23, 0.3)
-        rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=420, init="heuristic"))
+        rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=105, init="heuristic"))
         assert first_at_target(rep, 0.01) is not None
+
+    def test_apd_heuristic_certifies_within_the_budget(self):
+        # The fit certifies err == 0 and finishes along theta at iteration 689;
+        # with the Boehning bound it was still at phi = -6.9e-17 after 2000.
+        gm = benchmark_map("apd", 20, 50, 23, 0.3)
+        rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=2000, init="heuristic"))
+        assert rep.stop_reason == "near-optimal" and rep.err_final == 0.0
 
     def test_many_grains_first_step(self):
         # The first step is g/|g|^2, unpreconditioned, halved once by the line
