@@ -23,13 +23,20 @@ design Gram matrix cut to its diagonal (1 on a zero row, whose gradient is
 zero). The bound treats every pixel as equally unsure between all grains; on
 a fitted map only the boundary pixels are unsure, and only between
 neighbours, which M sees. The ridge lam = RIDGE tr M_free / tr B keeps H0
-positive definite where few pixels are unsure (lam = 1 where none is). H0 is
-applied by PCG_STEPS steps of conjugate gradients from zero, preconditioned by
-the inverse of each grain's K x K diagonal block, and holds no (K N')^2
-array. It is built when the memory first holds a pair and then every
-CURVATURE_EVERY accepted iterations, at the current theta (Byrd, Chin,
-Neveitt & Nocedal, SIAM J. Optim. 21, 2011). These constants were chosen by
-time to target on the benchmark maps.
+positive definite where few pixels are unsure (lam = 1 where none is). When
+the dense A = M_free + lam B takes at most a quarter of CHUNK_BYTES,
+8 (K (N'-1))^2 <= 2^18 bytes or K (N'-1) <= 181 (both 20-grain benchmark
+maps), A = LL' is factored once per build and H0 q = W'(Wq), W = L^-1, is
+exact at two matrix-vector products. Above that rule H0 is applied by
+PCG_STEPS steps of conjugate gradients from zero, preconditioned by the
+inverse of each grain's K x K diagonal block, and holds no (K N')^2 array: a
+dense build (A, L and W) would hold 7 MB on the many-grains benchmark map,
+beyond the few chunks of a fit's working memory, and there the kernel's
+evaluations take the time. Seven steps leave a relative error of about 0.77 against a converged
+solve on the apd-heuristic map after 300 iterations. H0 is built when the
+memory first holds a pair and then every CURVATURE_EVERY accepted iterations,
+at the current theta (Byrd, Chin, Neveitt & Nocedal, SIAM J. Optim. 21,
+2011). These constants were chosen by time to target on the benchmark maps.
 
 When the memory is empty the search direction is g/|g|^2, which makes the
 whole trajectory equivariant under the temperature rescaling
@@ -53,11 +60,11 @@ evaluations each.
 
 The gradient scales as 1/eps, so a plain |g|^2 overflows at eps = 2^-600 and
 underflows to zero at 2^600. Each square of the step (|g|^2, y'H0y in gamma,
-the inner products of PCG on q in H0 q, |s| and |y| in the curvature test) is
-taken of the vector divided by 2^e, e the ``frexp`` exponent of its largest
-entry (``_scaled``), and scaled back after the division. A product with a
-power of two rounds nowhere unless it leaves the normal range, so at moderate
-eps every bit is that of the unscaled arithmetic.
+the products with W or of PCG on q in H0 q, |s| and |y| in the curvature
+test) is taken of the vector divided by 2^e, e the ``frexp`` exponent of its
+largest entry (``_scaled``), and scaled back after the division. A product
+with a power of two rounds nowhere unless it leaves the normal range, so at
+moderate eps every bit is that of the unscaled arithmetic.
 
 Only the N' grains that own a pixel, and the last, which carries the gauge, are
 fitted: an empty grain enters the objective only through the log-sum-exp
@@ -75,8 +82,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import (DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix, assemble_design_matrix,
-                    park)
+from .basis import (CHUNK_BYTES, DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMatrix,
+                    assemble_design_matrix, park)
 from .errors import NumericalError
 from .geometry import GrainMap
 from .objective import (Curvature, EvalResult, bounds_hold, curvature, evaluate_objective,
@@ -200,24 +207,40 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
 def initial_matrix(curv: Curvature, bound: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """H0 as a function of free coefficients q, a (K, N'-1) block row-major.
 
-    H0 q is PCG_STEPS steps of block-Jacobi PCG from zero on (M_free + lam B) x = q:
-    M_free is the curvature ``curv`` on the free grains, B = diag(bound) kron
-    (I - 11'/N') Boehning's bound and lam = RIDGE tr M_free / tr B (1 where M_free
-    is zero). The preconditioner inverts each grain's K x K diagonal block.
+    H0 = A^-1 with A = M_free + lam B: M_free is the curvature ``curv`` on the
+    free grains, B = diag(bound) kron (I - 11'/N') Boehning's bound and lam =
+    RIDGE tr M_free / tr B (1 where M_free is zero). When the dense A, of
+    8 (K (N'-1))^2 bytes, fits in a quarter of CHUNK_BYTES (K (N'-1) <= 181),
+    it is factored once, A = LL', and H0 q = W'(Wq) with W = L^-1 is exact, so
+    y'H0y = |Wy|^2 >= 0. Above that, H0 q is PCG_STEPS steps of block-Jacobi
+    PCG from zero on A x = q, whose preconditioner inverts each grain's K x K
+    diagonal block: no (K N')^2 array, whose dense build would outgrow a fit's
+    few chunks of working memory (7 MB on the many-grains map).
     """
     n_free, k_dim = len(curv.diag) - 1, len(bound)
     shrink = 1.0 - 1.0 / (n_free + 1)  # the diagonal of I - 11'/N'
     diag = curv.diag[:n_free]
     tr_m = float(np.trace(diag, axis1=1, axis2=2).sum())
     ridge = bound * (RIDGE * tr_m / (n_free * shrink * bound.sum()) if tr_m > 0.0 else 1.0)
-    # M_free as directed blocks sorted by their row: each grain's diagonal block
-    # first, then -blocks[b] at (i, j) and its transpose at (j, i)
+    # M_free as directed blocks: each grain's diagonal block, then -blocks[b] at
+    # (i, j) and its transpose at (j, i)
     free = curv.pairs[:, 1] < n_free  # pairs i < j of free grains
     i, j = curv.pairs[free].T
     rows = np.concatenate([np.arange(n_free), i, j])
-    order = np.argsort(rows, kind="stable")
-    cols = np.concatenate([np.arange(n_free), j, i])[order]
-    mats = np.concatenate([diag, -curv.blocks[free], -curv.blocks[free].transpose(0, 2, 1)])[order]
+    cols = np.concatenate([np.arange(n_free), j, i])
+    mats = np.concatenate([diag, -curv.blocks[free], -curv.blocks[free].transpose(0, 2, 1)])
+    if 8 * (k_dim * n_free) ** 2 <= CHUNK_BYTES // 4:
+        a = np.zeros((k_dim, n_free, k_dim, n_free))  # A in the order of q
+        a[:, rows, :, cols] = mats
+        for k in range(k_dim):  # in place: A, its factor and W are the build's only squares
+            block = a[k, :, k, :]  # += ridge_k (I - 11'/N')
+            on = block.diagonal() + ridge[k] * shrink
+            block -= ridge[k] * (1.0 / (n_free + 1))
+            np.fill_diagonal(block, on)
+        w = np.linalg.inv(np.linalg.cholesky(a.reshape(k_dim * n_free, -1)))
+        return lambda q: (w @ q) @ w
+    order = np.argsort(rows, kind="stable")  # the blocks sorted by their row
+    cols, mats = cols[order], mats[order]
     starts = np.searchsorted(rows[order], np.arange(n_free))
     inverse = np.linalg.inv(diag + np.diag(shrink * ridge))
 

@@ -330,9 +330,11 @@ class TestFit:
 
 
 class TestInitialMatrix:
-    """H0 = (M_free + lam B)^-1 on the free columns, applied by block-Jacobi PCG, where B
-    is Boehning's bound diag(sum_x eta_k^2 / n) kron (I - 11'/N'), cut to the
-    diagonal of the design Gram matrix."""
+    """H0 = (M_free + lam B)^-1 on the free columns, where B is Boehning's bound
+    diag(sum_x eta_k^2 / n) kron (I - 11'/N'), cut to the diagonal of the design
+    Gram matrix. A system with 8 (K (N'-1))^2 <= CHUNK_BYTES / 4 bytes is factored
+    and applied exactly; a larger one by block-Jacobi PCG. Each inversion case
+    checks both paths (``on_both_paths``)."""
 
     @staticmethod
     def dense_bound(bound, kept):
@@ -342,24 +344,45 @@ class TestInitialMatrix:
         to_row_major = np.arange(k_dim * free).reshape(free, k_dim).T.ravel()
         return dense[np.ix_(to_row_major, to_row_major)]
 
+    @staticmethod
+    def zero_curvature(kept, k_dim):
+        return objective_module.Curvature(np.zeros((kept, k_dim, k_dim)),
+                                          np.zeros((0, 2), dtype=np.intp),
+                                          np.zeros((0, k_dim, k_dim)))
+
+    @staticmethod
+    def factored_sizes(monkeypatch):
+        """The orders of the matrices that ``initial_matrix`` factors, as they are factored."""
+        sizes, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: sizes.append(len(a)) or cholesky(a))
+        return sizes
+
+    @classmethod
+    def on_both_paths(cls, monkeypatch, curv, bound):
+        """H0 built under a byte budget of 0, which admits no dense system (PCG),
+        and of 2^40, which admits any (factored)."""
+        factored, h0s = cls.factored_sizes(monkeypatch), []
+        for budget in (0, 1 << 40):
+            monkeypatch.setattr(optimizer, "CHUNK_BYTES", budget)
+            h0s.append(optimizer.initial_matrix(curv, bound))
+        assert len(factored) == 1
+        return h0s
+
     @pytest.mark.parametrize("kept", [2, 3, 6])
-    def test_inverts_the_gauge_fixed_bound(self, rng, kept):
+    def test_inverts_the_gauge_fixed_bound(self, rng, kept, monkeypatch):
         # M_free = 0: lam = 1 and H0 = B^-1. Block-Jacobi preconditioned, B has
         # two distinct eigenvalues, so PCG is exact after two steps.
         basis = pg.DesignBasis(pg.LEGENDRE, 2)
         grid = pg.make_grid(3)
         bound = (pg.assemble_design_matrix(basis, grid).values ** 2).sum(axis=1) / len(grid)
-        k_dim = basis.dimension
-        curv = objective_module.Curvature(np.zeros((kept, k_dim, k_dim)),
-                                          np.zeros((0, 2), dtype=np.intp),
-                                          np.zeros((0, k_dim, k_dim)))
-        h0 = optimizer.initial_matrix(curv, bound)
-        v = rng.normal(size=k_dim * (kept - 1))
-        np.testing.assert_allclose(h0(self.dense_bound(bound, kept) @ v), v, rtol=1e-12,
-                                   atol=1e-12 * np.abs(v).max())
+        curv = self.zero_curvature(kept, basis.dimension)
+        v = rng.normal(size=basis.dimension * (kept - 1))
+        for h0 in self.on_both_paths(monkeypatch, curv, bound):
+            np.testing.assert_allclose(h0(self.dense_bound(bound, kept) @ v), v, rtol=1e-12,
+                                       atol=1e-12 * np.abs(v).max())
 
     @pytest.mark.parametrize("kept", [2, 3])
-    def test_inverts_curvature_plus_ridge(self, rng, kept):
+    def test_inverts_curvature_plus_ridge(self, rng, kept, monkeypatch):
         # K (N' - 1) <= PCG_STEPS unknowns: PCG is exact up to rounding.
         gm = random_grain_map(rng, 6, kept)
         basis = pg.DesignBasis(pg.LEGENDRE, 1)
@@ -376,8 +399,38 @@ class TestInitialMatrix:
         b = self.dense_bound(bound, kept)
         lam = optimizer.RIDGE * np.trace(m_free) / np.trace(b)
         v = rng.normal(size=k_dim * free)
-        np.testing.assert_allclose(optimizer.initial_matrix(curv, bound)((m_free + lam * b) @ v),
-                                   v, rtol=1e-8, atol=1e-8 * np.abs(v).max())
+        for h0 in self.on_both_paths(monkeypatch, curv, bound):
+            np.testing.assert_allclose(h0((m_free + lam * b) @ v), v, rtol=1e-8,
+                                       atol=1e-8 * np.abs(v).max())
+
+    @pytest.mark.parametrize("map_args, k_dim, size, dense", [
+        (("pd", 20, 50, 11, 0.0), 3, 57, True),
+        (("apd", 20, 50, 23, 0.3), 6, 108, True),
+        (("apd", 200, 200, 5, 0.3), 6, 552, False),
+    ], ids=["pd-recovery", "apd-heuristic", "many-grains"])
+    def test_the_benchmark_maps_choose_by_size(self, monkeypatch, map_args, k_dim, size, dense):
+        # K (N'-1) on each benchmark map; the dense path admits up to 181.
+        gm = benchmark_map(*map_args)
+        kept = np.count_nonzero(np.bincount(gm.labels, minlength=gm.n_grains + 1)[1:-1]) + 1
+        assert k_dim * (kept - 1) == size
+        factored = self.factored_sizes(monkeypatch)
+        optimizer.initial_matrix(self.zero_curvature(kept, k_dim), np.ones(k_dim))
+        assert factored == ([size] if dense else [])
+
+    def test_a_dense_build_at_the_size_rule_peaks_within_a_chunk(self, monkeypatch):
+        # K (N'-1) = 181 is the largest system that 8 (K (N'-1))^2 <= CHUNK_BYTES / 4
+        # admits: A, its factor and W = L^-1 are three squares of 262 KB. One more
+        # unknown takes the PCG path.
+        factored = self.factored_sizes(monkeypatch)
+        tracemalloc.start()
+        try:
+            optimizer.initial_matrix(self.zero_curvature(182, 1), np.ones(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factored == [181] and peak <= objective_module.CHUNK_BYTES
+        optimizer.initial_matrix(self.zero_curvature(183, 1), np.ones(1))
+        assert factored == [181]
 
 
 class TestMemoryRestart:
@@ -385,8 +438,10 @@ class TestMemoryRestart:
         # Scripted gradients at the evaluations 0, 1, 2, ... (grain 1's column):
         # the first step lands at s = g0/|g0|^2 = (1e-100, 0, 0) with y = g0 - g1
         # and s'y = 1. At iteration 2 the fit builds H0 at u = s, where both
-        # grains have p = 1/2 at each of the 16 pixels: M_free = diag(4, 5/4, 5/4)
-        # and H0 is about diag(1/4, 4/5, 4/5). The memory direction
+        # grains have p = 1/2 at each of the 16 pixels: M_free = diag(4, 5/4, 5/4),
+        # B = diag(1, 5/16, 5/16) / 2 and lam = 3e-3 tr M_free / tr B = 0.024, so the
+        # factored H0 is exactly diag(1/4.012, 1/1.25375, 1/1.25375), about
+        # diag(1/4, 4/5, 4/5). The memory direction
         # r = (s'y / y'H0y) H0 g1 is about (0, 3.2e-300, 0), whose slope
         # g1'r = 3.2e-400 underflows to zero: not an ascent direction, so the fit
         # clears its memory and steps to u + g1/|g1|^2.
@@ -521,15 +576,18 @@ class TestIterationsToTarget:
     err is not monotone along a trajectory, so each test reads the first
     iteration that meets the target, not the final error. With the initial
     matrix gamma H0, H0 the inverse of the curvature from the kernel plus a
-    ridge, pd-recovery first meets its target at iteration 43 and
-    apd-heuristic at 69; each budget is about 1.5 times that. With the fixed
-    Boehning bound gamma*P kron (I + 11') they took 172 and 334, with gamma*P
-    392 and 386, and with a scalar initial matrix 651 and 463.
+    ridge, factored on these small maps, pd-recovery first meets its target at
+    iteration 31 and apd-heuristic at 72 with one BLAS thread and 71 with two
+    (63-77 with the ridge scaled by 1 + 1e-15 ... 1 + 1e-6). The pd budget is
+    about 1.5 times its count; the apd budget stays at 1.5 times the 69 of H0
+    applied by 7 PCG steps, which took pd-recovery 43. With the fixed Boehning
+    bound gamma*P kron (I + 11') they took 172 and 334, with gamma*P 392 and
+    386, and with a scalar initial matrix 651 and 463.
     """
 
     def test_pd_recovery(self):
         gm = benchmark_map("pd", 20, 50, 11, 0.0)
-        rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=65, init="zero"))
+        rep = pg.fit(gm, pg.FitConfig(degree=1, max_iters=47, init="zero"))
         assert first_at_target(rep, 0.005) is not None
 
     def test_apd_heuristic(self):
@@ -538,11 +596,15 @@ class TestIterationsToTarget:
         assert first_at_target(rep, 0.01) is not None
 
     def test_apd_heuristic_certifies_within_the_budget(self):
-        # The fit certifies err == 0 and finishes along theta at iteration 689;
-        # with the Boehning bound it was still at phi = -6.9e-17 after 2000.
+        # The fit certifies err == 0 and finishes along theta at iteration 580
+        # with one BLAS thread and 594 with two (580-602 with the ridge scaled by
+        # 1 + 1e-15 ... 1 + 1e-6); the bound is about 1.2 times 580. With H0
+        # applied by 7 PCG steps it stopped at 689, and with the Boehning bound
+        # it was still at phi = -6.9e-17 after 2000.
         gm = benchmark_map("apd", 20, 50, 23, 0.3)
         rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=2000, init="heuristic"))
         assert rep.stop_reason == "near-optimal" and rep.err_final == 0.0
+        assert rep.iterations_run <= 696
 
     def test_many_grains_first_step(self):
         # The first step is g/|g|^2, unpreconditioned, halved once by the line
