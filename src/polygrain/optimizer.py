@@ -58,6 +58,22 @@ steps reach the near-optimal stop phi > -1e-12 log(2)/n; quasi-Newton steps
 along the flat certified ray took hundreds of iterations at 1.3-1.6
 evaluations each.
 
+Its mirror image shrinks theta along u. At each build of H0 the fresh
+curvature gives the derivatives of sigma -> Phi(e^sigma u) at sigma = 0,
+phi' = g'u and phi'' = g'u - v'Mv/n with v = theta/eps (``scale_step``).
+When g'u < 0, concavity puts the Newton step sigma = -phi'/phi'' in [-1, 0),
+since phi'' <= phi' < 0: theta shrinks by at most a factor e, with no clip.
+The direction (e^sigma - 1) u replaces the quasi-Newton r exactly when its
+model gain phi'^2/-phi'' exceeds r's gain g'r; it goes through the same
+line search, and its (s, y) pair enters the memory. On the apd-heuristic
+map Phi(s theta0) peaks near s = 0.014, and without the ray |u| stayed within
+0.3% of its start until the certified finish; with it the fit first meets
+err <= 0.01 at iteration 26 instead of 72 and stops near-optimal at 173
+instead of 580 (one BLAS thread). From zero, and at the one build of the
+20-iteration many-grains fit, the quasi-Newton step gains more. g'u, v and
+M are those of the unit-temperature fit, so the step keeps the
+(eps, theta) -> (1, theta/eps) equivariance.
+
 The gradient scales as 1/eps, so a plain |g|^2 overflows at eps = 2^-600 and
 underflows to zero at 2^600. Each square of the step (|g|^2, y'H0y in gamma,
 the products with W or of PCG on q in H0 q, |s| and |y| in the curvature
@@ -171,6 +187,7 @@ class FitReport:
     evaluations: int
     kernel_pairs: int  # pixel-grain pairs the kernel computed, over all evaluations
     curvature_passes: int  # builds of the initial matrix H0
+    scale_steps: int  # steps along the ray theta -> e^sigma theta (``scale_step``)
     gauge_residual: float
     design_spans: bool
     bound_phi_err_ok: bool
@@ -269,6 +286,22 @@ def initial_matrix(curv: Curvature, bound: np.ndarray) -> Callable[[np.ndarray],
     return apply
 
 
+def scale_step(curv: Curvature, values: np.ndarray, eps: float, slope: float,
+               n_pixels: int) -> tuple[float, float]:
+    """(sigma, gain) of the Newton step on sigma -> Phi(e^sigma theta) at sigma = 0.
+
+    ``values`` are the fitted (K, N') coefficients, ``curv`` M at them and
+    ``slope`` = g'u < 0. v'Mv, v = theta/eps, is sum_b (v_i - v_j)' blocks_b
+    (v_i - v_j) over the pairs (i, j) of ``curv``: sum_i v_i' diag_i v_i -
+    2 sum_b v_i' blocks_b v_j without its cancellation, clamped at >= 0.
+    """
+    v = values / eps
+    i, j = curv.pairs.T
+    d = v[:, i] - v[:, j]
+    quad = max(float(np.einsum("kb,bkl,lb->", d, curv.blocks, d)), 0.0) / n_pixels
+    return slope / (quad - slope), slope * slope / (quad - slope)
+
+
 def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     """Maximise the smoothed label log-likelihood over gauge-fixed coefficients.
 
@@ -320,7 +353,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     # Each iteration, and at each phi, err and e0: lists, as tuples would cost more.
     traj = iters, phi_traj, err_traj, e0_traj = [0], [at.phi], [at.err], [at.e0]
     hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)  # (s, y, rho)
-    h0, built, passes = None, 0, 0
+    h0, built, passes, scale_steps = None, 0, 0, 0
     # phi > -log2/n certifies err == 0 with no ties: a misassigned or tied pixel
     # costs at least log2/n (metrics.bound_report). Past it each step is along u,
     # up to the near-optimal stop phi > -1e-12 log2/n.
@@ -339,10 +372,15 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         if at.phi > separated:
             direction = u  # t = 1 doubles theta
         elif hist:
+            ray = None  # (sigma, gain) of the scale step, at a build where g'u < 0
             if h0 is None or it - built >= CURVATURE_EVERY:
-                curv = curvature(unpack(u), design.values, config.eps, layout, CURVATURE_CUT)
+                values = unpack(u)
+                curv = curvature(values, design.values, config.eps, layout, CURVATURE_CUT)
                 h0 = initial_matrix(curv, bound)
                 built, passes = it, passes + 1
+                slope = float(g @ u)
+                if slope < 0.0:
+                    ray = scale_step(curv, values, config.eps, slope, len(grain_map))
             s_vec, y_vec, rho = hist[-1]  # gamma = s'y / y'H0y of the newest pair
             y_scaled, e_y = _scaled(y_vec)
             gamma = 1.0 / (rho * float(y_scaled @ h0(y_scaled)))
@@ -359,8 +397,12 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
             for (s_vec, y_vec, rho), a in zip(hist, reversed(alphas)):
                 b = rho * float(y_vec @ r)
                 r += s_vec * (a - b)
-            if 0.0 < float(g @ r) < math.inf:
+            gain = float(g @ r)
+            if 0.0 < gain < math.inf:
                 direction = r
+                if ray is not None and ray[1] > gain:  # t = 1 scales theta by e^sigma
+                    direction = math.expm1(ray[0]) * u
+                    scale_steps += 1
             else:  # the quasi-Newton memory went bad: restart from the scaled gradient
                 hist.clear()
         slope0 = float(g @ direction)
@@ -411,6 +453,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         stop_reason=stop_reason, wall_clock_s=time.perf_counter() - start, eps=config.eps,
         n_grains=n_grains, n_empty_grains=n_grains - n_kept, n_pixels=len(grain_map),
         evaluations=len(pairs), kernel_pairs=sum(pairs), curvature_passes=passes,
+        scale_steps=scale_steps,
         gauge_residual=float(np.abs(theta.values[:, -1]).max()),
         design_spans=bool(eig_lo > 1e-12 * max(eig_hi, 1.0)), bound_phi_err_ok=bound_phi_err_ok,
         bound_energy_ok=bound_energy_ok)

@@ -387,6 +387,7 @@ class TestCli:
         # CURVATURE_EVERY iterations: at iterations 2, 12, 22, ...
         builds = -(-(report["final"]["iterations_run"] - 1) // optimizer.CURVATURE_EVERY)
         assert 0 < kernel["curvature_passes"] <= builds
+        assert 0 <= kernel["scale_steps"] <= kernel["curvature_passes"]
 
         img = tmp_path / "labels.ppm"
         assert main(["render", "--input", str(gen / "grain_map.csv"),

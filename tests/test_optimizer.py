@@ -261,17 +261,27 @@ class TestFit:
                 assert abs(first.phi_traj[-1] - want) <= 1e-10 * abs(want)
 
     @pytest.mark.parametrize("exponent", [-600, 600])
-    def test_power_of_two_eps_follows_the_unit_fit(self, exponent):
-        # From the zero start the fit at eps = 2^e is the eps = 1 fit with theta
-        # scaled by 2^e, bit for bit, through its curvature builds and its
-        # finish along theta. Its gradients are 2^-e times the unit fit's,
-        # so |g|^2 would overflow at e = -600 and underflow to zero at e = 600.
+    @pytest.mark.parametrize("init", ["zero", "heuristic"])
+    def test_power_of_two_eps_follows_the_unit_fit(self, exponent, init):
+        # The fit at eps = 2^e from theta0 scaled by 2^e is the eps = 1 fit from
+        # theta0 with theta scaled by 2^e, bit for bit, through its curvature
+        # builds, its scale step and its finish along theta. Its gradients are
+        # 2^-e times the unit fit's, so |g|^2 would overflow at e = -600 and
+        # underflow to zero at e = 600. The heuristic start is scaled by 2^7, as
+        # if at eps = 2^-7: too sharp, so the first build shrinks it along its ray.
         # err is not compared: the assignment's tie threshold has an absolute floor.
         gm = benchmark_map("pd", 8, 8, 3, 0.0)
-        unit = pg.fit(gm, pg.FitConfig(degree=1, eps=1.0, max_iters=30))
-        rep = pg.fit(gm, pg.FitConfig(degree=1, eps=math.ldexp(1.0, exponent), max_iters=30))
+        theta0 = pg.init_zero(1, gm.n_grains)
+        if init == "heuristic":
+            theta0 = pg.heuristic_theta(gm, 1, pg.LEGENDRE)
+            theta0 = pg.ParamMatrix(np.ldexp(theta0.values, 7), theta0.basis, theta0.gauge)
+        scaled = pg.ParamMatrix(np.ldexp(theta0.values, exponent), theta0.basis, theta0.gauge)
+        unit = pg.fit(gm, pg.FitConfig(degree=1, eps=1.0, max_iters=40, init=theta0))
+        rep = pg.fit(gm, pg.FitConfig(degree=1, eps=math.ldexp(1.0, exponent), max_iters=40,
+                                      init=scaled))
         assert unit.n_empty_grains == 0 and unit.stop_reason == rep.stop_reason == "near-optimal"
         assert unit.curvature_passes == rep.curvature_passes > 0
+        assert unit.scale_steps == rep.scale_steps == (init == "heuristic")
         assert rep.iters == unit.iters and rep.phi_traj == unit.phi_traj
         assert np.array_equal(rep.theta.values, np.ldexp(unit.theta.values, exponent))
 
@@ -470,6 +480,59 @@ class TestMemoryRestart:
         assert rep.iters == list(range(rep.iterations_run + 1))
 
 
+class TestScaleStep:
+    """At each build of H0 the fit also takes the Newton step sigma on
+    sigma -> Phi(e^sigma theta) when g'u < 0 and its gain beats the
+    quasi-Newton step's: the direction is (e^sigma - 1) u, sigma in [-1, 0)."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """(sigma, gain) of each scale step considered, and (u, t, u_new) of each search."""
+        rays, searches, real = [], [], optimizer.scale_step
+
+        def scale_step(*args):
+            rays.append(real(*args))
+            return rays[-1]
+
+        def search(evaluate, phi0, slope0):
+            t, accepted = line_search(evaluate, phi0, slope0)
+            searches.append((evaluate(0.0).payload[0], t, accepted.payload[0]))
+            return t, accepted
+
+        monkeypatch.setattr(optimizer, "scale_step", scale_step)
+        monkeypatch.setattr(optimizer, "line_search", search)
+        return rays, searches
+
+    def test_the_first_build_shrinks_the_heuristic_start(self, monkeypatch):
+        # At the apd-heuristic start |u| is about 11,342, while s -> Phi(s theta0)
+        # peaks near s = 0.014: the first build, at iteration 2, steps along u.
+        rays, searches = self.spy(monkeypatch)
+        gm = benchmark_map("apd", 20, 50, 23, 0.3)
+        rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=2, init="heuristic"))
+        assert rep.scale_steps == 1 and len(rays) == 1 and len(searches) == 2
+        (sigma, _), (u, t, u_new) = rays[0], searches[1]
+        assert -1.0 <= sigma < 0.0
+        assert np.array_equal(u_new, u + t * (math.expm1(sigma) * u))
+        assert math.exp(-1.0) <= np.linalg.norm(u_new) / np.linalg.norm(u) < 1.0
+
+    @pytest.mark.parametrize("map_args, degree, init, iters, taken", [
+        (("pd", 20, 50, 11, 0.0), 1, "zero", 2000, 0),
+        (("apd", 20, 50, 23, 0.3), 2, "heuristic", 2, 1),
+        (("apd", 200, 200, 5, 0.3), 2, "heuristic", 2, 0),
+    ], ids=["pd-recovery", "apd-heuristic", "many-grains"])
+    def test_the_benchmark_maps_choose_by_gain(self, map_args, degree, init, iters, taken):
+        # At iteration 2 the ray's gain phi'^2 / -phi'' against the quasi-Newton
+        # step's g'r reads 4.80 against 2.12 on apd-heuristic, and 11.2 against
+        # 11.4 on many-grains, whose 20-iteration fit builds H0 only there. The
+        # pd-recovery fit, run to its near-optimal stop at iteration 65, never
+        # takes the ray.
+        rep = pg.fit(benchmark_map(*map_args),
+                     pg.FitConfig(degree=degree, max_iters=iters, init=init))
+        assert rep.scale_steps == taken
+        if init == "zero":
+            assert rep.stop_reason == "near-optimal" and rep.curvature_passes > 1
+
+
 def with_empty_grains(rng, m, n, empty):
     """A power-diagram map whose owning grains are renumbered to leave the grains
     ``empty`` (1-based) without a pixel, and none else; it has n grains or fewer."""
@@ -577,12 +640,13 @@ class TestIterationsToTarget:
     iteration that meets the target, not the final error. With the initial
     matrix gamma H0, H0 the inverse of the curvature from the kernel plus a
     ridge, factored on these small maps, pd-recovery first meets its target at
-    iteration 31 and apd-heuristic at 72 with one BLAS thread and 71 with two
-    (63-77 with the ridge scaled by 1 + 1e-15 ... 1 + 1e-6). The pd budget is
-    about 1.5 times its count; the apd budget stays at 1.5 times the 69 of H0
-    applied by 7 PCG steps, which took pd-recovery 43. With the fixed Boehning
-    bound gamma*P kron (I + 11') they took 172 and 334, with gamma*P 392 and
-    386, and with a scalar initial matrix 651 and 463.
+    iteration 31. apd-heuristic, whose first build also shrinks theta along its
+    ray, meets it at 26 with one and with two BLAS threads, and at every ridge
+    scaled by 1 + 1e-15 ... 1 + 1e-6; without the scale step it took 71-72
+    (63-85). Each budget is about 1.5 times its count. With H0 applied by 7 PCG
+    steps they took 43 and 69, with the fixed Boehning bound gamma*P kron
+    (I + 11') 172 and 334, with gamma*P 392 and 386, and with a scalar initial
+    matrix 651 and 463.
     """
 
     def test_pd_recovery(self):
@@ -592,19 +656,20 @@ class TestIterationsToTarget:
 
     def test_apd_heuristic(self):
         gm = benchmark_map("apd", 20, 50, 23, 0.3)
-        rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=105, init="heuristic"))
+        rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=39, init="heuristic"))
         assert first_at_target(rep, 0.01) is not None
 
     def test_apd_heuristic_certifies_within_the_budget(self):
-        # The fit certifies err == 0 and finishes along theta at iteration 580
-        # with one BLAS thread and 594 with two (580-602 with the ridge scaled by
-        # 1 + 1e-15 ... 1 + 1e-6); the bound is about 1.2 times 580. With H0
-        # applied by 7 PCG steps it stopped at 689, and with the Boehning bound
-        # it was still at phi = -6.9e-17 after 2000.
+        # The fit certifies err == 0 and finishes along theta at iteration 173
+        # with one BLAS thread and 219 with two (173-248 over both and the ridge
+        # scaled by 1 + 1e-15 ... 1 + 1e-6); the bound is about 1.2 times 248.
+        # Without the scale step it stopped at 580-625, with H0 applied by 7 PCG
+        # steps at 689, and with the Boehning bound it was still at
+        # phi = -6.9e-17 after 2000.
         gm = benchmark_map("apd", 20, 50, 23, 0.3)
         rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=2000, init="heuristic"))
         assert rep.stop_reason == "near-optimal" and rep.err_final == 0.0
-        assert rep.iterations_run <= 696
+        assert rep.iterations_run <= 298
 
     def test_many_grains_first_step(self):
         # The first step is g/|g|^2, unpreconditioned, halved once by the line
