@@ -260,15 +260,13 @@ class TestFit:
                 want = dict(zip(other.iters, other.phi_traj))[first.iterations_run]
                 assert abs(first.phi_traj[-1] - want) <= 1e-10 * abs(want)
 
-    @pytest.mark.parametrize("exponent", [-600, 600])
-    @pytest.mark.parametrize("init", ["zero", "heuristic"])
-    def test_power_of_two_eps_follows_the_unit_fit(self, exponent, init):
+    @staticmethod
+    def check_power_of_two_eps(exponent, init):
         # The fit at eps = 2^e from theta0 scaled by 2^e is the eps = 1 fit from
         # theta0 with theta scaled by 2^e, bit for bit, through its curvature
         # builds, its scale step and its finish along theta. Its gradients are
         # 2^-e times the unit fit's, so |g|^2 would overflow at e = -600 and
-        # underflow to zero at e = 600. The heuristic start is scaled by 2^7, as
-        # if at eps = 2^-7: too sharp, so the first build shrinks it along its ray.
+        # underflow to zero at e = 600.
         # err is not compared: the assignment's tie threshold has an absolute floor.
         gm = benchmark_map("pd", 8, 8, 3, 0.0)
         theta0 = pg.init_zero(1, gm.n_grains)
@@ -284,6 +282,16 @@ class TestFit:
         assert unit.scale_steps == rep.scale_steps == (init == "heuristic")
         assert rep.iters == unit.iters and rep.phi_traj == unit.phi_traj
         assert np.array_equal(rep.theta.values, np.ldexp(unit.theta.values, exponent))
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_power_of_two_eps_follows_the_unit_fit(self, exponent):
+        self.check_power_of_two_eps(exponent, "zero")
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_power_of_two_eps_follows_the_unit_fit_from_a_sharp_start(self, exponent):
+        # The heuristic start is scaled by 2^7, as if at eps = 2^-7: too sharp,
+        # so the first build shrinks it along its ray with a scale step.
+        self.check_power_of_two_eps(exponent, "heuristic")
 
     def test_gradient_norm_decreases_with_budget(self, rng):
         # imperfect-reconstruction regime: a maximiser exists and is approached
