@@ -326,11 +326,10 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     a tile runs on columns ``cols`` and grains ``rows`` (all if None), and its
     gradient product has one column per row. The tiles share one rows x pixels
     buffer, each in its own columns. The cost GEMM, the sums and the gradient
-    GEMM run per tile; the passes over the buffer run once: min (with
-    ``want_assign``, of the rows other than the label, whose cost then decides
-    the tie test), subtract, scale by -1/eps, floor, exp, the row sum and log1p.
-    A tile sums its own columns of each per-pixel term, so its partials have
-    the same bits in any batch.
+    GEMM run per tile; the passes over the buffer run once: min, the tie test
+    on the costs (``want_assign``), subtract, scale by -1/eps, floor, exp, the
+    row sum and log1p. A tile sums its own columns of each per-pixel term, so
+    its partials have the same bits in any batch.
 
     The residual 1[g0] - e/s is never formed. With e_g0 zeroed, rest = sum(e)
     and s = rest + e_g0; -rest written at g0 and scaled by -1/s gives rest/s
@@ -354,36 +353,32 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     at_g0 = row0 * width + np.arange(width)  # flat index of (g0, x)
     # Arrays are dropped once used, so that few of them add to the call's peak.
     del row0
+    m = buf.min(axis=0)
     terms = np.empty((3, width))  # per pixel: z_g0, log s and c_g0 - m
 
     ncorrect = [0] * len(batch)
     if want_assign:
-        # The comparisons of argmin_labels, against the least cost of the other
-        # rows: +inf at the labels hides them from the minimum. A pixel whose
-        # label ties alone is correct, and only multi-way ties need the first
-        # tied index. Rows are kept in grain order with every tied grain, so the
-        # first tied row is the first tied grain.
-        c_g0 = flat[at_g0]
-        flat[at_g0] = np.inf
-        m_other = buf.min(axis=0)
-        flat[at_g0] = c_g0
-        m = np.minimum(c_g0, m_other)  # NaN if either is, as buf.min(axis=0)
+        # The comparisons of argmin_labels; a pixel whose label ties alone is
+        # correct, and only multi-way ties need the first tied index. Rows are
+        # kept in grain order with every tied grain, so the first tied row is
+        # the first tied grain.
         thr = tie_threshold(m)
-        label_ties = c_g0 <= thr
-        correct = label_ties & (m_other > thr)
-        multi = np.flatnonzero(label_ties & (m_other <= thr))
+        tied = buf <= thr[None, :]
+        ntied = tied.sum(axis=0, dtype=np.int32)
+        c_g0 = flat[at_g0]
+        correct = c_g0 <= thr
+        multi = np.flatnonzero(correct & (ntied > 1))
+        correct &= ntied == 1
         if multi.size:
-            correct[multi] = np.argmax(buf[:, multi] <= thr[multi], axis=0) == at_g0[multi] // width
-        untied = np.isnan(thr)
-        if untied.any():
+            correct[multi] = np.argmax(tied[:, multi], axis=0) == at_g0[multi] // width
+        if not ntied.all():
             # A NaN threshold (from a NaN or -inf minimum) ties nothing, and
             # argmin_labels then returns grain 0.
-            correct |= untied & (np.concatenate(labels) == 0)
+            correct |= (ntied == 0) & (np.concatenate(labels) == 0)
         ncorrect = np.add.reduceat(correct, [cols.start for cols in spans], dtype=np.intp)
         np.subtract(c_g0, m, out=terms[2])
-        del thr, c_g0, m_other, label_ties, correct, untied
+        del thr, tied, ntied, c_g0, correct
     else:
-        m = buf.min(axis=0)
         terms[2] = 0.0
 
     np.subtract(buf, m[None, :], out=buf)

@@ -261,7 +261,7 @@ class TestFit:
                 assert abs(first.phi_traj[-1] - want) <= 1e-10 * abs(want)
 
     @staticmethod
-    def check_power_of_two_eps(exponent, init):
+    def check_power_of_two_eps(exponent, init, max_iters):
         # The fit at eps = 2^e from theta0 scaled by 2^e is the eps = 1 fit from
         # theta0 with theta scaled by 2^e, bit for bit, through its curvature
         # builds, its scale step and its finish along theta. Its gradients are
@@ -274,9 +274,9 @@ class TestFit:
             theta0 = pg.heuristic_theta(gm, 1, pg.LEGENDRE)
             theta0 = pg.ParamMatrix(np.ldexp(theta0.values, 7), theta0.basis, theta0.gauge)
         scaled = pg.ParamMatrix(np.ldexp(theta0.values, exponent), theta0.basis, theta0.gauge)
-        unit = pg.fit(gm, pg.FitConfig(degree=1, eps=1.0, max_iters=40, init=theta0))
-        rep = pg.fit(gm, pg.FitConfig(degree=1, eps=math.ldexp(1.0, exponent), max_iters=40,
-                                      init=scaled))
+        unit = pg.fit(gm, pg.FitConfig(degree=1, eps=1.0, max_iters=max_iters, init=theta0))
+        rep = pg.fit(gm, pg.FitConfig(degree=1, eps=math.ldexp(1.0, exponent),
+                                      max_iters=max_iters, init=scaled))
         assert unit.n_empty_grains == 0 and unit.stop_reason == rep.stop_reason == "near-optimal"
         assert unit.curvature_passes == rep.curvature_passes > 0
         assert unit.scale_steps == rep.scale_steps == (init == "heuristic")
@@ -285,13 +285,16 @@ class TestFit:
 
     @pytest.mark.parametrize("exponent", [-600, 600])
     def test_power_of_two_eps_follows_the_unit_fit(self, exponent):
-        self.check_power_of_two_eps(exponent, "zero")
+        # The fit stops at iteration 25; the budget is about 1.2 times that.
+        self.check_power_of_two_eps(exponent, "zero", 30)
 
     @pytest.mark.parametrize("exponent", [-600, 600])
     def test_power_of_two_eps_follows_the_unit_fit_from_a_sharp_start(self, exponent):
         # The heuristic start is scaled by 2^7, as if at eps = 2^-7: too sharp,
-        # so the first build shrinks it along its ray with a scale step.
-        self.check_power_of_two_eps(exponent, "heuristic")
+        # so the first build shrinks it along its ray with a scale step. The fit
+        # stops at iteration 29 (1-4 BLAS threads, the ridge scaled by
+        # 1 + 1e-15 ... 1 + 1e-6); the budget is about 1.2 times that.
+        self.check_power_of_two_eps(exponent, "heuristic", 35)
 
     def test_gradient_norm_decreases_with_budget(self, rng):
         # imperfect-reconstruction regime: a maximiser exists and is approached
@@ -523,20 +526,23 @@ class TestScaleStep:
         assert np.array_equal(u_new, u + t * (math.expm1(sigma) * u))
         assert math.exp(-1.0) <= np.linalg.norm(u_new) / np.linalg.norm(u) < 1.0
 
-    @pytest.mark.parametrize("map_args, degree, init, iters, taken", [
-        (("pd", 20, 50, 11, 0.0), 1, "zero", 2000, 0),
-        (("apd", 20, 50, 23, 0.3), 2, "heuristic", 2, 1),
-        (("apd", 200, 200, 5, 0.3), 2, "heuristic", 2, 0),
+    @pytest.mark.parametrize("map_args, degree, init, iters, taken, margin", [
+        (("pd", 20, 50, 11, 0.0), 1, "zero", 2000, 0,
+         "never taken up to the near-optimal stop at iteration 65"),
+        (("apd", 20, 50, 23, 0.3), 2, "heuristic", 2, 1,
+         "ray gain 4.80 against 2.12 at iteration 2"),
+        (("apd", 200, 200, 5, 0.3), 2, "heuristic", 2, 0,
+         "ray gain 11.20 against 11.45 at iteration 2, a 2% margin"),
     ], ids=["pd-recovery", "apd-heuristic", "many-grains"])
-    def test_the_benchmark_maps_choose_by_gain(self, map_args, degree, init, iters, taken):
-        # At iteration 2 the ray's gain phi'^2 / -phi'' against the quasi-Newton
-        # step's g'r reads 4.80 against 2.12 on apd-heuristic, and 11.2 against
-        # 11.4 on many-grains, whose 20-iteration fit builds H0 only there. The
-        # pd-recovery fit, run to its near-optimal stop at iteration 65, never
-        # takes the ray.
+    def test_the_benchmark_maps_choose_by_gain(self, map_args, degree, init, iters, taken,
+                                               margin):
+        # At iteration 2 the ray's gain phi'^2 / -phi'' is set against the
+        # quasi-Newton step's g'r; ``margin`` records the measured pair. The
+        # 20-iteration many-grains fit builds H0 only there. The decisions were
+        # measured at one and two BLAS threads, not more.
         rep = pg.fit(benchmark_map(*map_args),
                      pg.FitConfig(degree=degree, max_iters=iters, init=init))
-        assert rep.scale_steps == taken
+        assert rep.scale_steps == taken, margin
         if init == "zero":
             assert rep.stop_reason == "near-optimal" and rep.curvature_passes > 1
 
@@ -650,8 +656,8 @@ class TestIterationsToTarget:
     ridge, factored on these small maps, pd-recovery first meets its target at
     iteration 31. apd-heuristic, whose first build also shrinks theta along its
     ray, meets it at 26 with one and with two BLAS threads, and at every ridge
-    scaled by 1 + 1e-15 ... 1 + 1e-6; without the scale step it took 71-72
-    (63-85). Each budget is about 1.5 times its count. With H0 applied by 7 PCG
+    scaled by 1 + delta, for 20 values of delta from -1e-6 to 1e-5; without the
+    scale step it took 71-72 (63-85 over five of them). Each budget is about 1.5 times its count. With H0 applied by 7 PCG
     steps they took 43 and 69, with the fixed Boehning bound gamma*P kron
     (I + 11') 172 and 334, with gamma*P 392 and 386, and with a scalar initial
     matrix 651 and 463.
@@ -669,15 +675,16 @@ class TestIterationsToTarget:
 
     def test_apd_heuristic_certifies_within_the_budget(self):
         # The fit certifies err == 0 and finishes along theta at iteration 173
-        # with one BLAS thread and 219 with two (173-248 over both and the ridge
-        # scaled by 1 + 1e-15 ... 1 + 1e-6); the bound is about 1.2 times 248.
+        # with one BLAS thread and 219 with two: 150-269 over both and the ridge
+        # scaled by 1 + delta, for 20 values of delta from -1e-6 to 1e-5. The
+        # bound is about 1.2 times 269. More than two threads were not measured.
         # Without the scale step it stopped at 580-625, with H0 applied by 7 PCG
         # steps at 689, and with the Boehning bound it was still at
         # phi = -6.9e-17 after 2000.
         gm = benchmark_map("apd", 20, 50, 23, 0.3)
         rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=2000, init="heuristic"))
         assert rep.stop_reason == "near-optimal" and rep.err_final == 0.0
-        assert rep.iterations_run <= 298
+        assert rep.iterations_run <= 323
 
     def test_many_grains_first_step(self):
         # The first step is g/|g|^2, unpreconditioned, halved once by the line
