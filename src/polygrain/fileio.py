@@ -239,6 +239,7 @@ def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
             "pairs": int(report.kernel_pairs),
             "curvature_passes": int(report.curvature_passes),
             "scale_steps": int(report.scale_steps),
+            "skipped_trials": int(report.skipped_trials),
             "dense_pairs": int(report.evaluations) * int(report.n_pixels)
             * (int(report.n_grains) - int(report.n_empty_grains)),
         },

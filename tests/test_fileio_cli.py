@@ -388,6 +388,7 @@ class TestCli:
         builds = -(-(report["final"]["iterations_run"] - 1) // optimizer.CURVATURE_EVERY)
         assert 0 < kernel["curvature_passes"] <= builds
         assert 0 <= kernel["scale_steps"] <= kernel["curvature_passes"]
+        assert kernel["skipped_trials"] >= 0
 
         img = tmp_path / "labels.ppm"
         assert main(["render", "--input", str(gen / "grain_map.csv"),

@@ -19,14 +19,26 @@ objective_module = sys.modules["polygrain.objective"]
 
 
 def concave_rays():
-    """(f, slope0): a concave function of the step t >= 0 with f'(0) = slope0 > 0,
-    a quadratic with its maximiser at t* > 0 or a saturating b log(1 + k t)."""
+    """(f, slope0): a ray of ``concave_rays_with_slopes`` with slope0 = f'(0) > 0."""
+    return concave_rays_with_slopes().map(lambda ray: (ray[0], ray[1](0.0)))
+
+
+def concave_rays_with_slopes():
+    """(f, df): a concave function of the step t >= 0 with its exact slope df,
+    df(0) > 0. A saturating b log(1 + k t), steep at large k, or a kinked c0 +
+    min(a t, a c - b (t - c)), whose slope at the kink is either supergradient,
+    or a quadratic with its maximiser at t* > 0."""
+    saturating = st.builds(lambda b, k: (lambda t: b * math.log1p(k * t),
+                                         lambda t: b * k / (1.0 + k * t)),
+                           st.floats(1e-3, 1e3), st.floats(1e-3, 1e12))
+    kinked = st.builds(lambda c0, a, b, c: (lambda t: c0 + (a * t if t < c else a * c - b * (t - c)),
+                                            lambda t: a if t < c else -b),
+                       st.floats(-1e3, 0.0), st.floats(1e-3, 1e3), st.floats(1e-3, 1e9),
+                       st.floats(1e-9, 2.0))
     quadratic = st.builds(lambda a, t_star, c: (lambda t: c - a * (t - t_star) ** 2,
-                                                 2.0 * a * t_star),
+                                                 lambda t: -2.0 * a * (t - t_star)),
                           st.floats(1e-3, 1e3), st.floats(1e-6, 1e3), st.floats(-1e3, 0.0))
-    saturating = st.builds(lambda b, k: (lambda t: b * math.log1p(k * t), b * k),
-                           st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
-    return st.one_of(quadratic, saturating)
+    return st.one_of(saturating, kinked, quadratic)
 
 
 class TestLineSearch:
@@ -73,7 +85,8 @@ class TestLineSearch:
         assert trials == steps[: first + 1]
 
     def test_rejects_descent_direction(self):
-        for slope0 in (-1.0, 0.0):
+        # A NaN or +inf slope would set a NaN or inf threshold that no trial meets.
+        for slope0 in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 line_search(self.make_eval(lambda t: -t, []), phi0=0.0, slope0=slope0)
 
@@ -87,6 +100,62 @@ class TestLineSearch:
             t, ev = line_search(self.make_eval(f, trials), phi0=0.0, slope0=1.0)
             assert t == 0.0 and ev is None
             assert trials == [0.5 ** i for i in range(cap)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(ray=concave_rays_with_slopes(), noise=st.floats(-1.0, 1.0),
+           poison=st.dictionaries(st.integers(0, 30), st.sampled_from([math.nan, -math.inf]),
+                                  max_size=4))
+    # a -inf or NaN trial gives no tangent, even with a finite slope
+    @example(ray=(lambda t: min(t, 1e-3 - 1e6 * (t - 1e-3)), lambda t: 1.0 if t < 1e-3 else -1e6),
+             noise=1.0, poison={0: -math.inf, 1: math.nan})
+    def test_tangents_skip_only_failing_trials(self, ray, noise, poison):
+        # Each failed trial's tangent bounds the concave ray from above, so a
+        # halving whose lowest tangent lies below the sufficient-increase line
+        # by more than the slack fails, and is skipped. The search with slopes
+        # returns what plain halving (NaN slopes) returns, and evaluates a
+        # subsequence of its trials. phi carries a relative noise of up to
+        # 2^-33 (|phi| + |phi0|), inside the slack; the trial of step 2^-i
+        # reads poison[i] instead (NaN or -inf) with the exact slope.
+        f, df = ray
+        phi0, slope0 = f(0.0), df(0.0)
+
+        def noisy(t):
+            i = round(-math.log2(t))
+            wobble = noise * math.ldexp(1.0, -33) * (-1) ** i
+            return poison.get(i, f(t) + wobble * (abs(f(t)) + abs(phi0)))
+
+        def make_eval(trials, slope):
+            def evaluate(t):
+                trials.append(t)
+                return LineEval(phi=noisy(t), payload=t, slope=slope(t))
+            return evaluate
+
+        trials, plain_trials = [], []
+        t, ev = line_search(make_eval(trials, df), phi0, slope0)
+        t_plain, ev_plain = line_search(make_eval(plain_trials, lambda t: math.nan), phi0, slope0)
+        assert (t, ev is None) == (t_plain, ev_plain is None)
+        assert ev is None or ev.payload == ev_plain.payload == t
+        steps = [0.5 ** i for i in range(optimizer.MAX_LINE_EVALS)]
+        assert plain_trials == steps[: len(plain_trials)]
+        assert set(trials) <= set(plain_trials) and trials == sorted(set(trials), reverse=True)
+        for s in set(plain_trials) - set(trials):
+            assert not noisy(s) >= phi0 + optimizer.SUFFICIENT_INCREASE * s * slope0
+
+    def test_a_steep_drop_skips_to_the_kink(self):
+        # phi = min(t, 1e-3 - 1e6 (t - 1e-3)) meets sufficient increase first at
+        # t = 2^-10 < 1e-3. The tangent at t = 1 is the drop line itself, which
+        # proves that 1/2 ... 2^-9 fail: the search evaluates 1 and 2^-10 only.
+        f = lambda t: min(t, 1e-3 - 1e6 * (t - 1e-3))
+        df = lambda t: 1.0 if t < 1e-3 else -1e6
+        trials = []
+
+        def evaluate(t):
+            trials.append(t)
+            return LineEval(phi=f(t), payload=t, slope=df(t))
+
+        t, ev = line_search(evaluate, phi0=0.0, slope0=1.0)
+        assert t == 0.5 ** 10 and ev.payload == t
+        assert trials == [1.0, 0.5 ** 10]
 
 
 class TestInitZero:
@@ -280,6 +349,7 @@ class TestFit:
         assert unit.n_empty_grains == 0 and unit.stop_reason == rep.stop_reason == "near-optimal"
         assert unit.curvature_passes == rep.curvature_passes > 0
         assert unit.scale_steps == rep.scale_steps == (init == "heuristic")
+        assert (unit.evaluations, unit.skipped_trials) == (rep.evaluations, rep.skipped_trials)
         assert rep.iters == unit.iters and rep.phi_traj == unit.phi_traj
         assert np.array_equal(rep.theta.values, np.ldexp(unit.theta.values, exponent))
 
@@ -547,6 +617,35 @@ class TestScaleStep:
             assert rep.stop_reason == "near-optimal" and rep.curvature_passes > 1
 
 
+class TestSkippedTrials:
+    """The line search skips each halving that a failed trial's tangent proves
+    will fail sufficient increase, so it accepts the step plain halving accepts."""
+
+    @pytest.mark.parametrize("map_args, degree, init, iters, skips", [
+        (("pd", 20, 50, 11, 0.0), 1, "zero", 2000, False),
+        (("apd", 20, 50, 23, 0.3), 2, "heuristic", 2000, True),
+        (("apd", 200, 200, 5, 0.3), 2, "heuristic", 20, False),
+    ], ids=["pd-recovery", "apd-heuristic", "many-grains"])
+    def test_skipping_keeps_every_bit(self, monkeypatch, map_args, degree, init, iters, skips):
+        # A spy strips the slopes to NaN, which leaves plain halving: the fits
+        # take the same steps, and the skipped trials are the evaluations saved.
+        # After the scale step of the apd-heuristic fit, t = 1 lands far past the
+        # maximum of the ray, where phi falls almost linearly; the pd-recovery and
+        # 20-iteration many-grains fits skip nothing.
+        gm, config = benchmark_map(*map_args), pg.FitConfig(degree=degree, max_iters=iters,
+                                                            init=init)
+        rep = pg.fit(gm, config)
+        monkeypatch.setattr(optimizer, "line_search", lambda evaluate, phi0, slope0: line_search(
+            lambda t: evaluate(t)._replace(slope=math.nan), phi0, slope0))
+        plain = pg.fit(gm, config)
+        assert (rep.iters, rep.phi_traj, rep.err_traj, rep.e0_traj) == (
+            plain.iters, plain.phi_traj, plain.err_traj, plain.e0_traj)
+        assert np.array_equal(rep.theta.values, plain.theta.values)
+        assert rep.stop_reason == plain.stop_reason and plain.skipped_trials == 0
+        assert rep.evaluations + rep.skipped_trials == plain.evaluations
+        assert (rep.skipped_trials > 0) == skips
+
+
 def with_empty_grains(rng, m, n, empty):
     """A power-diagram map whose owning grains are renumbered to leave the grains
     ``empty`` (1-based) without a pixel, and none else; it has n grains or fewer."""
@@ -672,6 +771,15 @@ class TestIterationsToTarget:
         gm = benchmark_map("apd", 20, 50, 23, 0.3)
         rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=39, init="heuristic"))
         assert first_at_target(rep, 0.01) is not None
+
+    def test_apd_heuristic_evaluations_to_target(self):
+        # The fit meets the target at iteration 26 after 45 evaluations: the line
+        # search skips the halvings that a failed trial's tangent proves will
+        # fail. Plain halving took 76. The bound is about 1.2 times 45.
+        gm = benchmark_map("apd", 20, 50, 23, 0.3)
+        rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=26, init="heuristic"))
+        assert first_at_target(rep, 0.01) is not None
+        assert rep.evaluations <= 54
 
     def test_apd_heuristic_certifies_within_the_budget(self):
         # The fit certifies err == 0 and finishes along theta at iteration 173
