@@ -87,7 +87,8 @@ def bound_report(theta: ParamMatrix, grain_map: GrainMap, design: DesignMatrix,
       * 0 <= -eps*phi - e0 <= eps*log(N) (log-sum-exp sandwich);
       * phi > -log(2)/n forces err == 0 exactly.
     """
-    phi, _, err, e0, _ = evaluate(theta, design, grain_map, eps, want_assign=True)
+    res = evaluate(theta, design, grain_map, eps, want_assign=True)
+    phi, err, e0 = res.phi, res.err, res.e0
     n = len(grain_map)
     phi_err_ok, energy_ok = bounds_hold(phi, err, e0, eps, grain_map.n_grains)
     near_optimal = phi > -math.log(2.0) / n

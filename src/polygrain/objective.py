@@ -36,11 +36,11 @@ through the layout's order. Each tile sums its own pixels, so its partial sums
 have the same bits in any batch; they are added up as each batch returns.
 
 Every pass over all grains and all pixels goes through those tiles:
-``evaluate`` (the checked entry point for the objective, its gradient and the
-assignment statistics), ``hard_assign`` (arg-min labels, which also generate
-synthetic maps) and ``curvature`` (the Hessian blocks of neighbouring grains,
-the optimiser's initial matrix). ``bounds_hold`` is the one implementation of
-the paper's objective/error bounds.
+``evaluate_objective`` (the objective, its gradient, the assignment statistics
+and the Hessian blocks of neighbouring grains, the optimiser's initial matrix),
+``evaluate`` (its checked entry point) and ``hard_assign`` (arg-min labels,
+which also generate synthetic maps). ``bounds_hold`` is the one implementation
+of the paper's objective/error bounds.
 """
 
 from __future__ import annotations
@@ -81,6 +81,12 @@ BATCH_BYTES = CHUNK_BYTES
 # band [-745, -708); whether exp or the gradient GEMM pays for them was not
 # measured.
 Z_FLOOR = -700.0
+
+# The curvature blocks (``want_curvature``) zero a weight below e^-30 ~ 1e-13
+# of its pixel's leading one. The kernel's floored weights, about 1e-304, would
+# make the Gram products subnormal: one apd-heuristic tile's Q @ Q.T took 121 ms
+# with them and 0.9 ms with them zeroed (2-vCPU VM, NumPy 2.4).
+CURVATURE_CUT = 30.0
 
 # Relative rounding allowance of the tile certificate, against the bound on
 # |cost| over the tile. The certificate, the costs and the design each round
@@ -284,12 +290,30 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
     return labels
 
 
+class Curvature(NamedTuple):
+    """M = sum_x (diag p - pp') kron eta eta' at one theta, in neighbour blocks.
+
+    ``pairs[b] = (i, j)``, i < j, are the grains whose weights both pass the
+    cut at some pixel, and ``blocks[b] = sum_x p_i p_j eta eta'``: block (i, j)
+    of M is -blocks[b] and block (j, i) its transpose. ``diag[i]`` is block
+    (i, i), sum_x p_i (1 - p_i) eta eta' with 1 - p_i the sum of the other
+    weights, which is the sum of grain i's pair blocks. M is thus a sum of
+    terms (e_i - e_j)(e_i - e_j)' kron blocks[b], positive semi-definite up
+    to the rounding of each block, however close to separation theta is.
+    """
+
+    diag: np.ndarray  # (N, K, K)
+    pairs: np.ndarray  # (P, 2)
+    blocks: np.ndarray  # (P, K, K)
+
+
 class EvalResult(NamedTuple):
     phi: float
     grad: np.ndarray | None
     err: float | None
     e0: float | None
     pairs: int  # the pixel-grain pairs the kernel computed
+    curvature: Curvature | None = None
 
 
 def _batches(layout: TileLayout, keep: np.ndarray) -> list[list[tuple]]:
@@ -318,9 +342,43 @@ def _batches(layout: TileLayout, keep: np.ndarray) -> list[list[tuple]]:
     return batches
 
 
-def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, want_assign):
+def _curvature_share(e, eta, rows, n_grains):
+    """One tile's share of M from its floored weights e (rows x pixels) and design eta.
+
+    A weight below e^-CURVATURE_CUT is zero, and only pixels with two or more
+    weights left enter: elsewhere p is a unit vector and diag p - pp' is zero.
+    The pair blocks are one Gram matrix Q Q' of the rows p_i eta_k of the rows
+    live at those pixels, summed over parts of about a sixteenth of CHUNK_BYTES
+    that each form their own p, so the share adds about what a tie test holds.
+    Returns (grains, diagonal blocks, pair keys i N + j, i < j, pair blocks) or None.
+    """
+    cut = math.exp(-CURVATURE_CUT)
+    active = e >= cut
+    multi = np.flatnonzero(np.count_nonzero(active, axis=0) >= 2)
+    if not multi.size:
+        return None
+    live = np.flatnonzero(active[:, multi].any(axis=1))
+    del active  # each part below cuts its own weights
+    r, k_dim = len(live), len(eta)
+    gram = np.zeros((r * k_dim, r * k_dim))
+    sub = max(1, CHUNK_BYTES // (128 * k_dim * r))  # pixels of a sixteenth-chunk Q
+    for y in range(0, len(multi), sub):
+        p = e[np.ix_(live, multi[y:y + sub])]
+        p[p < cut] = 0.0
+        p /= p.sum(axis=0)
+        q = (p[:, None] * eta[None, :, multi[y:y + sub]]).reshape(r * k_dim, -1)
+        gram += q @ q.T  # a Gram matrix: syrk, no general GEMM
+    gram = gram.reshape(r, k_dim, r, k_dim).transpose(0, 2, 1, 3)
+    gram[np.arange(r), np.arange(r)] = 0.0
+    grains = live if rows is None else rows[live]
+    a, b = np.nonzero(np.triu(gram.any(axis=(2, 3))))
+    return grains, gram.sum(axis=1), grains[a] * n_grains + grains[b], gram[a, b]
+
+
+def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, want_assign,
+                 want_curvature=False):
     """Partial sums of each tile of a batch: one (sum of log p_g0, gradient
-    product, correct, E0 sum) per tile.
+    product, correct, E0 sum, share of M) per tile.
 
     ``batch`` lists tiles (cols, rows) of ``_batches`` with one count of rows:
     a tile runs on columns ``cols`` and grains ``rows`` (all if None), and its
@@ -329,7 +387,8 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     GEMM run per tile; the passes over the buffer run once: min, the tie test
     on the costs (``want_assign``), subtract, scale by -1/eps, floor, exp, the
     row sum and log1p. A tile sums its own columns of each per-pixel term, so
-    its partials have the same bits in any batch.
+    its partials have the same bits in any batch. Its share of M
+    (``want_curvature``, ``_curvature_share``) is taken from e after the sums.
 
     The residual 1[g0] - e/s is never formed. With e_g0 zeroed, rest = sum(e)
     and s = rest + e_g0; -rest written at g0 and scaled by -1/s gives rest/s
@@ -402,6 +461,10 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     # block add like the plain sums of its rows.
     sums = [terms[:, cols].sum(axis=1) for cols in spans]
     del terms, x, m
+    if want_curvature:  # buf holds e again, now that the terms are dropped
+        flat[at_g0] = e_g0
+    shares = [_curvature_share(buf[:, cols], eta, rows, theta_values.shape[1])
+              if want_curvature else None for eta, (_, rows), cols in zip(etas, batch, spans)]
 
     gacc = [None] * len(batch)
     if want_grad:
@@ -410,15 +473,16 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
         scale = np.divide(-1.0, e_g0, out=e_g0)
         gacc = [(eta * scale[None, cols]) @ buf[:, cols].T
                 for eta, cols in zip(etas, spans)]  # d @ (1[g0] - e/s).T
-    return [(float(z - log_s), g, int(count), float(e0))
-            for (z, log_s, e0), g, count in zip(sums, gacc, ncorrect)]
+    return [(float(z - log_s), g, int(count), float(e0), share)
+            for (z, log_s, e0), g, count, share in zip(sums, gacc, ncorrect, shares)]
 
 
 def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                        labels0: np.ndarray, eps: float, *, want_grad: bool = True,
-                       want_assign: bool = False, threads: int = 1,
-                       layout: TileLayout | None = None) -> EvalResult:
-    """Tiled evaluation of the objective and, optionally, gradient and assignment stats.
+                       want_assign: bool = False, want_curvature: bool = False,
+                       threads: int = 1, layout: TileLayout | None = None) -> EvalResult:
+    """Tiled evaluation of the objective and, optionally, gradient, assignment
+    stats and the curvature blocks M (``Curvature``), the Hessian times -eps^2 n.
 
     ``labels0`` are 0-based true labels. A tile's columns of ``design_values``
     and ``labels0`` are its run of ``layout.order``; a layout without an order
@@ -428,8 +492,9 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     in kernel batches (``_batches``), whose partial sums are added up as each
     returns. Exponents are floored at ``Z_FLOOR``, and each grain a tile drops
     has every exponent there below it, so no weight moves by more than
-    exp(Z_FLOOR). ``threads`` must be >= 1 and changes nothing: the kernel is
-    serial.
+    exp(Z_FLOOR). Tiles' shares of M add up in that order too; M depends on theta /
+    eps alone, and (2^k eps, 2^k theta) gives the bits of (eps, theta). ``threads``
+    must be >= 1 and changes nothing: the kernel is serial.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -448,10 +513,12 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
 
     grad = np.zeros((k_dim, n_grains)) if want_grad else None
     lse_sum, ncorrect, e0_sum = 0.0, 0, 0.0
+    diag = np.zeros((n_grains, k_dim, k_dim)) if want_curvature else None
+    keys, blocks, pending = [np.empty(0, dtype=np.intp)], [np.empty((0, k_dim, k_dim))], 0
     for batch in _batches(layout, keep):
         parts = _chunk_stats(theta_values, design_values, labels0, eps, batch,
-                             want_grad, want_assign)
-        for (_, rows), (lse, gacc, count, e0) in zip(batch, parts):
+                             want_grad, want_assign, want_curvature)
+        for (_, rows), (lse, gacc, count, e0, share) in zip(batch, parts):
             lse_sum += lse
             ncorrect += count
             e0_sum += e0
@@ -460,90 +527,24 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
                     grad += gacc
                 else:
                     grad[:, rows] += gacc
+            if share is not None:  # (grains, their diagonal blocks, pair keys, pair blocks)
+                diag[share[0]] += share[1]
+                keys.append(share[2])
+                blocks.append(share[3])
+                pending += share[3].nbytes
+                if pending > CHUNK_BYTES:
+                    keys, blocks, pending = *_sum_blocks(keys, blocks), 0
     phi = lse_sum / n
     if want_grad:
         grad = -grad / (eps * n)
     err = 1.0 - float(ncorrect) / n if want_assign else None
     e0 = e0_sum / n if want_assign else None
-    return EvalResult(phi=phi, grad=grad, err=err, e0=e0, pairs=pairs)
-
-
-class Curvature(NamedTuple):
-    """M = sum_x (diag p - pp') kron eta eta' at one theta, in neighbour blocks.
-
-    ``pairs[b] = (i, j)``, i < j, are the grains whose weights both pass the
-    cut at some pixel, and ``blocks[b] = sum_x p_i p_j eta eta'``: block (i, j)
-    of M is -blocks[b] and block (j, i) its transpose. ``diag[i]`` is block
-    (i, i), sum_x p_i (1 - p_i) eta eta' with 1 - p_i the sum of the other
-    weights, which is the sum of grain i's pair blocks. M is thus a sum of
-    terms (e_i - e_j)(e_i - e_j)' kron blocks[b], positive semi-definite up
-    to the rounding of each block, however close to separation theta is.
-    """
-
-    diag: np.ndarray  # (N, K, K)
-    pairs: np.ndarray  # (P, 2)
-    blocks: np.ndarray  # (P, K, K)
-
-
-def curvature(theta_values: np.ndarray, design_values: np.ndarray, eps: float,
-              layout: TileLayout, cut: float) -> Curvature:
-    """The Hessian blocks M of the objective, -M / (eps^2 n), at theta.
-
-    Walks the layout's tiles in order over the grains that ``tile_grains``
-    keeps at the cut ``cut`` * eps, skipping the tiles that keep one. A weight
-    whose exponent z lies below -cut is zero, and only pixels with two or more
-    weights left enter: elsewhere p is a unit vector and diag p - pp' is zero.
-    A tile runs in runs of pixels whose costs take about CHUNK_BYTES / (K + 2),
-    and a run's pair blocks are one Gram matrix Q Q' of the rows p_i eta_k,
-    summed over parts of about a quarter of CHUNK_BYTES. Besides its blocks the
-    pass thus holds less than one kernel chunk. M depends on theta / eps alone,
-    and at a power-of-two eps the blocks at (2^k eps, 2^k theta) are those at
-    (eps, theta) bit for bit.
-    """
-    k_dim, n_grains = theta_values.shape
-    keep = tile_grains(layout, theta_values, cut * eps)
-    bounds = layout.bounds
-    diag = np.zeros((n_grains, k_dim, k_dim))
-    keys, grams, pending = [np.empty(0, dtype=np.intp)], [np.empty((0, k_dim, k_dim))], 0
-    for t in np.flatnonzero(np.count_nonzero(keep, axis=1) >= 2):
-        rows = np.flatnonzero(keep[t])
-        step = max(1, CHUNK_BYTES // (8 * (k_dim + 2) * len(rows)))
-        for x in range(bounds[t], bounds[t + 1], step):
-            run = slice(x, min(x + step, bounds[t + 1]))
-            eta = design_values[:, run if layout.order is None else layout.order[run]]
-            c = theta_values[:, rows].T @ eta
-            m = c.min(axis=0)
-            active = c <= m + cut * eps  # z = (m - c) / eps >= -cut
-            multi = np.flatnonzero(np.count_nonzero(active, axis=0) >= 2)
-            if not multi.size:
-                continue
-            live = np.flatnonzero(active[:, multi].any(axis=1))
-            at = np.ix_(live, multi)
-            p = c[at]
-            del c
-            p -= m[multi]
-            p[~active[at]] = np.inf  # before the scaling, which would overflow there
-            p *= -1.0 / eps  # z, -inf where the weight is cut
-            np.exp(p, out=p)
-            p /= p.sum(axis=0)
-            r = len(live)
-            gram = np.zeros((r * k_dim, r * k_dim))
-            sub = max(1, CHUNK_BYTES // (32 * k_dim * r))  # pixels of a quarter-chunk Q
-            for y in range(0, len(multi), sub):
-                q = (p[:, None, y:y + sub] * eta[None, :, multi[y:y + sub]]).reshape(r * k_dim, -1)
-                gram += q @ q.T  # a Gram matrix: syrk, no general GEMM
-            gram = gram.reshape(r, k_dim, r, k_dim).transpose(0, 2, 1, 3)
-            gram[np.arange(r), np.arange(r)] = 0.0
-            diag[rows[live]] += gram.sum(axis=1)
-            a, b = np.nonzero(np.triu(gram.any(axis=(2, 3))))
-            keys.append(rows[live[a]] * n_grains + rows[live[b]])
-            grams.append(gram[a, b])
-            pending += grams[-1].nbytes
-            if pending > CHUNK_BYTES:
-                keys, grams, pending = *_sum_blocks(keys, grams), 0
-    diag = 0.5 * (diag + diag.transpose(0, 2, 1))  # exactly symmetric
-    (keys,), (blocks,) = _sum_blocks(keys, grams)
-    return Curvature(diag, np.column_stack(np.divmod(keys, n_grains)), blocks)
+    curv = None
+    if want_curvature:
+        (keys,), (blocks,) = _sum_blocks(keys, blocks)
+        curv = Curvature(0.5 * (diag + diag.transpose(0, 2, 1)),  # exactly symmetric
+                         np.column_stack(np.divmod(keys, n_grains)), blocks)
+    return EvalResult(phi=phi, grad=grad, err=err, e0=e0, pairs=pairs, curvature=curv)
 
 
 def _sum_blocks(keys: list, blocks: list) -> tuple[list, list]:

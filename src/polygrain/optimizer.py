@@ -24,8 +24,8 @@ below CURVATURE_SKIP |s| |y| is skipped.
 The quasi-Newton initial matrix is gamma*H0, with gamma = s'y / y'H0y from the
 newest curvature pair and H0 = (M_free + lam B)^-1 (``initial_matrix``).
 M = sum_x (diag p - pp') kron eta eta' is the exact curvature, the Hessian
-times -eps^2 n, which the kernel's tiles give as neighbour blocks
-(``objective.curvature``); M_free is M on the free columns. B = diag(sum_x
+times -eps^2 n, which the kernel gives as neighbour blocks (``want_curvature``
+of ``evaluate_objective``); M_free is M on the free columns. B = diag(sum_x
 eta_k^2 / n) kron (I - 11'/N') is Boehning's bound on M up to a factor, with the
 design Gram matrix cut to its diagonal (1 on a zero row, whose gradient is
 zero). The bound treats every pixel as equally unsure between all grains; on
@@ -76,7 +76,7 @@ model gain phi'^2/-phi'' exceeds r's gain g'r; it goes through the same
 line search, and its (s, y) pair enters the memory. On the apd-heuristic
 map Phi(s theta0) peaks near s = 0.014, and without the ray |u| stayed within
 0.3% of its start until the certified finish; with it the fit first meets
-err <= 0.01 at iteration 26 instead of 72 and stops near-optimal at 173
+err <= 0.01 at iteration 26 instead of 72 and stops near-optimal at 206
 instead of 580 (one BLAS thread). From zero, and at the one build of the
 20-iteration many-grains fit, the quasi-Newton step gains more. g'u, v and
 M are those of the unit-temperature fit, so the step keeps the
@@ -110,8 +110,8 @@ from .basis import (CHUNK_BYTES, DesignBasis, GAUGE_LAST_ZERO, LEGENDRE, ParamMa
                     assemble_design_matrix, park)
 from .errors import NumericalError
 from .geometry import GrainMap
-from .objective import (Curvature, EvalResult, bounds_hold, curvature, evaluate_objective,
-                        require_eps, tile_layout)
+from .objective import (Curvature, EvalResult, bounds_hold, evaluate_objective, require_eps,
+                        tile_layout)
 
 SUFFICIENT_INCREASE = 1e-4
 MAX_LINE_EVALS = 25
@@ -121,11 +121,6 @@ CURVATURE_SKIP = 1e-10
 CURVATURE_EVERY = 20
 RIDGE = 3e-3
 PCG_STEPS = 7
-# The curvature pass zeroes a weight below e^-30 ~ 1e-13 of its pixel's
-# leading one. The kernel's floored weights, about 1e-304, would make the Gram
-# products subnormal: one apd-heuristic tile's Q @ Q.T took 121 ms with them
-# and 0.9 ms with them zeroed (2-vCPU VM, NumPy 2.4).
-CURVATURE_CUT = 30.0
 INIT_NAMES = ("zero", "heuristic")  # the named starts; FitConfig.init may also be a ParamMatrix
 
 
@@ -412,7 +407,9 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
             ray = None  # (sigma, gain) of the scale step, at a build where g'u < 0
             if h0 is None or it - built >= CURVATURE_EVERY:
                 values = unpack(u)
-                curv = curvature(values, design.values, config.eps, layout, CURVATURE_CUT)
+                curv = evaluate_objective(values, design.values, labels0, config.eps,
+                                          want_grad=False, want_curvature=True,
+                                          layout=layout).curvature
                 h0 = initial_matrix(curv, bound)
                 built, passes = it, passes + 1
                 slope = float(g @ u)

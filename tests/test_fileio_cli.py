@@ -384,7 +384,7 @@ class TestCli:
         assert kernel["dense_pairs"] == kernel["evaluations"] * 400 * n_fitted
         assert 0 < kernel["pairs"] <= kernel["dense_pairs"]
         # H0 is built when the memory first holds a pair and then every
-        # CURVATURE_EVERY iterations: at iterations 2, 12, 22, ...
+        # CURVATURE_EVERY iterations: at iterations 2, 22, 42, ...
         builds = -(-(report["final"]["iterations_run"] - 1) // optimizer.CURVATURE_EVERY)
         assert 0 < kernel["curvature_passes"] <= builds
         assert 0 <= kernel["scale_steps"] <= kernel["curvature_passes"]

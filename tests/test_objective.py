@@ -14,8 +14,7 @@ import polygrain as pg
 from conftest import random_apd, random_grain_map, random_labels_map, random_theta, tiled
 from reference import (accuracy_and_error, cost_matrix, dense_curvature, energy_zero,
                        hessian_block, soft_assign)
-from polygrain.objective import evaluate_objective
-from polygrain.optimizer import CURVATURE_CUT as CUT
+from polygrain.objective import CURVATURE_CUT as CUT, evaluate_objective
 
 # ``pg.objective`` is the function of that name; the module holds the kernel.
 objective_module = sys.modules["polygrain.objective"]
@@ -300,8 +299,13 @@ class TestHessian:
 
 
 class TestCurvature:
-    """``curvature`` gives M = sum_x (diag p - pp') kron eta eta', the negated
-    Hessian times eps^2 n, in neighbour blocks."""
+    """``evaluate_objective`` with ``want_curvature`` gives M = sum_x (diag p -
+    pp') kron eta eta', the negated Hessian times eps^2 n, in neighbour blocks."""
+
+    @staticmethod
+    def curvature(theta_values, design_values, labels0, eps, layout):
+        return evaluate_objective(theta_values, design_values, labels0, eps, want_grad=False,
+                                  want_curvature=True, layout=layout).curvature
 
     @staticmethod
     def separable_problem(degree=1):
@@ -324,7 +328,7 @@ class TestCurvature:
             theta = pg.fit(gm, pg.FitConfig(degree=1, eps=eps, max_iters=25)).theta
         design_t, labels_t, layout = tiled(theta.basis, gm.grid.points, design.values,
                                            gm.labels - 1, gm.n_grains, side)
-        curv = objective_module.curvature(theta.values, design_t, eps, layout, CUT)
+        curv = self.curvature(theta.values, design_t, labels_t, eps, layout)
         n, k_dim = len(gm), theta.basis.dimension
         ref = -np.block([[hessian_block(theta, design, gm, eps, i, j)
                           for j in range(1, gm.n_grains + 1)]
@@ -347,8 +351,8 @@ class TestCurvature:
         eps = (costs[1] - costs[0]).min() / 25.0
         layout = objective_module.tile_layout(theta.basis, gm.grid.points, gm.n_grains,
                                               gm.labels - 1)
-        dense = dense_curvature(objective_module.curvature(theta.values, design.values, eps,
-                                                           layout, CUT))
+        dense = dense_curvature(self.curvature(theta.values, design.values, gm.labels - 1,
+                                               eps, layout))
         free = (gm.n_grains - 1) * theta.basis.dimension
         trace = np.trace(dense)
         assert trace > 0.0
@@ -364,11 +368,11 @@ class TestCurvature:
         basis = pg.DesignBasis(pg.LEGENDRE, 2)
         design = pg.assemble_design_matrix(basis, gm.grid)
         theta = pg.fit(gm, pg.FitConfig(degree=2, eps=0.05, max_iters=15)).theta.values
-        design_t, _, layout = tiled(basis, gm.grid.points, design.values, gm.labels - 1,
-                                    gm.n_grains, 3)
-        unit = objective_module.curvature(theta, design_t, 0.05, layout, CUT)
-        scaled = objective_module.curvature(np.ldexp(theta, exponent), design_t,
-                                            math.ldexp(0.05, exponent), layout, CUT)
+        design_t, labels_t, layout = tiled(basis, gm.grid.points, design.values,
+                                           gm.labels - 1, gm.n_grains, 3)
+        unit = self.curvature(theta, design_t, labels_t, 0.05, layout)
+        scaled = self.curvature(np.ldexp(theta, exponent), design_t, labels_t,
+                                math.ldexp(0.05, exponent), layout)
         assert len(unit.pairs) > 0
         for a, b in zip(unit, scaled):
             assert np.array_equal(a, b)
@@ -919,11 +923,14 @@ class TestBatchedKernel:
         for bytes_ in (0, objective_module.BATCH_BYTES):  # 0: every tile a batch of its own
             with mock.patch.object(objective_module, "BATCH_BYTES", bytes_):
                 results.append(evaluate_objective(theta.values, d, g0, eps, want_grad=True,
-                                                  want_assign=True, layout=layout))
+                                                  want_assign=True, want_curvature=True,
+                                                  layout=layout))
         single, batched = results
         assert (batched.phi, batched.err, batched.e0, batched.pairs) == (
             single.phi, single.err, single.e0, single.pairs)
         assert np.array_equal(batched.grad, single.grad)
+        for a, b in zip(batched.curvature, single.curvature):  # diag, pairs and blocks
+            assert np.array_equal(a, b)
 
     @settings(max_examples=150, deadline=None)
     @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3]),
@@ -943,7 +950,7 @@ class TestBatchedKernel:
         for batch in batches:
             together = objective_module._chunk_stats(theta.values, d, g0, eps, batch,
                                                      True, True)
-            for tile, (lse, gacc, count, e0) in zip(batch, together):
+            for tile, (lse, gacc, count, e0, _) in zip(batch, together):
                 alone, = objective_module._chunk_stats(theta.values, d, g0, eps, [tile],
                                                        True, True)
                 assert (lse, count, e0) == (alone[0], alone[2], alone[3])
@@ -976,7 +983,7 @@ class TestBatchedKernel:
         for batch in batches:
             together = objective_module._chunk_stats(theta.values, d, g0, 0.3, batch,
                                                      True, True)
-            for tile, (lse, _, count, e0) in zip(batch, together):
+            for tile, (lse, _, count, e0, _) in zip(batch, together):
                 alone, = objective_module._chunk_stats(theta.values, d, g0, 0.3, [tile],
                                                        True, True)
                 assert (lse, count, e0) == (alone[0], alone[2], alone[3])
