@@ -221,6 +221,7 @@ def report_to_dict(report: FitReport, theta_path: str | None = None) -> dict:
             "err": float(report.err_final),
             "iterations_run": int(report.iterations_run),
             "stop_reason": report.stop_reason,
+            "separated_at": report.separated_at,
         },
         "trajectory": {
             "iteration": [int(i) for i in report.iters],

@@ -314,6 +314,7 @@ class EvalResult(NamedTuple):
     e0: float | None
     pairs: int  # the pixel-grain pairs the kernel computed
     curvature: Curvature | None = None
+    separated: bool = False  # p_g0 > 1/2 at every pixel, so Phi(s theta) increases in s
 
 
 def _batches(layout: TileLayout, keep: np.ndarray) -> list[list[tuple]]:
@@ -378,7 +379,7 @@ def _curvature_share(e, eta, rows, n_grains):
 def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, want_assign,
                  want_curvature=False):
     """Partial sums of each tile of a batch: one (sum of log p_g0, gradient
-    product, correct, E0 sum, share of M) per tile.
+    product, correct, E0 sum, separated, share of M) per tile.
 
     ``batch`` lists tiles (cols, rows) of ``_batches`` with one count of rows:
     a tile runs on columns ``cols`` and grains ``rows`` (all if None), and its
@@ -387,7 +388,8 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     GEMM run per tile; the passes over the buffer run once: min, the tie test
     on the costs (``want_assign``), subtract, scale by -1/eps, floor, exp, the
     row sum and log1p. A tile sums its own columns of each per-pixel term, so
-    its partials have the same bits in any batch. Its share of M
+    its partials have the same bits in any batch. It is separated where
+    rest < e_g0, i.e. p_g0 > 1/2, at each of its pixels. Its share of M
     (``want_curvature``, ``_curvature_share``) is taken from e after the sums.
 
     The residual 1[g0] - e/s is never formed. With e_g0 zeroed, rest = sum(e)
@@ -434,7 +436,7 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
             # A NaN threshold (from a NaN or -inf minimum) ties nothing, and
             # argmin_labels then returns grain 0.
             correct |= (ntied == 0) & (np.concatenate(labels) == 0)
-        ncorrect = np.add.reduceat(correct, [cols.start for cols in spans], dtype=np.intp)
+        ncorrect = np.add.reduceat(correct, bounds[:-1], dtype=np.intp)
         np.subtract(c_g0, m, out=terms[2])
         del thr, tied, ntied, c_g0, correct
     else:
@@ -450,6 +452,7 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     # numpy sums the columns of a wider buffer row by row but a lone column
     # pairwise, so a one-pixel batch sums in row order, as inside any batch.
     rest = buf.sum(axis=0) if width > 1 else np.cumsum(buf[:, 0])[-1:]
+    separated = np.logical_and.reduceat(rest < e_g0, bounds[:-1])  # before e_g0 becomes s
     # log s as log1p(s - 1): s of a confidently assigned pixel is 1 + a tiny
     # rest, which log(s) keeps only to 2^-53 absolute. e_g0 - 1 is exact for
     # e_g0 >= 1/2, and 0 where the label is the arg-min. Below 2^-54 log1p(x)
@@ -473,8 +476,9 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
         scale = np.divide(-1.0, e_g0, out=e_g0)
         gacc = [(eta * scale[None, cols]) @ buf[:, cols].T
                 for eta, cols in zip(etas, spans)]  # d @ (1[g0] - e/s).T
-    return [(float(z - log_s), g, int(count), float(e0), share)
-            for (z, log_s, e0), g, count, share in zip(sums, gacc, ncorrect, shares)]
+    return [(float(z - log_s), g, int(count), float(e0), bool(sep), share)
+            for (z, log_s, e0), g, count, sep, share in zip(sums, gacc, ncorrect, separated,
+                                                            shares)]
 
 
 def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
@@ -492,8 +496,9 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     in kernel batches (``_batches``), whose partial sums are added up as each
     returns. Exponents are floored at ``Z_FLOOR``, and each grain a tile drops
     has every exponent there below it, so no weight moves by more than
-    exp(Z_FLOOR). Tiles' shares of M add up in that order too; M depends on theta /
-    eps alone, and (2^k eps, 2^k theta) gives the bits of (eps, theta). ``threads``
+    exp(Z_FLOOR). Tiles' shares of M add up in that order too. M and the flag
+    ``separated``, p_g0 > 1/2 at every pixel of every tile, depend on theta / eps
+    alone: (2^k eps, 2^k theta) gives their bits at (eps, theta). ``threads``
     must be >= 1 and changes nothing: the kernel is serial.
     """
     if threads < 1:
@@ -512,16 +517,17 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
     pairs = int(keep.sum(axis=1) @ np.diff(layout.bounds))
 
     grad = np.zeros((k_dim, n_grains)) if want_grad else None
-    lse_sum, ncorrect, e0_sum = 0.0, 0, 0.0
+    lse_sum, ncorrect, e0_sum, separated = 0.0, 0, 0.0, True
     diag = np.zeros((n_grains, k_dim, k_dim)) if want_curvature else None
     keys, blocks, pending = [np.empty(0, dtype=np.intp)], [np.empty((0, k_dim, k_dim))], 0
     for batch in _batches(layout, keep):
         parts = _chunk_stats(theta_values, design_values, labels0, eps, batch,
                              want_grad, want_assign, want_curvature)
-        for (_, rows), (lse, gacc, count, e0, share) in zip(batch, parts):
+        for (_, rows), (lse, gacc, count, e0, sep, share) in zip(batch, parts):
             lse_sum += lse
             ncorrect += count
             e0_sum += e0
+            separated &= sep
             if want_grad:
                 if rows is None:
                     grad += gacc
@@ -544,7 +550,8 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
         (keys,), (blocks,) = _sum_blocks(keys, blocks)
         curv = Curvature(0.5 * (diag + diag.transpose(0, 2, 1)),  # exactly symmetric
                          np.column_stack(np.divmod(keys, n_grains)), blocks)
-    return EvalResult(phi=phi, grad=grad, err=err, e0=e0, pairs=pairs, curvature=curv)
+    return EvalResult(phi=phi, grad=grad, err=err, e0=e0, pairs=pairs, curvature=curv,
+                      separated=separated)
 
 
 def _sum_blocks(keys: list, blocks: list) -> tuple[list, list]:

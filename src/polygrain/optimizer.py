@@ -57,14 +57,18 @@ the inverse mean square of each design row, lands elsewhere, and on the
 many-grains benchmark map it misses the 0.05 error that g/|g|^2 meets at
 iteration 1 (err 0.050019 against 0.049394).
 
-Once phi > -log(2)/n, which certifies err == 0 with no ties (a misassigned or
-tied pixel costs at least log 2; ``metrics.bound_report``), the direction is u
-itself, and the line search's t = 1 doubles theta. By the scale invariance
-Phi_eps(s theta) = Phi_{eps/s}(theta) that halves the temperature, so a
-pixel whose loss is about exp(-D/eps) then loses about its square. A few such
-steps reach the near-optimal stop phi > -1e-12 log(2)/n; quasi-Newton steps
-along the flat certified ray took hundreds of iterations at 1.3-1.6
-evaluations each.
+Once p_g0 > 1/2 at every pixel (``EvalResult.separated``, which phi >
+-log(2)/n implies: a misassigned or tied pixel costs at least log 2), theta
+separates the labels and Phi(s theta) increases in s, as a logistic
+likelihood does under complete separation (Albert & Anderson, Biometrika 71,
+1984). The direction is then (f - 1) u: t = 1 scales theta by f, which by
+Phi_eps(s theta) = Phi_{eps/s}(theta) turns a pixel's loss of about
+exp(-D/eps) into about its f-th power. f starts at 2, is squared after each
+such step accepted at t = 1, up to FINISH_CAP, and is 2 again after one at
+t < 1; u + (f - 1) u is f u exactly. A few such steps reach the near-optimal
+stop phi > -1e-12 log(2)/n, where quasi-Newton steps took hundreds. The test
+and f are exact under (eps, theta) -> (2^k eps, 2^k theta); the kernel's
+tie-tolerant err count, with its absolute floor, is not.
 
 Its mirror image shrinks theta along u. At each build of H0 the fresh
 curvature gives the derivatives of sigma -> Phi(e^sigma u) at sigma = 0,
@@ -76,8 +80,9 @@ model gain phi'^2/-phi'' exceeds r's gain g'r; it goes through the same
 line search, and its (s, y) pair enters the memory. On the apd-heuristic
 map Phi(s theta0) peaks near s = 0.014, and without the ray |u| stayed within
 0.3% of its start until the certified finish; with it the fit first meets
-err <= 0.01 at iteration 26 instead of 72 and stops near-optimal at 206
-instead of 580 (one BLAS thread). From zero, and at the one build of the
+err <= 0.01 at iteration 26 instead of 72 and stops near-optimal at 161
+(one BLAS thread; 206 instead of 580 with the finish at phi > -log(2)/n).
+From zero, and at the one build of the
 20-iteration many-grains fit, the quasi-Newton step gains more. g'u, v and
 M are those of the unit-temperature fit, so the step keeps the
 (eps, theta) -> (1, theta/eps) equivariance.
@@ -121,6 +126,7 @@ CURVATURE_SKIP = 1e-10
 CURVATURE_EVERY = 20
 RIDGE = 3e-3
 PCG_STEPS = 7
+FINISH_CAP = 2.0 ** 64  # the cap of the finish factor f, which squaring takes to inf in 10 steps
 INIT_NAMES = ("zero", "heuristic")  # the named starts; FitConfig.init may also be a ParamMatrix
 
 
@@ -220,6 +226,7 @@ class FitReport:
     curvature_passes: int  # builds of the initial matrix H0
     scale_steps: int  # steps along the ray theta -> e^sigma theta (``scale_step``)
     skipped_trials: int  # line-search trials a tangent proved would fail (``line_search``)
+    separated_at: int | None  # the first iteration with p_g0 > 1/2 at every pixel
     gauge_residual: float
     design_spans: bool
     bound_phi_err_ok: bool
@@ -369,7 +376,8 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
                                  want_grad=True, want_assign=True, layout=layout)
         pairs.append(res.pairs)
         # Not res._replace, whose resized tuples CPython keeps on a free list (up to 156 KiB).
-        return EvalResult(res.phi, res.grad[:, : n_kept - 1].ravel(), res.err, res.e0, res.pairs)
+        return EvalResult(res.phi, res.grad[:, : n_kept - 1].ravel(), res.err, res.e0, res.pairs,
+                          separated=res.separated)
 
     u = theta0.values[:, keep][:, : n_kept - 1].ravel()
     at = evaluate(u)
@@ -386,10 +394,9 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     traj = iters, phi_traj, err_traj, e0_traj = [0], [at.phi], [at.err], [at.e0]
     hist: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)  # (s, y, rho)
     h0, built, passes, scale_steps, skipped = None, 0, 0, 0, 0
-    # phi > -log2/n certifies err == 0 with no ties: a misassigned or tied pixel
-    # costs at least log2/n (metrics.bound_report). Past it each step is along u,
-    # up to the near-optimal stop phi > -1e-12 log2/n.
-    separated = -math.log(2.0) / len(grain_map)
+    # Once every pixel has p_g0 > 1/2, each step is (factor - 1) u, up to the
+    # near-optimal stop phi > -1e-12 log2/n (the module docstring's finish).
+    factor, separated_at = 2.0, 0 if at.separated else None
     certify_threshold = -1e-12 * math.log(2.0) / len(grain_map)
     stop_reason = "budget"
 
@@ -401,8 +408,8 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
             stop_reason = "stationary"
             break
         direction = np.ldexp(g_scaled / g_norm2, -e_g)  # g/|g|^2, unless the memory gives a step
-        if at.phi > separated:
-            direction = u  # t = 1 doubles theta
+        if at.separated:
+            direction = (factor - 1.0) * u  # t = 1 scales theta by factor
         elif hist:
             ray = None  # (sigma, gain) of the scale step, at a build where g'u < 0
             if h0 is None or it - built >= CURVATURE_EVERY:
@@ -473,6 +480,10 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         if sy > math.ldexp(floor, e_s + e_y):
             hist.append((s_vec, y_vec, 1.0 / sy))  # the oldest pair drops out at the memory
 
+        if at.separated:
+            factor = min(factor * factor, FINISH_CAP) if t == 1.0 else 2.0
+        if separated_at is None and new.separated:
+            separated_at = it
         u, at = u_new, new
         for column, value in zip(traj, (it, at.phi, at.err, at.e0)):
             column.append(value)
@@ -491,7 +502,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         stop_reason=stop_reason, wall_clock_s=time.perf_counter() - start, eps=config.eps,
         n_grains=n_grains, n_empty_grains=n_grains - n_kept, n_pixels=len(grain_map),
         evaluations=len(pairs), kernel_pairs=sum(pairs), curvature_passes=passes,
-        scale_steps=scale_steps, skipped_trials=skipped,
+        scale_steps=scale_steps, skipped_trials=skipped, separated_at=separated_at,
         gauge_residual=float(np.abs(theta.values[:, -1]).max()),
         design_spans=bool(eig_lo > 1e-12 * max(eig_hi, 1.0)), bound_phi_err_ok=bound_phi_err_ok,
         bound_energy_ok=bound_energy_ok)

@@ -377,6 +377,8 @@ class TestCli:
                      "--init", "zero", "--out-dir", str(fitdir)]) == 0
         report = json.loads((fitdir / "report.json").read_text())
         assert report["final"]["err"] <= 0.2
+        # every pixel's true grain has p_g0 > 1/2 before the near-optimal stop
+        assert report["final"]["separated_at"] < report["final"]["iterations_run"]
         assert report["checks"]["misassignment_bound_ok"]
         kernel = report["kernel"]
         assert kernel["evaluations"] > report["final"]["iterations_run"]

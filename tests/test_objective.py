@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import polygrain as pg
 from conftest import random_apd, random_grain_map, random_labels_map, random_theta, tiled
@@ -367,7 +367,9 @@ class TestCurvature:
         gm, _, _ = self.separable_problem()
         basis = pg.DesignBasis(pg.LEGENDRE, 2)
         design = pg.assemble_design_matrix(basis, gm.grid)
-        theta = pg.fit(gm, pg.FitConfig(degree=2, eps=0.05, max_iters=15)).theta.values
+        # After 12 iterations, before the fit finishes along theta: its sharp
+        # theta there has no pair of grains active together.
+        theta = pg.fit(gm, pg.FitConfig(degree=2, eps=0.05, max_iters=12)).theta.values
         design_t, labels_t, layout = tiled(basis, gm.grid.points, design.values,
                                            gm.labels - 1, gm.n_grains, 3)
         unit = self.curvature(theta, design_t, labels_t, 0.05, layout)
@@ -926,8 +928,8 @@ class TestBatchedKernel:
                                                   want_assign=True, want_curvature=True,
                                                   layout=layout))
         single, batched = results
-        assert (batched.phi, batched.err, batched.e0, batched.pairs) == (
-            single.phi, single.err, single.e0, single.pairs)
+        assert (batched.phi, batched.err, batched.e0, batched.pairs, batched.separated) == (
+            single.phi, single.err, single.e0, single.pairs, single.separated)
         assert np.array_equal(batched.grad, single.grad)
         for a, b in zip(batched.curvature, single.curvature):  # diag, pairs and blocks
             assert np.array_equal(a, b)
@@ -945,26 +947,28 @@ class TestBatchedKernel:
             _, batches = kernel_batches(theta.values, layout, eps)
             res = evaluate_objective(theta.values, d, g0, eps, want_grad=True,
                                      want_assign=True, layout=layout)
-        lse_sum, e0_sum, ncorrect = 0.0, 0.0, 0
+        lse_sum, e0_sum, ncorrect, separated = 0.0, 0.0, 0, True
         grad = np.zeros_like(theta.values)
         for batch in batches:
             together = objective_module._chunk_stats(theta.values, d, g0, eps, batch,
                                                      True, True)
-            for tile, (lse, gacc, count, e0, _) in zip(batch, together):
+            for tile, (lse, gacc, count, e0, sep, _) in zip(batch, together):
                 alone, = objective_module._chunk_stats(theta.values, d, g0, eps, [tile],
                                                        True, True)
-                assert (lse, count, e0) == (alone[0], alone[2], alone[3])
+                assert (lse, count, e0, sep) == (alone[0], alone[2], alone[3], alone[4])
                 assert np.abs(gacc - alone[1]).max() <= 1e-13 * max(np.abs(alone[1]).max(),
                                                                     1e-300)
                 lse_sum += lse
                 e0_sum += e0
                 ncorrect += count
+                separated &= sep
                 rows = tile[1]
                 grad[:, slice(None) if rows is None else rows] += gacc
         n = len(g0)
         assert res.phi == lse_sum / n
         assert res.e0 == e0_sum / n
         assert res.err == 1.0 - ncorrect / n
+        assert res.separated == separated
         assert np.array_equal(res.grad, -grad / (eps * n))
 
     def test_one_pixel_tiles_have_their_bits_in_any_batch(self, rng):
@@ -983,10 +987,10 @@ class TestBatchedKernel:
         for batch in batches:
             together = objective_module._chunk_stats(theta.values, d, g0, 0.3, batch,
                                                      True, True)
-            for tile, (lse, _, count, e0, _) in zip(batch, together):
+            for tile, (lse, _, count, e0, sep, _) in zip(batch, together):
                 alone, = objective_module._chunk_stats(theta.values, d, g0, 0.3, [tile],
                                                        True, True)
-                assert (lse, count, e0) == (alone[0], alone[2], alone[3])
+                assert (lse, count, e0, sep) == (alone[0], alone[2], alone[3], alone[4])
 
     def test_thread_counts_are_bit_identical_over_batches(self, rng):
         theta, design, labels0, layout = thread_problem(rng, tile_pixels=256)
@@ -1005,6 +1009,68 @@ class TestBatchedKernel:
             assert np.array_equal(res.grad, seq.grad)
             assert res.err == seq.err
             assert res.e0 == seq.e0
+
+
+class TestSeparated:
+    """``EvalResult.separated``: p_g0 > 1/2 at every pixel, i.e. the floored
+    weight e_g0 of the true label exceeds the sum of the others."""
+
+    @staticmethod
+    def problem_with(problem, own):
+        """The problem, with its labels replaced by theta's own arg-min if ``own``."""
+        theta, grid, design, labels0 = problem
+        if own:  # separable labels, so that the flag is also drawn true
+            labels0 = pg.argmin_labels(cost_matrix(theta, design)) - 1
+        return theta, grid, design, labels0
+
+    @needs_longdouble
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
+           side=st.integers(1, 6), own=st.booleans())
+    def test_matches_the_dense_longdouble_majority(self, problem, eps, side, own):
+        # The log-odds log p_g0 - log(1 - p_g0) of each pixel from the dense costs
+        # in np.longdouble; the flag is that their least is positive. The kernel's
+        # costs round by about K 2^-53 of |theta|'|eta|, so its z by that over eps:
+        # a draw whose least log-odds lies within 2^-40 (1 + 2 |theta|'|eta| / eps)
+        # of zero is skipped.
+        theta, grid, design, labels0 = self.problem_with(problem, own)
+        c = theta.values.astype(np.longdouble).T @ design.values.astype(np.longdouble)
+        cols = np.arange(len(grid))
+        z = (c.min(axis=0) - c) / np.longdouble(eps)
+        z_g0 = z[labels0, cols]
+        z[labels0, cols] = -np.inf
+        top = z.max(axis=0)  # the others' largest exponent
+        log_odds = z_g0 - (top + np.log(np.exp(z - top).sum(axis=0)))
+        size = (np.abs(theta.values).T @ np.abs(design.values)).max()
+        band = 2.0 ** -40 * (1.0 + 2.0 * size / eps)
+        assume(abs(float(log_odds.min())) > band)
+        res = evaluate_tiled(theta.values, theta.basis, grid.points, design.values, labels0,
+                             eps, side)
+        assert res.separated == bool(log_odds.min() > 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3, 1.0]),
+           side=st.integers(1, 6), own=st.booleans(), exponent=st.sampled_from([-600, 600]))
+    def test_power_of_two_scaling_keeps_the_flag(self, problem, eps, side, own, exponent):
+        # (eps, theta) and (2^k eps, 2^k theta) give the same exponents z, bit for
+        # bit, and so the same flag. phi may differ by a floored weight, about
+        # 1e-304: the tile certificate's tie tolerance has an absolute floor, so
+        # a tile may keep a grain at one scale that it drops at the other.
+        theta, grid, design, labels0 = self.problem_with(problem, own)
+        unit, scaled = (evaluate_tiled(np.ldexp(theta.values, k), theta.basis, grid.points,
+                                       design.values, labels0, math.ldexp(eps, k), side)
+                        for k in (0, exponent))
+        assert scaled.separated == unit.separated
+
+    @pytest.mark.parametrize("exponent", [0, -600, 600])
+    def test_the_exact_theta_separates_its_map(self, exponent):
+        # A power-diagram map and its exact theta: every pixel's true grain has
+        # p_g0 > 1/2 at a small eps, and at a large one some pixel's does not.
+        gm, theta, design = TestCurvature.separable_problem()
+        flags = [evaluate_tiled(np.ldexp(theta.values, exponent), theta.basis, gm.grid.points,
+                                design.values, gm.labels - 1, math.ldexp(eps, exponent),
+                                3).separated for eps in (1e-4, 1.0)]
+        assert flags == [True, False]
 
 
 class TestTileRows:
