@@ -43,8 +43,9 @@ beyond the few chunks of a fit's working memory, and there the kernel's
 evaluations take the time. Seven steps leave a relative error of about 0.77 against a converged
 solve on the apd-heuristic map after 300 iterations. H0 is built when the
 memory first holds a pair and then every CURVATURE_EVERY accepted iterations,
-at the current theta (Byrd, Chin, Neveitt & Nocedal, SIAM J. Optim. 21,
-2011). These constants were chosen by time to target on the benchmark maps.
+at the current theta, from the M that the kernel computed there with phi and g
+(Byrd, Chin, Neveitt & Nocedal, SIAM J. Optim. 21, 2011). These constants were
+chosen by time to target on the benchmark maps.
 
 When the memory is empty the search direction is g/|g|^2, which makes the
 whole trajectory equivariant under the temperature rescaling
@@ -70,22 +71,20 @@ stop phi > -1e-12 log(2)/n, where quasi-Newton steps took hundreds. The test
 and f are exact under (eps, theta) -> (2^k eps, 2^k theta); the kernel's
 tie-tolerant err count, with its absolute floor, is not.
 
-Its mirror image shrinks theta along u. At each build of H0 the fresh
-curvature gives the derivatives of sigma -> Phi(e^sigma u) at sigma = 0,
-phi' = g'u and phi'' = g'u - v'Mv/n with v = theta/eps (``scale_step``).
-When g'u < 0, concavity puts the Newton step sigma = -phi'/phi'' in [-1, 0),
-since phi'' <= phi' < 0: theta shrinks by at most a factor e, with no clip.
-The direction (e^sigma - 1) u replaces the quasi-Newton r exactly when its
-model gain phi'^2/-phi'' exceeds r's gain g'r; it goes through the same
-line search, and its (s, y) pair enters the memory. On the apd-heuristic
-map Phi(s theta0) peaks near s = 0.014, and without the ray |u| stayed within
-0.3% of its start until the certified finish; with it the fit first meets
-err <= 0.01 at iteration 26 instead of 72 and stops near-optimal at 161
-(one BLAS thread; 206 instead of 580 with the finish at phi > -log(2)/n).
-From zero, and at the one build of the
-20-iteration many-grains fit, the quasi-Newton step gains more. g'u, v and
-M are those of the unit-temperature fit, so the step keeps the
-(eps, theta) -> (1, theta/eps) equivariance.
+Its mirror image shrinks theta along u. At each build of H0 its M gives the
+derivatives of sigma -> Phi(e^sigma u) at sigma = 0, phi' = g'u and
+phi'' = g'u - v'Mv/n with v = theta/eps (``scale_step``). When g'u < 0,
+concavity puts the Newton step sigma = -phi'/phi'' in [-1, 0), since
+phi'' <= phi' < 0: theta shrinks by at most a factor e, with no clip. The
+direction (e^sigma - 1) u replaces the quasi-Newton r exactly when its model
+gain phi'^2/-phi'' exceeds r's gain g'r; it goes through the same line
+search, and its (s, y) pair enters the memory. On the apd-heuristic map
+Phi(s theta0) peaks near s = 0.014; without the ray |u| stays within 0.3% of
+its start until the certified finish, and with it the fit first meets
+err <= 0.01 at iteration 26 and stops near-optimal at 161 (one BLAS thread).
+From zero, and at the one build of the 20-iteration many-grains fit, the
+quasi-Newton step gains more. g'u, v and M are those of the unit-temperature
+fit, so the step keeps the (eps, theta) -> (1, theta/eps) equivariance.
 
 The gradient scales as 1/eps, so a plain |g|^2 overflows at eps = 2^-600 and
 underflows to zero at 2^600. Each square of the step (|g|^2, y'H0y in gamma,
@@ -371,13 +370,14 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
     def unpack(u):
         return np.concatenate([u.reshape(k_dim, n_kept - 1), np.zeros((k_dim, 1))], axis=1)
 
-    def evaluate(u):
+    def evaluate(u, want_curvature=False):  # the fit's only route to the kernel
         res = evaluate_objective(unpack(u), design.values, labels0, config.eps,
-                                 want_grad=True, want_assign=True, layout=layout)
+                                 want_grad=True, want_assign=True,
+                                 want_curvature=want_curvature, layout=layout)
         pairs.append(res.pairs)
         # Not res._replace, whose resized tuples CPython keeps on a free list (up to 156 KiB).
         return EvalResult(res.phi, res.grad[:, : n_kept - 1].ravel(), res.err, res.e0, res.pairs,
-                          separated=res.separated)
+                          res.curvature, res.separated)
 
     u = theta0.values[:, keep][:, : n_kept - 1].ravel()
     at = evaluate(u)
@@ -412,16 +412,12 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
             direction = (factor - 1.0) * u  # t = 1 scales theta by factor
         elif hist:
             ray = None  # (sigma, gain) of the scale step, at a build where g'u < 0
-            if h0 is None or it - built >= CURVATURE_EVERY:
-                values = unpack(u)
-                curv = evaluate_objective(values, design.values, labels0, config.eps,
-                                          want_grad=False, want_curvature=True,
-                                          layout=layout).curvature
-                h0 = initial_matrix(curv, bound)
+            if h0 is None or it - built >= CURVATURE_EVERY:  # M came with at (eval_step)
+                h0 = initial_matrix(at.curvature, bound)
                 built, passes = it, passes + 1
                 slope = float(g @ u)
                 if slope < 0.0:
-                    ray = scale_step(curv, values, config.eps, slope, len(grain_map))
+                    ray = scale_step(at.curvature, unpack(u), config.eps, slope, len(grain_map))
             s_vec, y_vec, rho = hist[-1]  # gamma = s'y / y'H0y of the newest pair
             y_scaled, e_y = _scaled(y_vec)
             gamma = 1.0 / (rho * float(y_scaled @ h0(y_scaled)))
@@ -450,10 +446,12 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         if not 0.0 < slope0 < math.inf:
             stop_reason = "stationary"
             break
+        # M rides on the trials whose accepted point the next iteration may build H0 at
+        curvature = it < config.max_iters and (h0 is None or it + 1 - built >= CURVATURE_EVERY)
 
         def eval_step(t):  # line_search calls it before u or direction change
             u_t = u + t * direction
-            res = evaluate(u_t)
+            res = evaluate(u_t, curvature)
             return LineEval(phi=res.phi, payload=(u_t, res), slope=float(res.grad @ direction))
 
         evaluations = len(pairs)

@@ -927,12 +927,15 @@ class TestBatchedKernel:
                 results.append(evaluate_objective(theta.values, d, g0, eps, want_grad=True,
                                                   want_assign=True, want_curvature=True,
                                                   layout=layout))
-        single, batched = results
+        # M alone: neither the tie test nor the gradient moves the bits it is taken from
+        results.append(evaluate_objective(theta.values, d, g0, eps, want_grad=False,
+                                          want_curvature=True, layout=layout))
+        single, batched, alone = results
         assert (batched.phi, batched.err, batched.e0, batched.pairs, batched.separated) == (
             single.phi, single.err, single.e0, single.pairs, single.separated)
         assert np.array_equal(batched.grad, single.grad)
-        for a, b in zip(batched.curvature, single.curvature):  # diag, pairs and blocks
-            assert np.array_equal(a, b)
+        for a, b, c in zip(batched.curvature, single.curvature, alone.curvature):
+            assert np.array_equal(a, b) and np.array_equal(a, c)  # diag, pairs and blocks
 
     @settings(max_examples=150, deadline=None)
     @given(problem=tiled_problems(), eps=st.sampled_from([1e-3, 1e-2, 0.3]),

@@ -328,14 +328,26 @@ class TestFit:
         for i, (u, t, u_new) in enumerate(rays):
             assert t == 1.0 and np.array_equal(u_new, (4.0 if i else 2.0) * u)
 
-    def test_curvature_builds_follow_the_memory(self, rng):
+    def test_curvature_builds_follow_the_memory(self, rng, monkeypatch):
         # H0 is first built when the memory holds a pair, at iteration 2, and then
         # every CURVATURE_EVERY accepted iterations; a one-iteration fit builds none.
+        # The kernel runs once per theta: a build takes M from the evaluation that
+        # accepted theta, and the last iteration's trials ask for none.
+        calls, real = [], optimizer.evaluate_objective  # want_curvature of each call
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("want_curvature", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "evaluate_objective", counted)
         gm = random_labels_map(rng, 6, 5)
         for iters, builds in [(1, 0), (2, 1), (optimizer.CURVATURE_EVERY + 1, 1),
                               (optimizer.CURVATURE_EVERY + 2, 2)]:
+            calls.clear()
             rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=iters))
             assert rep.iterations_run == iters and rep.curvature_passes == builds
+            assert len(calls) == rep.evaluations
+            assert sum(calls) >= rep.curvature_passes and (iters > 1 or not any(calls))
 
     def test_explicit_init_shape_mismatch(self, rng):
         gm = random_labels_map(rng, 4, 3)
@@ -593,7 +605,8 @@ class TestMemoryRestart:
     def test_restart_takes_the_scaled_gradient_step(self, monkeypatch):
         # Scripted gradients at the evaluations 0, 1, 2, ... (grain 1's column):
         # the first step lands at s = g0/|g0|^2 = (1e-100, 0, 0) with y = g0 - g1
-        # and s'y = 1. At iteration 2 the fit builds H0 at u = s, where both
+        # and s'y = 1. At iteration 2 the fit builds H0 at u = s, from the M that
+        # iteration 1's trial brought from there (``seen`` counts every trial), where both
         # grains have p = 1/2 at each of the 16 pixels: M_free = diag(4, 5/4, 5/4),
         # B = diag(1, 5/16, 5/16) / 2 and lam = 3e-3 tr M_free / tr B = 0.024, so the
         # factored H0 is exactly diag(1/4.012, 1/1.25375, 1/1.25375), about
@@ -606,12 +619,14 @@ class TestMemoryRestart:
         seen = []
 
         def scripted(theta, *args, **kwargs):
-            if kwargs.get("want_curvature"):  # an H0 build: the real kernel, not counted
-                return evaluate_objective(theta, *args, **kwargs)
+            curv = None  # M for the next build comes with the trial: the real kernel's
+            if kwargs["want_curvature"]:
+                curv = evaluate_objective(theta, *args, want_grad=False, want_curvature=True,
+                                          layout=kwargs["layout"]).curvature
             g = grads[min(len(seen), len(grads) - 1)]
             seen.append(theta[:, 0].copy())
             return objective_module.EvalResult(phi=-0.5, grad=np.column_stack([g, -g]),
-                                               err=0.5, e0=0.0, pairs=0)
+                                               err=0.5, e0=0.0, pairs=0, curvature=curv)
 
         monkeypatch.setattr(optimizer, "evaluate_objective", scripted)
         monkeypatch.setattr(optimizer, "line_search",
