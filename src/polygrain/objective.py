@@ -254,13 +254,10 @@ def tile_grains(layout: TileLayout, theta_values: np.ndarray, floor_cut: float) 
     return keep
 
 
-def _label_rows(rows: np.ndarray | None, labels: np.ndarray, slot: np.ndarray) -> np.ndarray:
+def _label_rows(rows: np.ndarray, labels: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """The row of each of a tile's ``labels`` among its kept grains ``rows``, which
-    hold every label; the labels themselves where the tile keeps every grain.
-    ``slot`` is scratch of one integer per grain: the entries of ``rows`` are
-    written, and only they are read."""
-    if rows is None:
-        return labels
+    hold every label. ``slot`` is scratch of one integer per grain: the entries of
+    ``rows`` are written, and only they are read."""
     slot[rows] = np.arange(len(rows))
     return slot[labels]
 
@@ -270,8 +267,9 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
     """Arg-min labels of the diagram induced by theta, smallest index on ties.
 
     Costs are formed one tile of ``_batches`` at a time over the grains its
-    certificate keeps, never as a whole N x n matrix. Without ``design`` each
-    tile evaluates its own columns of the basis.
+    certificate keeps, never as a whole N x n matrix: a tile's arg-min row maps
+    back to its grain through the tile's ``rows``. Without ``design`` each tile
+    evaluates its own columns of the basis.
     """
     if design is not None:
         _check_compatible(theta, design, len(grid))
@@ -284,9 +282,7 @@ def hard_assign(theta: ParamMatrix, grid: PixelGrid,
         # (10^4 pixels, 2-vCPU VM, NumPy 2.4).
         eta = (theta.basis.evaluate(grid.points[cols]) if design is None
                else design.values.take(cols, axis=1))
-        theta_t = (theta.values if rows is None else theta.values[:, rows]).T
-        local = argmin_labels(theta_t @ eta)
-        labels[cols] = local if rows is None else rows[local - 1] + 1
+        labels[cols] = rows[argmin_labels(theta.values[:, rows].T @ eta) - 1] + 1
     return labels
 
 
@@ -321,11 +317,12 @@ def _batches(layout: TileLayout, keep: np.ndarray) -> list[list[tuple]]:
     """The kernel's tile plan: each kernel call as a list of tiles (cols, rows).
 
     ``cols`` is the tile's run of ``layout.order``, or the slice of its bounds
-    without an order; ``rows`` are its kept grains in ascending order, None if
-    all. Tiles are sorted by their count of kept rows (stably, so in tile order
-    among equals), and the tiles of each count are cut greedily into batches
-    whose working set, a rows x pixels float buffer and about 8 float vectors
-    per pixel, takes at most BATCH_BYTES. A tile above that is a batch of one.
+    without an order; ``rows`` are its kept grains in ascending order, all N
+    where it keeps every grain. Tiles are sorted by their count of kept rows
+    (stably, so in tile order among equals), and the tiles of each count are
+    cut greedily into batches whose working set, a rows x pixels float buffer
+    and about 8 float vectors per pixel, takes at most BATCH_BYTES. A tile
+    above that is a batch of one.
     """
     bounds = layout.bounds.tolist()
     counts = keep.sum(axis=1).tolist()
@@ -333,7 +330,7 @@ def _batches(layout: TileLayout, keep: np.ndarray) -> list[list[tuple]]:
     for t in sorted(range(len(counts)), key=counts.__getitem__):
         lo, hi = bounds[t], bounds[t + 1]
         tile = (slice(lo, hi) if layout.order is None else layout.order[lo:hi],
-                None if counts[t] == keep.shape[1] else np.flatnonzero(keep[t]))
+                np.flatnonzero(keep[t]))
         if counts[t] == count and 8 * (count + 8) * (width + hi - lo) <= BATCH_BYTES:
             batches[-1].append(tile)
             width += hi - lo
@@ -371,7 +368,7 @@ def _curvature_share(e, eta, rows, n_grains):
         gram += q @ q.T  # a Gram matrix: syrk, no general GEMM
     gram = gram.reshape(r, k_dim, r, k_dim).transpose(0, 2, 1, 3)
     gram[np.arange(r), np.arange(r)] = 0.0
-    grains = live if rows is None else rows[live]
+    grains = rows[live]
     a, b = np.nonzero(np.triu(gram.any(axis=(2, 3))))
     return grains, gram.sum(axis=1), grains[a] * n_grains + grains[b], gram[a, b]
 
@@ -382,10 +379,10 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     product, correct, E0 sum, separated, share of M) per tile.
 
     ``batch`` lists tiles (cols, rows) of ``_batches`` with one count of rows:
-    a tile runs on columns ``cols`` and grains ``rows`` (all if None), and its
-    gradient product has one column per row. The tiles share one rows x pixels
-    buffer, each in its own columns. The cost GEMM, the sums and the gradient
-    GEMM run per tile; the passes over the buffer run once: min, the tie test
+    a tile runs on columns ``cols`` and grains ``rows``, and its gradient
+    product has one column per row. The tiles share one rows x pixels buffer,
+    each in its own columns. The cost GEMM, the sums and the gradient GEMM
+    run per tile; the passes over the buffer run once: min, the tie test
     on the costs (``want_assign``), subtract, scale by -1/eps, floor, exp, the
     row sum and log1p. A tile sums its own columns of each per-pixel term, so
     its partials have the same bits in any batch. It is separated where
@@ -397,7 +394,7 @@ def _chunk_stats(theta_values, design_values, labels0, eps, batch, want_grad, wa
     there (1 - e_g0/s without its cancellation) and -e/s elsewhere. The -1/s
     scaling goes onto the K x tile design slice.
     """
-    thetas = [theta_values if rows is None else theta_values[:, rows] for _, rows in batch]
+    thetas = [theta_values[:, rows] for _, rows in batch]
     etas = [design_values[:, cols] for cols, _ in batch]  # views where cols are slices
     labels = [labels0[cols] for cols, _ in batch]
     slot = np.empty(theta_values.shape[1], dtype=np.intp)
@@ -529,10 +526,7 @@ def evaluate_objective(theta_values: np.ndarray, design_values: np.ndarray,
             e0_sum += e0
             separated &= sep
             if want_grad:
-                if rows is None:
-                    grad += gacc
-                else:
-                    grad[:, rows] += gacc
+                grad[:, rows] += gacc
             if share is not None:  # (grains, their diagonal blocks, pair keys, pair blocks)
                 diag[share[0]] += share[1]
                 keys.append(share[2])

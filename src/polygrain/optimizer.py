@@ -44,8 +44,10 @@ evaluations take the time. Seven steps leave a relative error of about 0.77 agai
 solve on the apd-heuristic map after 300 iterations. H0 is built when the
 memory first holds a pair and then every CURVATURE_EVERY accepted iterations,
 at the current theta, from the M that the kernel computed there with phi and g
-(Byrd, Chin, Neveitt & Nocedal, SIAM J. Optim. 21, 2011). These constants were
-chosen by time to target on the benchmark maps.
+(Byrd, Chin, Neveitt & Nocedal, SIAM J. Optim. 21, 2011). The schedule is set
+one iteration ahead, where the line search's trials are told to carry M, and H0
+is built exactly where M arrived. These constants were chosen by time to
+target on the benchmark maps.
 
 When the memory is empty the search direction is g/|g|^2, which makes the
 whole trajectory equivariant under the temperature rescaling
@@ -412,7 +414,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
             direction = (factor - 1.0) * u  # t = 1 scales theta by factor
         elif hist:
             ray = None  # (sigma, gain) of the scale step, at a build where g'u < 0
-            if h0 is None or it - built >= CURVATURE_EVERY:  # M came with at (eval_step)
+            if at.curvature is not None:  # due a build: the ride rule below sent M
                 h0 = initial_matrix(at.curvature, bound)
                 built, passes = it, passes + 1
                 slope = float(g @ u)
@@ -446,7 +448,7 @@ def fit(grain_map: GrainMap, config: FitConfig) -> FitReport:
         if not 0.0 < slope0 < math.inf:
             stop_reason = "stationary"
             break
-        # M rides on the trials whose accepted point the next iteration may build H0 at
+        # M rides on the trials whose accepted point is due a build of H0
         curvature = it < config.max_iters and (h0 is None or it + 1 - built >= CURVATURE_EVERY)
 
         def eval_step(t):  # line_search calls it before u or direction change

@@ -852,10 +852,7 @@ class TestBatchedKernel:
                     assert cols == slice(bounds[t], bounds[t + 1])
                 else:
                     assert np.array_equal(cols, layout.order[bounds[t]:bounds[t + 1]])
-                if keep[t].all():
-                    assert rows is None
-                else:
-                    assert np.array_equal(rows, np.flatnonzero(keep[t]))
+                assert np.array_equal(rows, np.flatnonzero(keep[t]))  # full tiles too
             at = np.cumsum([len(batch) for batch in batches])[:-1]
             indices = np.split(np.array(order), at)  # the tiles of each batch
             for batch, after in zip(indices, indices[1:] + [None]):
@@ -965,8 +962,7 @@ class TestBatchedKernel:
                 e0_sum += e0
                 ncorrect += count
                 separated &= sep
-                rows = tile[1]
-                grad[:, slice(None) if rows is None else rows] += gacc
+                grad[:, tile[1]] += gacc
         n = len(g0)
         assert res.phi == lse_sum / n
         assert res.e0 == e0_sum / n
@@ -1094,7 +1090,7 @@ class TestTileRows:
         slot = np.full(n_grains, -1)  # scratch shared by the tiles, as in a batch
         for sl, rows in itertools.chain.from_iterable(batches):
             t = int(np.searchsorted(bounds, sl.start))
-            assert (rows is None) == keep[t].all()
+            assert np.array_equal(rows, np.flatnonzero(keep[t]))  # all N where it keeps all
             labels = rng.choice(np.flatnonzero(keep[t]), size=sl.stop - sl.start)
             assert np.array_equal(objective_module._label_rows(rows, labels, slot),
                                   slots[t, labels])

@@ -332,22 +332,36 @@ class TestFit:
         # H0 is first built when the memory holds a pair, at iteration 2, and then
         # every CURVATURE_EVERY accepted iterations; a one-iteration fit builds none.
         # The kernel runs once per theta: a build takes M from the evaluation that
-        # accepted theta, and the last iteration's trials ask for none.
+        # accepted theta, and the last iteration's trials ask for none. Every M
+        # that H0 is built from is the very object of a kernel result that was
+        # asked for it.
         calls, real = [], optimizer.evaluate_objective  # want_curvature of each call
+        curvs, built, real_h0 = [], [], optimizer.initial_matrix  # M sent, M built from
 
         def counted(*args, **kwargs):
             calls.append(kwargs.get("want_curvature", False))
-            return real(*args, **kwargs)
+            res = real(*args, **kwargs)
+            if calls[-1]:
+                curvs.append(res.curvature)
+            return res
+
+        def build(curv, bound):
+            built.append(curv)
+            return real_h0(curv, bound)
 
         monkeypatch.setattr(optimizer, "evaluate_objective", counted)
+        monkeypatch.setattr(optimizer, "initial_matrix", build)
         gm = random_labels_map(rng, 6, 5)
         for iters, builds in [(1, 0), (2, 1), (optimizer.CURVATURE_EVERY + 1, 1),
                               (optimizer.CURVATURE_EVERY + 2, 2)]:
-            calls.clear()
+            for log in (calls, curvs, built):
+                log.clear()
             rep = pg.fit(gm, pg.FitConfig(degree=2, max_iters=iters))
             assert rep.iterations_run == iters and rep.curvature_passes == builds
             assert len(calls) == rep.evaluations
             assert sum(calls) >= rep.curvature_passes and (iters > 1 or not any(calls))
+            assert len(built) == builds
+            assert all(any(curv is c for c in curvs) for curv in built)
 
     def test_explicit_init_shape_mismatch(self, rng):
         gm = random_labels_map(rng, 4, 3)
